@@ -21,8 +21,9 @@ from .groebner import (_buchberger_raw, _mix_seed, GREVLEX,
 from .ring import (PolyIdeal, QQ, RingCtx, apply_linear_change,
                    seeded_invertible_matrix)
 
-#: Degree-d pieces larger than this skip the exact rank cross-check (the
-#: check is quadratic in this size); every bundled fixture stays well below.
+#: Degree-d pieces larger than this skip the exact rank cross-check: its cost
+#: is a sparse elimination on that many columns, which fills in as it goes;
+#: every bundled fixture stays well below.
 HF_CHECK_LIMIT = 400
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 from .borel import MonomialIdeal
@@ -365,50 +366,63 @@ def spoly_certificate(G: GroebnerBasis) -> bool:
 # counting; used to cross-check initial ideals)
 # ---------------------------------------------------------------------------
 
-def _int_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        a = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            b = rows[r][col]
-            if b:
-                g = gcd(a, b)
-                aa, bb = a // g, b // g
-                rows[r] = [aa * x - bb * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _sparse_rank(rows, p: int | None = None) -> int:
+    """Rank of a matrix given as sparse rows {column: coefficient}.
 
-
-def _fp_rank(rows, p: int) -> int:
-    rows = [[v % p for v in r] for r in rows]
-    rows = [r for r in rows if any(r)]
+    Over QQ (p None) the entries are integers and the rank is exact: a row is
+    eliminated fraction-free, as (lc/g)*row - (c/g)*pivot with g = gcd(lc, c).
+    Over GF(p) the same loop runs mod p.  Rows are bucketed by their leading
+    (smallest) column; columns are taken in increasing order, the bucket row
+    with the smallest |leading coefficient| becomes the pivot, and only the
+    other rows of that bucket are rewritten and re-bucketed.  Small pivots and
+    untouched rows keep integer entries from growing exponentially, as they do
+    when every row below a pivot is rescaled at every step.
+    """
+    buckets: dict = {}
+    for row in rows:
+        if p is None:
+            row = {k: v for k, v in row.items() if v}
+        else:
+            row = {k: v % p for k, v in row.items() if v % p}
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    cols = list(buckets)
+    heapify(cols)
     rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(rank + 1, len(rows)):
-            b = rows[r][col]
-            if b:
-                f = b * inv % p
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+    while cols:
+        col = heappop(cols)
+        bucket = buckets.pop(col)
         rank += 1
-        col += 1
+        pivot = min(bucket, key=lambda r: abs(r[col]))
+        lc = pivot[col]
+        if p is not None:
+            inv = pow(lc, -1, p)
+        for row in bucket:
+            if row is pivot:
+                continue
+            if p is None:
+                g = gcd(lc, row[col])
+                a, b = lc // g, row[col] // g
+                if a != 1:
+                    for k in row:
+                        row[k] *= a
+            else:
+                b = row[col] * inv % p
+            for k, v in pivot.items():
+                s = row.get(k, 0) - b * v
+                if p is not None:
+                    s %= p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            if row:
+                lead = min(row)
+                if lead in buckets:
+                    buckets[lead].append(row)
+                else:
+                    buckets[lead] = [row]
+                    heappush(cols, lead)
     return rank
 
 
@@ -432,8 +446,7 @@ def graded_dimension(I: PolyIdeal, d: int) -> int:
     monomial multiples m*g with deg(m*g) = d."""
     ring = I.ring
     n = ring.num_vars
-    monos_d = _monomials_of_degree(n, d)
-    index = {m: i for i, m in enumerate(monos_d)}
+    index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
     p_mod = ring.field.p if isinstance(ring.field, PrimeField) else None
     rows = []
     for g in I.gens:
@@ -442,13 +455,8 @@ def graded_dimension(I: PolyIdeal, d: int) -> int:
             continue
         work = _to_work(g, p_mod)
         for mult in _monomials_of_degree(n, d - dg):
-            row = [0] * len(monos_d)
-            for m, c in work.items():
-                row[index[mono_mul(m, mult)]] = c
-            rows.append(row)
-    if not rows:
-        return 0
-    return _fp_rank(rows, p_mod) if p_mod is not None else _int_rank(rows)
+            rows.append({index[mono_mul(m, mult)]: c for m, c in work.items()})
+    return _sparse_rank(rows, p_mod)
 
 
 def hilbert_function_rank_oracle(I: PolyIdeal, d: int) -> int:

@@ -10,7 +10,6 @@ mode) or elements of an odd prime field (a fast, advisory mode).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -396,26 +395,6 @@ def poly_scale(f: Polynomial, c) -> Polynomial:
     return f.scale(c)
 
 
-def strip_content(f: Polynomial) -> Polynomial:
-    """Canonical scalar normal form: over Q, divide by the rational content so
-    coefficients are coprime integers with positive leading coefficient; over
-    a prime field, make monic.  Scaling never changes the ideal membership of
-    a generator, only its presentation."""
-    if f.is_zero:
-        return f
-    if isinstance(f.ring.field, PrimeField):
-        return f.monic()
-    num = 0
-    den = 1
-    for _, c in f.terms:
-        num = math.gcd(num, c.numerator)
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    content = Fraction(num, den)
-    if f.lead_coeff() < 0:
-        content = -content
-    return f.scale(1 / content)
-
-
 # ---------------------------------------------------------------------------
 # homogeneous ideals of polynomials
 # ---------------------------------------------------------------------------
@@ -479,12 +458,6 @@ def matrix_det(M, field):
                 factor = A[r][col] * inv
                 A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
     return det
-
-def matrix_mul(A, B, field):
-    n = len(A)
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(n)), field.zero) for j in range(n))
-        for i in range(n))
 
 
 def matrix_inv(M, field):

@@ -96,3 +96,29 @@ def ek_alternating_hf(entries, nv, t):
         if t - i - d >= 0:
             total += (-1) ** i * v * comb(nv - 1 + t - i - d, nv - 1)
     return total
+
+
+def fraction_rank(rows, p=None):
+    """Rank of a dense integer matrix by literal Gaussian elimination: over
+    Fraction when p is None, otherwise over the integers mod p."""
+    if p is None:
+        A = [[Fraction(v) for v in r] for r in rows]
+    else:
+        A = [[v % p for v in r] for r in rows]
+    rank = 0
+    for col in range(len(A[0]) if A else 0):
+        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        top = A[rank]
+        for r in range(rank + 1, len(A)):
+            if A[r][col]:
+                if p is None:
+                    f = A[r][col] / top[col]
+                    A[r] = [x - f * y for x, y in zip(A[r], top)]
+                else:
+                    f = A[r][col] * pow(top[col], -1, p) % p
+                    A[r] = [(x - f * y) % p for x, y in zip(A[r], top)]
+        rank += 1
+    return rank
