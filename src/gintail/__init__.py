@@ -11,7 +11,7 @@ from .errors import (GenericityError, GintailError, HypothesisError,
                      ParseError, RegularityError, RingMismatchError,
                      SaturationRetryError, SingularMatrixError, UnitIdealError)
 from .gin import (GinCertificate, certificate_for_borel_ideal, compute_gin,
-                  generic_section_gin, random_generic_change)
+                  generic_section_gin)
 from .groebner import (GroebnerBasis, buchberger, hilbert_function_rank_oracle,
                        ideals_equal, initial_ideal, is_member, reduce,
                        saturate_by_general_linear_form, spoly, spoly_certificate)

@@ -19,6 +19,8 @@ import json
 import os
 import sys
 import tempfile
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .borel import ek_betti, hilbert_function
 from .errors import (GenericityError, GintailError, HypothesisError,
@@ -29,7 +31,7 @@ from .gin import compute_gin
 from .groebner import buchberger
 from .invariants import scheme_profile
 from .ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx, mono_str)
-from .tailing import build_tailing_report, vector_report
+from .tailing import build_tailing_report, vector_report, xi_matrix
 
 EXIT_OK = 0
 EXIT_REFUSED = 1
@@ -219,88 +221,56 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
 # report assembly
 # ---------------------------------------------------------------------------
 
-def _frac_str(c) -> str:
-    return str(c)
-
-
 def _cert_dict(cert) -> dict:
-    return {
-        "generators": [mono_str(g) for g in cert.gin.min_gens],
-        "num_vars": cert.gin.num_vars,
-        "trial_seeds": list(cert.trial_seeds),
-        "agreements": cert.agreements,
-        "method": cert.method,
-        "borel_verified": cert.borel_verified,
-        "field": cert.field_mode,
-        "certified": cert.certified,
-        "hf_checked": cert.hf_checked,
-        "warnings": list(cert.warnings),
-    }
+    return {"generators": [mono_str(g) for g in cert.gin.min_gens],
+            "num_vars": cert.gin.num_vars, "trial_seeds": list(cert.trial_seeds),
+            "agreements": cert.agreements, "method": cert.method,
+            "borel_verified": cert.borel_verified, "field": cert.field_mode,
+            "certified": cert.certified, "hf_checked": cert.hf_checked,
+            "warnings": list(cert.warnings)}
+
+
+def _hilbert_dict(hp) -> dict:
+    return {"chis": list(hp.chis), "text": str(hp)}
+
+
+def _nd1_dict(p) -> dict:
+    return {str(j): ("PASS" if ok else "FAIL") for j, ok in p.nd1}
 
 
 def _profile_dict(p) -> dict:
-    return {
-        "n": p.n,
-        "dim": p.dim,
-        "codim": p.codim,
-        "degree": p.degree,
-        "regularity": p.reg,
-        "depth": p.depth,
-        "pd": p.pd,
-        "nd1": {str(j): ("PASS" if ok else "FAIL") for j, ok in p.nd1},
-        "nd1_all": p.nd1_all,
-        "is_3regular": p.is_3regular,
-        "hilbert": {"chis": list(p.hilbert.chis), "text": str(p.hilbert)},
-    }
+    return {"n": p.n, "dim": p.dim, "codim": p.codim, "degree": p.degree,
+            "regularity": p.reg, "depth": p.depth, "pd": p.pd,
+            "nd1": _nd1_dict(p), "nd1_all": p.nd1_all,
+            "is_3regular": p.is_3regular, "hilbert": _hilbert_dict(p.hilbert)}
 
 
 def _betti_dict(table) -> dict:
-    return {
-        "rows": table.rows(),
-        "max_col": table.max_col(),
-        "max_row": table.max_row(),
-        "codim_marker": table.codim_marker,
-    }
-
-
-def _bounds_dict(b) -> dict | None:
-    if b is None:
-        return None
-    return {
-        "mode": b.mode,
-        "ok": b.ok,
-        "details": [list(row) for row in b.details],
-        "violations": list(b.violations),
-    }
+    return {"rows": table.rows(), "max_col": table.max_col(),
+            "max_row": table.max_row(), "codim_marker": table.codim_marker}
 
 
 def _tailing_dict(rep) -> dict:
-    from .tailing import xi_matrix
-    coh = rep.cohomology
+    coh, dg = rep.cohomology, rep.degree_genus
+    bounds, structure = rep.bounds, rep.structure
     return {
-        "n": rep.n,
-        "e": rep.e,
-        "b": list(rep.b),
-        "h": list(rep.h),
+        "n": rep.n, "e": rep.e, "b": list(rep.b), "h": list(rep.h),
         "xi": [list(row) for row in xi_matrix(rep.n, rep.e).rows],
         "consistent": rep.consistent,
-        "degree": rep.degree_genus.degree,
-        "p_a": rep.degree_genus.p_a,
-        "q": rep.degree_genus.q,
-        "sectional_genus": rep.degree_genus.sectional_genus,
-        "hilbert": {"chis": list(rep.reconstructed.chis), "text": str(rep.reconstructed)},
+        "degree": dg.degree, "p_a": dg.p_a, "q": dg.q,
+        "sectional_genus": dg.sectional_genus,
+        "hilbert": _hilbert_dict(rep.reconstructed),
         "hilbert_match": rep.hilbert_match,
-        "cohomology": {
-            "h1": coh.h1, "h2": coh.h2, "h3_lower_raw": coh.h3_lower_raw,
-            "h3_lower": coh.h3_lower, "h3_upper": coh.h3_upper,
-            "h3_exact": coh.h3_exact,
-        },
-        "bounds": _bounds_dict(rep.bounds),
-        "structure": None if rep.structure is None else {
-            "passed": rep.structure.passed,
-            "top_stratum_size": rep.structure.r,
-            "failures": list(rep.structure.failures),
-        },
+        "cohomology": {"h1": coh.h1, "h2": coh.h2, "h3_lower_raw": coh.h3_lower_raw,
+                       "h3_lower": coh.h3_lower, "h3_upper": coh.h3_upper,
+                       "h3_exact": coh.h3_exact},
+        "bounds": None if bounds is None else {
+            "mode": bounds.mode, "ok": bounds.ok,
+            "details": [list(row) for row in bounds.details],
+            "violations": list(bounds.violations)},
+        "structure": None if structure is None else {
+            "passed": structure.passed, "top_stratum_size": structure.r,
+            "failures": list(structure.failures)},
         "forced": rep.forced,
         "warnings": list(rep.warnings),
     }
@@ -309,9 +279,7 @@ def _tailing_dict(rep) -> dict:
 def _render_table(report: dict) -> str:
     lines = []
     for key, value in report.items():
-        if key in ("schema", "betti_pretty"):
-            continue
-        if value is None:
+        if key in ("schema", "betti_pretty") or value is None:
             continue
         if isinstance(value, dict):
             lines.append(f"[{key}]")
@@ -359,7 +327,7 @@ def _write_report(report: dict, fmt: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# the analysis chain and its report sections
 # ---------------------------------------------------------------------------
 
 def _parse_field_flag(text: str | None):
@@ -372,152 +340,135 @@ def _parse_field_flag(text: str | None):
     raise ParseError("--field must be q or fp:<odd prime>")
 
 
-def _load(args) -> PolyIdeal:
-    with open(args.ideal) as fh:
-        text = fh.read()
-    return parse_ideal(text, _parse_field_flag(args.field))
+class _Run:
+    """The chain ideal -> Gin certificate -> profile -> tailing report for one
+    ideal file.  Each stage runs on first use, so a command pays only for the
+    stages its sections read."""
+
+    def __init__(self, args):
+        self.args = args
+        self.notes = []         # warnings about stages that were refused
+
+    @cached_property
+    def ideal(self) -> PolyIdeal:
+        with open(self.args.ideal) as fh:
+            return parse_ideal(fh.read(), _parse_field_flag(self.args.field))
+
+    @cached_property
+    def cert(self):
+        return compute_gin(self.ideal, seed=self.args.seed,
+                           trials=self.args.trials, bound=self.args.bound)
+
+    @cached_property
+    def profile(self):
+        return scheme_profile(self.cert)
+
+    @cached_property
+    def betti(self):
+        return ek_betti(self.cert.gin, codim_marker=self.profile.codim)
+
+    @cached_property
+    def tailing(self):
+        return build_tailing_report(self.cert, self.profile, force=self.args.force)
+
+    def warnings(self) -> list:
+        """Warnings of the deepest stage that ran (they carry those of the
+        stages before it), then the notes."""
+        for stage in ("tailing", "cert"):
+            if stage in vars(self):
+                return list(getattr(self, stage).warnings) + self.notes
+        return list(self.notes)
 
 
-def _base_report(args, command: str) -> dict:
+def _gb_section(run) -> dict:
+    basis = buchberger(run.ideal)
+    return {"order": basis.order, "reduced": basis.reduced,
+            "size": len(basis.elements),
+            "elements": [str(g) for g in basis.elements]}
+
+
+def _hilbert_section(run) -> dict:
+    section = {"direct": _hilbert_dict(run.profile.hilbert),
+               "values": {str(t): hilbert_function(run.cert.gin, t)
+                          for t in range(run.profile.reg + 3)},
+               "from_tailing": None, "agreement": None}
+    try:
+        rep = run.tailing
+    except (HypothesisError, RegularityError) as ex:
+        # --force lifts only the ND(1) and saturation gates; either way the
+        # direct route stands
+        run.notes.append(f"tailing route unavailable: {ex}")
+    else:
+        section.update(from_tailing=_hilbert_dict(rep.reconstructed),
+                       agreement=rep.hilbert_match)
+    return section
+
+
+#: report section -> renderer reading the run
+_SECTIONS = {
+    "gb": _gb_section,
+    "gin": lambda run: _cert_dict(run.cert),
+    "profile": lambda run: _profile_dict(run.profile),
+    "betti": lambda run: _betti_dict(run.betti),
+    "betti_pretty": lambda run: run.betti.pretty(),
+    "nd1": lambda run: _nd1_dict(run.profile),
+    "nd1_all": lambda run: run.profile.nd1_all,
+    "codim": lambda run: run.profile.codim,
+    "tailing": lambda run: _tailing_dict(run.tailing),
+    "hilbert": _hilbert_section,
+}
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+def _base_report(command: str) -> dict:
     return {"schema": "gintail-report/1", "command": command}
 
 
-def cmd_gb(args) -> int:
-    I = _load(args)
-    basis = buchberger(I)
-    report = _base_report(args, "gb")
-    report["input"] = {"file": args.ideal, "num_vars": I.ring.num_vars,
-                       "field": I.ring.field.name}
-    report["gb"] = {
-        "order": basis.order,
-        "reduced": basis.reduced,
-        "size": len(basis.elements),
-        "elements": [str(g) for g in basis.elements],
-    }
-    report["warnings"] = []
+def cmd_ideal(args) -> int:
+    """Render the command's sections, in table order, from one run."""
+    command = COMMANDS[args.command]
+    run = _Run(args)
+    report = _base_report(args.command)
+    report["input"] = {"file": args.ideal, "num_vars": run.ideal.ring.num_vars,
+                       "field": run.ideal.ring.field.name}
+    report["input"].update((flag, getattr(args, flag))
+                           for flag in ("seed", "trials", "force")
+                           if flag in command.flags)
+    for name in command.sections:
+        report[name] = _SECTIONS[name](run)
+    report["warnings"] = run.warnings()
     _write_report(report, args.format, args.out)
     return EXIT_OK
-
-
-def _certificate(args, I: PolyIdeal):
-    return compute_gin(I, seed=args.seed, trials=args.trials, bound=args.bound)
-
-
-def cmd_gin(args) -> int:
-    I = _load(args)
-    cert = _certificate(args, I)
-    report = _base_report(args, "gin")
-    report["input"] = {"file": args.ideal, "num_vars": I.ring.num_vars,
-                       "field": I.ring.field.name, "seed": args.seed,
-                       "trials": args.trials}
-    report["gin"] = _cert_dict(cert)
-    report["warnings"] = list(cert.warnings)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_betti(args) -> int:
-    I = _load(args)
-    cert = _certificate(args, I)
-    profile = scheme_profile(cert)
-    table = ek_betti(cert.gin, codim_marker=profile.codim)
-    report = _base_report(args, "betti")
-    report["input"] = {"file": args.ideal, "seed": args.seed, "trials": args.trials}
-    report["gin"] = _cert_dict(cert)
-    report["betti"] = _betti_dict(table)
-    report["betti_pretty"] = table.pretty()
-    report["warnings"] = list(cert.warnings)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_invariants(args) -> int:
-    I = _load(args)
-    cert = _certificate(args, I)
-    profile = scheme_profile(cert)
-    report = _base_report(args, "invariants")
-    report["input"] = {"file": args.ideal, "seed": args.seed, "trials": args.trials}
-    report["profile"] = _profile_dict(profile)
-    report["gin"] = _cert_dict(cert)
-    report["warnings"] = list(cert.warnings)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_nd1(args) -> int:
-    I = _load(args)
-    cert = _certificate(args, I)
-    profile = scheme_profile(cert)
-    report = _base_report(args, "nd1")
-    report["input"] = {"file": args.ideal, "seed": args.seed, "trials": args.trials}
-    report["nd1"] = {str(j): ("PASS" if ok else "FAIL") for j, ok in profile.nd1}
-    report["nd1_all"] = profile.nd1_all
-    report["codim"] = profile.codim
-    report["warnings"] = list(cert.warnings)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK
-
-
-def _parse_vec(text: str):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
 def cmd_tailing(args) -> int:
-    report = _base_report(args, "tailing")
     if args.b or args.h:
-        if args.ideal:
-            raise ParseError("give either an ideal file or literal vectors, not both")
-        if args.n is None or args.e is None:
-            raise ParseError("published-vector mode needs --n and --e")
-        rep = vector_report(
-            n=args.n, e=args.e,
-            b=_parse_vec(args.b) if args.b else None,
-            h=_parse_vec(args.h) if args.h else None,
-            pd=args.pd)
-        report["input"] = {"mode": "vectors", "n": args.n, "e": args.e,
-                           "b": _parse_vec(args.b) if args.b else None,
-                           "h": _parse_vec(args.h) if args.h else None,
-                           "pd": args.pd}
-        report["profile"] = None
-    else:
-        if not args.ideal:
-            raise ParseError("tailing needs an ideal file or --b/--h vectors")
-        I = _load(args)
-        cert = _certificate(args, I)
-        profile = scheme_profile(cert)
-        rep = build_tailing_report(cert, profile, force=args.force)
-        report["input"] = {"file": args.ideal, "seed": args.seed,
-                           "trials": args.trials, "force": args.force}
-        report["profile"] = _profile_dict(profile)
-        report["gin"] = _cert_dict(cert)
+        return _vector_tailing(args)
+    if not args.ideal:
+        raise ParseError("tailing needs an ideal file or --b/--h vectors")
+    stray = [f"--{flag}" for flag in ("n", "e", "pd") if getattr(args, flag) is not None]
+    if stray:
+        raise ParseError(f"{', '.join(stray)} apply only to --b/--h vector mode")
+    return cmd_ideal(args)
+
+
+def _vector_tailing(args) -> int:
+    if args.ideal:
+        raise ParseError("give either an ideal file or literal vectors, not both")
+    if args.n is None or args.e is None:
+        raise ParseError("published-vector mode needs --n and --e")
+    b, h = ([int(v) for v in text.split(",") if v.strip()] if text else None
+            for text in (args.b, args.h))
+    rep = vector_report(n=args.n, e=args.e, b=b, h=h, pd=args.pd)
+    report = _base_report("tailing")
+    report["input"] = {"mode": "vectors", "n": args.n, "e": args.e,
+                       "b": b, "h": h, "pd": args.pd}
+    report["profile"] = None
     report["tailing"] = _tailing_dict(rep)
     report["warnings"] = list(rep.warnings)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_hilbert(args) -> int:
-    I = _load(args)
-    cert = _certificate(args, I)
-    profile = scheme_profile(cert)
-    report = _base_report(args, "hilbert")
-    report["input"] = {"file": args.ideal, "seed": args.seed, "trials": args.trials}
-    direct = profile.hilbert
-    report["hilbert"] = {
-        "direct": {"chis": list(direct.chis), "text": str(direct)},
-        "values": {str(t): hilbert_function(cert.gin, t)
-                   for t in range(profile.reg + 3)},
-    }
-    try:
-        rep = build_tailing_report(cert, profile, force=args.force)
-        report["hilbert"]["from_tailing"] = {
-            "chis": list(rep.reconstructed.chis), "text": str(rep.reconstructed)}
-        report["hilbert"]["agreement"] = rep.hilbert_match
-        report["warnings"] = list(rep.warnings)
-    except HypothesisError as ex:
-        report["hilbert"]["from_tailing"] = None
-        report["hilbert"]["agreement"] = None
-        report["warnings"] = [f"tailing route unavailable: {ex}"]
     _write_report(report, args.format, args.out)
     return EXIT_OK
 
@@ -531,7 +482,7 @@ def cmd_corpus(args) -> int:
             raise ParseError(f"unknown fixture name(s): {', '.join(unknown)}; "
                              f"available: {', '.join(fixtures.CORPUS)}")
     results, ok = fixtures.run_corpus(names)
-    report = _base_report(args, "corpus")
+    report = _base_report("corpus")
     report["fixtures"] = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -556,8 +507,61 @@ def cmd_corpus(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and entry point
+# command table, argument parsing and entry point
 # ---------------------------------------------------------------------------
+
+#: flag -> (argparse name, keyword arguments); "ideal?" is an optional file
+_FLAGS = {
+    "ideal": ("ideal", {}),
+    "ideal?": ("ideal", {"nargs": "?"}),
+    "field": ("--field", {"help": "override the file's field: q or fp:<odd prime>"}),
+    "format": ("--format", {"choices": ("json", "table"), "default": "table"}),
+    "out": ("--out", {"help": "write the report to this path"}),
+    "seed": ("--seed", {"type": int, "default": 42}),
+    "trials": ("--trials", {"type": int, "default": 2}),
+    "bound": ("--bound", {"type": int, "default": 1000,
+                          "help": "coefficient bound for random changes"}),
+    "force": ("--force", {"action": "store_true",
+                          "help": "lift the ND(1) and saturation gates, marked forced"}),
+    "b": ("--b", {"help": "comma-separated tailing Betti vector"}),
+    "h": ("--h", {"help": "comma-separated sectional 1-normality vector"}),
+    "n": ("--n", {"type": int}),
+    "e": ("--e", {"type": int}),
+    "pd": ("--pd", {"type": int, "help": "projective dimension, for the "
+                                         "lower-bound check in vector mode"}),
+    "only": ("--only", {"help": "comma-separated fixture names"}),
+}
+
+
+class _Command(NamedTuple):
+    help: str
+    sections: tuple     # report sections, in report order
+    flags: tuple        # keys of _FLAGS; the command takes no others
+    func: Callable
+
+
+_FILE = ("ideal", "field", "format", "out")
+_GIN = _FILE + ("seed", "trials", "bound")
+
+COMMANDS = {
+    "gb": _Command("reduced grevlex Groebner basis", ("gb",), _FILE, cmd_ideal),
+    "gin": _Command("certified generic initial ideal", ("gin",), _GIN, cmd_ideal),
+    "betti": _Command("Eliahou-Kervaire Betti table of the Gin, tailing marked",
+                      ("gin", "betti", "betti_pretty"), _GIN, cmd_ideal),
+    "invariants": _Command("dimension, degree, regularity, depth, ND(1)",
+                           ("profile", "gin"), _GIN, cmd_ideal),
+    "nd1": _Command("per-dimension nondegeneracy of general sections",
+                    ("nd1", "nd1_all", "codim"), _GIN, cmd_ideal),
+    "tailing": _Command("tailing Betti / sectional normality report",
+                        ("profile", "gin", "tailing"),
+                        ("ideal?",) + _GIN[1:] + ("force", "b", "h", "n", "e", "pd"),
+                        cmd_tailing),
+    "hilbert": _Command("Hilbert polynomial by both routes", ("hilbert",),
+                        _GIN + ("force",), cmd_ideal),
+    "corpus": _Command("run every bundled fixture against expected values",
+                       (), ("out", "only"), cmd_corpus),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -565,67 +569,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generic initial ideals, Betti tables, and tailing "
                     "Betti / sectional 1-normality analysis, over exact rationals.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="table")
-    common.add_argument("--out", default=None, help="write the report to this path")
-
-    ideal_common = argparse.ArgumentParser(add_help=False, parents=[common])
-    ideal_common.add_argument("--seed", type=int, default=42)
-    ideal_common.add_argument("--trials", type=int, default=2)
-    ideal_common.add_argument("--bound", type=int, default=1000,
-                              help="coefficient bound for random changes")
-    ideal_common.add_argument("--field", default=None,
-                              help="override the file's field: q or fp:<odd prime>")
-    ideal_common.add_argument("--force", action="store_true",
-                              help="compute outside certified hypotheses, watermarked")
-
-    p = sub.add_parser("gb", parents=[ideal_common],
-                       help="reduced grevlex Groebner basis")
-    p.add_argument("ideal")
-    p.set_defaults(func=cmd_gb)
-
-    p = sub.add_parser("gin", parents=[ideal_common],
-                       help="certified generic initial ideal")
-    p.add_argument("ideal")
-    p.set_defaults(func=cmd_gin)
-
-    p = sub.add_parser("betti", parents=[ideal_common],
-                       help="Eliahou-Kervaire Betti table of the Gin, tailing marked")
-    p.add_argument("ideal")
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("invariants", parents=[ideal_common],
-                       help="dimension, degree, regularity, depth, ND(1)")
-    p.add_argument("ideal")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("nd1", parents=[ideal_common],
-                       help="per-dimension nondegeneracy of general sections")
-    p.add_argument("ideal")
-    p.set_defaults(func=cmd_nd1)
-
-    p = sub.add_parser("tailing", parents=[ideal_common],
-                       help="tailing Betti / sectional normality report")
-    p.add_argument("ideal", nargs="?", default=None)
-    p.add_argument("--b", default=None, help="comma-separated tailing Betti vector")
-    p.add_argument("--h", default=None, help="comma-separated sectional 1-normality vector")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--e", type=int, default=None)
-    p.add_argument("--pd", type=int, default=None,
-                   help="projective dimension, for the lower-bound check in vector mode")
-    p.set_defaults(func=cmd_tailing)
-
-    p = sub.add_parser("hilbert", parents=[ideal_common],
-                       help="Hilbert polynomial by both routes")
-    p.add_argument("ideal")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("corpus", parents=[common],
-                       help="run every bundled fixture against expected values")
-    p.add_argument("--only", default=None, help="comma-separated fixture names")
-    p.set_defaults(func=cmd_corpus)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            option, kwargs = _FLAGS[flag]
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=command.func)
     return top
 
 

@@ -16,21 +16,14 @@ from math import comb
 from . import borel
 from .borel import MonomialIdeal, is_borel_fixed
 from .errors import GenericityError, NotBorelFixedError
-from .groebner import (_buchberger_raw, _mix_seed, GREVLEX,
-                       hilbert_function_rank_oracle, initial_ideal)
-from .ring import (PolyIdeal, QQ, RingCtx, apply_linear_change,
-                   seeded_invertible_matrix)
+from .groebner import (_mix_seed, hilbert_function_rank_oracle,
+                       seeded_initial_ideal)
+from .ring import PolyIdeal, QQ, RingCtx
 
 #: Degree-d pieces larger than this skip the exact rank cross-check: its cost
 #: is a sparse elimination on that many columns, which fills in as it goes;
 #: every bundled fixture stays well below.
 HF_CHECK_LIMIT = 400
-
-
-def random_generic_change(num_vars: int, seed: int, bound: int = 1000, field=QQ):
-    """Seeded invertible matrix with integer entries in [-bound, bound];
-    bit-reproducible for a fixed seed."""
-    return seeded_invertible_matrix(num_vars, seed, bound, field)
 
 
 @dataclass(frozen=True)
@@ -87,11 +80,7 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
     ring = I.ring
     nv = ring.num_vars
     seeds = tuple(_mix_seed(seed, k) for k in range(trials))
-    results = []
-    for s in seeds:
-        M = random_generic_change(nv, s, bound, ring.field)
-        moved = [apply_linear_change(g, M) for g in I.gens]
-        results.append(initial_ideal(_buchberger_raw(ring, moved, GREVLEX)))
+    results = [seeded_initial_ideal(I, s, bound) for s in seeds]
     first = results[0]
     if any(r != first for r in results[1:]):
         raise GenericityError(

@@ -469,8 +469,9 @@ def hilbert_function_rank_oracle(I: PolyIdeal, d: int) -> int:
 # saturation by a general linear form
 # ---------------------------------------------------------------------------
 
-def _probable_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000) -> MonomialIdeal:
-    """Initial ideal after one seeded random coordinate change."""
+def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000) -> MonomialIdeal:
+    """Grevlex initial ideal after one seeded random coordinate change; one
+    genericity trial of compute_gin and one probe of the saturation check."""
     M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
     moved = [apply_linear_change(g, M) for g in I.gens]
     return initial_ideal(_buchberger_raw(I.ring, moved, GREVLEX))
@@ -525,7 +526,7 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
     if any(g.degree() == 0 for g in kept):
         return result  # unit ideal: nothing left to verify
     for probe in (1, 2):
-        ini = _probable_initial_ideal(result, _mix_seed(seed, probe), bound)
+        ini = seeded_initial_ideal(result, _mix_seed(seed, probe), bound)
         if any(g[n - 1] > 0 for g in ini.min_gens):
             raise SaturationRetryError(
                 f"saturation check failed for seed {seed}; retry with a new seed")

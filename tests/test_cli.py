@@ -239,3 +239,79 @@ def test_corpus_subset(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["all_passed"] is True
     assert len(rep["fixtures"]) == 4
+
+
+# --- the command table -------------------------------------------------------
+
+FILE_INPUT = ["file", "num_vars", "field"]
+GIN_INPUT = FILE_INPUT + ["seed", "trials"]
+HEAD = ["schema", "command", "input"]
+LAYOUTS = [
+    ("gb", ["gb"], FILE_INPUT),
+    ("gin", ["gin"], GIN_INPUT),
+    ("betti", ["gin", "betti", "betti_pretty"], GIN_INPUT),
+    ("invariants", ["profile", "gin"], GIN_INPUT),
+    ("nd1", ["nd1", "nd1_all", "codim"], GIN_INPUT),
+    ("tailing", ["profile", "gin", "tailing"], GIN_INPUT + ["force"]),
+    ("hilbert", ["hilbert"], GIN_INPUT + ["force"]),
+]
+
+
+@pytest.mark.parametrize("command,sections,input_keys", LAYOUTS,
+                         ids=[layout[0] for layout in LAYOUTS])
+def test_file_command_report_layout(tmp_path, command, sections, input_keys):
+    out = tmp_path / "r.json"
+    assert run_cli(command, _fixture_path("twisted_cubic"), "--format", "json",
+                   "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == HEAD + sections + ["warnings"]
+    assert list(report["input"]) == input_keys
+    assert report["input"]["num_vars"] == 4
+    assert report["input"]["field"] == "QQ"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gb", "--seed", "1"),
+    ("gb", "--force"),
+    ("gin", "--force"),
+    ("nd1", "--b", "1,2"),
+], ids=["gb-seed", "gb-force", "gin-force", "nd1-b"])
+def test_unread_flag_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[0], _fixture_path("twisted_cubic"), *argv[1:])
+    assert exc.value.code == 2
+
+
+def test_corpus_has_no_format_flag():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("corpus", "--format", "json")
+    assert exc.value.code == 2
+
+
+def test_file_mode_tailing_rejects_vector_flags():
+    assert run_cli("tailing", _fixture_path("twisted_cubic"), "--pd", "7") == 2
+    assert run_cli("tailing", _fixture_path("twisted_cubic"), "--n", "3",
+                   "--e", "2") == 2
+
+
+# --- the --force contract ----------------------------------------------------
+
+def test_hilbert_force_keeps_direct_route_on_regularity_4(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("hilbert", _fixture_path("quintic"), "--seed", "42",
+                   "--force", "--format", "json", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["input"]["force"] is True
+    rep = report["hilbert"]
+    assert rep["direct"]["chis"] == [5, 1]
+    assert rep["from_tailing"] is None and rep["agreement"] is None
+    assert report["warnings"][0].startswith("genericity certificate")
+    assert report["warnings"][-1].startswith(
+        "tailing route unavailable: computation of h1 at twist 1 needs a "
+        "3-regular ideal")
+
+
+def test_tailing_force_still_refuses_regularity_4(capsys):
+    assert run_cli("tailing", _fixture_path("quintic"), "--seed", "42",
+                   "--force") == 1
+    assert "3-regular" in capsys.readouterr().err

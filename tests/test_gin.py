@@ -2,8 +2,7 @@ import pytest
 
 from gintail.borel import MonomialIdeal, ek_betti, hilbert_function, is_borel_fixed
 from gintail.gin import (GinCertificate, certificate_for_borel_ideal,
-                         compute_gin, generic_section_gin,
-                         random_generic_change)
+                         compute_gin, generic_section_gin)
 from gintail.groebner import (hilbert_function_rank_oracle,
                               saturate_by_general_linear_form)
 from gintail.errors import NotBorelFixedError
@@ -31,14 +30,14 @@ def monomial_poly_ideal(J: MonomialIdeal, field=QQ) -> PolyIdeal:
 # --- random coordinate changes -----------------------------------------------
 
 def test_change_deterministic_and_invertible():
-    a = random_generic_change(4, 123)
-    b = random_generic_change(4, 123)
+    a = seeded_invertible_matrix(4, 123)
+    b = seeded_invertible_matrix(4, 123)
     assert a == b
     assert matrix_det(a, QQ) != QQ.of(0)
 
 
 def test_changes_distinct_across_seeds():
-    seen = {random_generic_change(3, s) for s in range(1000)}
+    seen = {seeded_invertible_matrix(3, s) for s in range(1000)}
     assert len(seen) == 1000
 
 
