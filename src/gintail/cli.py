@@ -427,9 +427,17 @@ def _base_report(command: str) -> dict:
     return {"schema": "gintail-report/1", "command": command}
 
 
+#: values of the Gin flags when not given.  The flags themselves default to
+#: None, so that vector-mode tailing can reject them when given.
+_GIN_DEFAULTS = {"seed": 42, "trials": 2, "bound": 1000, "force": False}
+
+
 def cmd_ideal(args) -> int:
     """Render the command's sections, in table order, from one run."""
     command = COMMANDS[args.command]
+    for flag, value in _GIN_DEFAULTS.items():
+        if getattr(args, flag, value) is None:
+            setattr(args, flag, value)
     run = _Run(args)
     report = _base_report(args.command)
     report["input"] = {"file": args.ideal, "num_vars": run.ideal.ring.num_vars,
@@ -458,6 +466,10 @@ def cmd_tailing(args) -> int:
 def _vector_tailing(args) -> int:
     if args.ideal:
         raise ParseError("give either an ideal file or literal vectors, not both")
+    stray = [f"--{flag}" for flag in ("field", *_GIN_DEFAULTS)
+             if getattr(args, flag) is not None]
+    if stray:
+        raise ParseError(f"{', '.join(stray)} apply only to ideal-file mode")
     if args.n is None or args.e is None:
         raise ParseError("published-vector mode needs --n and --e")
     b, h = ([int(v) for v in text.split(",") if v.strip()] if text else None
@@ -517,11 +529,11 @@ _FLAGS = {
     "field": ("--field", {"help": "override the file's field: q or fp:<odd prime>"}),
     "format": ("--format", {"choices": ("json", "table"), "default": "table"}),
     "out": ("--out", {"help": "write the report to this path"}),
-    "seed": ("--seed", {"type": int, "default": 42}),
-    "trials": ("--trials", {"type": int, "default": 2}),
-    "bound": ("--bound", {"type": int, "default": 1000,
-                          "help": "coefficient bound for random changes"}),
-    "force": ("--force", {"action": "store_true",
+    "seed": ("--seed", {"type": int, "help": "default 42"}),
+    "trials": ("--trials", {"type": int, "help": "default 2"}),
+    "bound": ("--bound", {"type": int,
+                          "help": "coefficient bound for random changes, default 1000"}),
+    "force": ("--force", {"action": "store_true", "default": None,
                           "help": "lift the ND(1) and saturation gates, marked forced"}),
     "b": ("--b", {"help": "comma-separated tailing Betti vector"}),
     "h": ("--h", {"help": "comma-separated sectional 1-normality vector"}),

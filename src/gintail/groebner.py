@@ -2,15 +2,18 @@
 
 Everything downstream needs only grevlex bases, plus one block elimination
 order (an auxiliary variable t ranked above the whole x-block) used to
-saturate by a general linear form.  The pair queue uses the normal strategy
-(lcm degree, then grevlex of the lcm) with Buchberger's coprime-lcm and chain
-criteria.
+saturate by a general linear form.  Pairs wait in a heap keyed by the normal
+strategy (lcm degree, then the order on the lcm, then the pair's indices), so
+each pair is ranked once, when it is made; Buchberger's coprime-lcm and chain
+criteria are applied as pairs leave the heap.
 
 Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
 and intermediate results are content-stripped, which is what keeps exact
-arithmetic feasible at this scale.  Identical inputs give bit-identical
-bases.
+arithmetic feasible at this scale.  Over GF(p) the same loop runs on ints
+mod p.  The division loop finds each leading term through a heap of the
+working polynomial's monomials instead of rescanning all its terms.
+Identical inputs give bit-identical bases.
 """
 
 from __future__ import annotations
@@ -22,26 +25,32 @@ from math import comb, gcd
 
 from .borel import MonomialIdeal
 from .errors import InternalCheckError, SaturationRetryError
-from .ring import (Mono, Polynomial, PolyIdeal, PrimeField, RingCtx,
-                   apply_linear_change, grevlex_key, mono_degree,
-                   mono_disjoint, mono_div, mono_lcm, mono_mul,
-                   seeded_invertible_matrix, seeded_linear_form)
+from .ring import (Polynomial, PolyIdeal, PrimeField, RingCtx,
+                   apply_linear_change, mono_degree, mono_disjoint, mono_div,
+                   mono_lcm, mono_mul, seeded_invertible_matrix,
+                   seeded_linear_form)
 
 GREVLEX = "grevlex"
 ELIM_FIRST = "elim-first"
 
 
-def _order_key(order: str):
+def _desc_key(order: str):
+    """Key, a flat int tuple, that sorts the order's largest monomial first."""
     if order == GREVLEX:
-        return grevlex_key
+        # higher degree first; on ties the smaller exponent at the last
+        # differing variable
+        return lambda m: (-sum(m),) + m[::-1]
     if order == ELIM_FIRST:
         # block order: the first variable beats any monomial in the rest,
         # grevlex inside the x-block
-        def key(m: Mono):
-            rest = m[1:]
-            return (m[0], sum(rest), tuple(-e for e in reversed(rest)))
-        return key
+        return lambda m: (-m[0], -sum(m)) + m[:0:-1]
     raise ValueError(f"unknown order {order!r}")
+
+
+def _order_key(order: str):
+    """Key that sorts ascending in the order."""
+    desc = _desc_key(order)
+    return lambda m: tuple(-x for x in desc(m))
 
 
 def _memo_key(order: str):
@@ -103,9 +112,14 @@ def _as_divisor(d: dict, key):
     return (lm, d[lm], tuple(d.items()))
 
 
-def _reduce_work(p: dict, divisors, key, p_mod: int | None, exact: bool = False):
+def _reduce_work(p: dict, divisors, desc, p_mod: int | None, exact: bool = False):
     """Core division loop on integer working polynomials.
 
+    Each step reduces the order-maximal term of the working polynomial.  It is
+    found through a heap of (desc(m), m) entries, desc being the order's
+    _desc_key: a monomial is pushed when it enters the polynomial, and an
+    entry whose monomial has since cancelled is skipped when popped (once a
+    monomial is reduced every later term is smaller, so it never returns).
     Divisors are tried in list order, the leading term first.  Over QQ the
     reduction is fraction-free: to cancel the lead it scales the whole
     remainder-in-progress by lc(g)/gcd instead of dividing, and returns the
@@ -113,12 +127,16 @@ def _reduce_work(p: dict, divisors, key, p_mod: int | None, exact: bool = False)
     working polynomial is content-stripped as it goes.
     """
     p = dict(p)
+    heap = [(desc(m), m) for m in p]
+    heapify(heap)
     remainder: dict = {}
     scale = 1
     steps = 0
     while p:
-        m = max(p, key=key)
-        c = p[m]
+        m = heappop(heap)[1]
+        c = p.get(m)
+        if c is None:
+            continue
         hit = None
         for div in divisors:
             q = mono_div(m, div[0])
@@ -144,20 +162,28 @@ def _reduce_work(p: dict, divisors, key, p_mod: int | None, exact: bool = False)
                     remainder[mm] *= a
             for gm, gc in terms:
                 mm = mono_mul(gm, q)
-                s = p.get(mm, 0) - b * gc
-                if s:
-                    p[mm] = s
+                if mm in p:
+                    s = p[mm] - b * gc
+                    if s:
+                        p[mm] = s
+                    else:
+                        del p[mm]
                 else:
-                    p.pop(mm, None)
+                    p[mm] = -b * gc
+                    heappush(heap, (desc(mm), mm))
         else:
             f = c * pow(lc, -1, p_mod) % p_mod
             for gm, gc in terms:
                 mm = mono_mul(gm, q)
-                s = (p.get(mm, 0) - f * gc) % p_mod
-                if s:
-                    p[mm] = s
+                if mm in p:
+                    s = (p[mm] - f * gc) % p_mod
+                    if s:
+                        p[mm] = s
+                    else:
+                        del p[mm]
                 else:
-                    p.pop(mm, None)
+                    p[mm] = -f * gc % p_mod
+                    heappush(heap, (desc(mm), mm))
         steps += 1
         if not exact and p_mod is None and steps % 8 == 0 and p:
             g = 0
@@ -188,41 +214,18 @@ def reduce(f: Polynomial, G, order: str = GREVLEX) -> Polynomial:
     divisors = [_as_divisor(_to_work(g, p_mod), key) for g in G if not g.is_zero]
     if not divisors:
         return f
+    desc = _desc_key(order)
     if p_mod is not None:
         work = _to_work(f, p_mod)
-        rem, _ = _reduce_work(work, divisors, key, p_mod, exact=True)
+        rem, _ = _reduce_work(work, divisors, desc, p_mod, exact=True)
         return _work_to_poly(ring, rem)
     den = 1
     for _, c in f.terms:
         den = den * c.denominator // gcd(den, c.denominator)
     work = {m: int(c * den) for m, c in f.terms}
-    rem, scale = _reduce_work(work, divisors, key, None, exact=True)
+    rem, scale = _reduce_work(work, divisors, desc, None, exact=True)
     undo = Fraction(1, scale * den)
     return Polynomial.from_dict(ring, {m: Fraction(c) * undo for m, c in rem.items()})
-
-
-def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
-    """S-polynomial, normalized so both leading terms cancel exactly."""
-    key = _order_key(order)
-    lmf = max((m for m, _ in f.terms), key=key)
-    lmg = max((m for m, _ in g.terms), key=key)
-    lcf = dict(f.terms)[lmf]
-    lcg = dict(g.terms)[lmg]
-    lcm = mono_lcm(lmf, lmg)
-    a = mono_div(lcm, lmf)
-    b = mono_div(lcm, lmg)
-    d: dict = {}
-    for m, c in f.terms:
-        d[mono_mul(m, a)] = c / lcf
-    for m, c in g.terms:
-        mm = mono_mul(m, b)
-        s = d.get(mm)
-        s = -(c / lcg) if s is None else s - c / lcg
-        if s:
-            d[mm] = s
-        else:
-            d.pop(mm, None)
-    return Polynomial.from_dict(f.ring, d)
 
 
 def _spoly_work(di: dict, dj: dict, key, p_mod: int | None) -> dict:
@@ -252,6 +255,24 @@ def _spoly_work(di: dict, dj: dict, key, p_mod: int | None) -> dict:
     return out
 
 
+def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
+    """S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, normalized so both leading
+    terms cancel exactly."""
+    p_mod = f.ring.field.p if isinstance(f.ring.field, PrimeField) else None
+    key = _order_key(order)
+    df, dg = _to_work(f, p_mod), _to_work(g, p_mod)
+    lcf, lcg = df[max(df, key=key)], dg[max(dg, key=key)]
+    s = _spoly_work(df, dg, key, p_mod)
+    # with f', g' the integer forms shifted up to the lcm, _spoly_work returns
+    # lcg/h * f' - lcf/h * g' (h = gcd(lcf, lcg)) over QQ and
+    # f' - lcf/lcg * g' over GF(p)
+    if p_mod is None:
+        undo = Fraction(gcd(lcf, lcg), lcf * lcg)
+    else:
+        undo = pow(lcf, -1, p_mod)
+    return _work_to_poly(f.ring, {m: c * undo for m, c in s.items()})
+
+
 # ---------------------------------------------------------------------------
 # Buchberger
 # ---------------------------------------------------------------------------
@@ -259,6 +280,7 @@ def _spoly_work(di: dict, dj: dict, key, p_mod: int | None) -> dict:
 def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
     """Reduced basis of an arbitrary (possibly inhomogeneous) generator list."""
     key = _memo_key(order)
+    desc = _desc_key(order)
     p_mod = ring.field.p if isinstance(ring.field, PrimeField) else None
     G: list = []  # (lm, lc, terms) in insertion order
     for f in polys:
@@ -269,20 +291,25 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
             w = _strip_int(w, key)
         if w:
             G.append(_as_divisor(w, key))
-    pending = {(i, j) for j in range(len(G)) for i in range(j)}
+    # pair heap in the normal strategy: lowest lcm degree, then smallest lcm
+    # in the order, then the indices, so the selection order is total; pending
+    # holds the same pairs, for the chain criterion
+    pairs: list = []
+    pending: set = set()
 
-    def pair_rank(pair):
-        i, j = pair
-        lcm = mono_lcm(G[i][0], G[j][0])
-        return (mono_degree(lcm), key(lcm), i, j)
+    def add_pairs(j):
+        for i in range(j):
+            lcm = mono_lcm(G[i][0], G[j][0])
+            heappush(pairs, (mono_degree(lcm), key(lcm), i, j, lcm))
+            pending.add((i, j))
 
-    while pending:
-        i, j = min(pending, key=pair_rank)
+    for j in range(len(G)):
+        add_pairs(j)
+    while pairs:
+        *_, i, j, lcm = heappop(pairs)
         pending.discard((i, j))
-        lm_i, lm_j = G[i][0], G[j][0]
-        if mono_disjoint(lm_i, lm_j):
+        if mono_disjoint(G[i][0], G[j][0]):
             continue
-        lcm = mono_lcm(lm_i, lm_j)
         chained = False
         for k in range(len(G)):
             if k in (i, j):
@@ -295,13 +322,12 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
         if chained:
             continue
         s = _spoly_work(dict(G[i][2]), dict(G[j][2]), key, p_mod)
-        r, _ = _reduce_work(s, G, key, p_mod)
+        r, _ = _reduce_work(s, G, desc, p_mod)
         if r:
             if p_mod is None:
                 r = _strip_int(r, key)
             G.append(_as_divisor(r, key))
-            new = len(G) - 1
-            pending.update((t, new) for t in range(new))
+            add_pairs(len(G) - 1)
 
     # minimalize: keep only elements whose lm is not divisible by another lm
     order_idx = sorted(range(len(G)), key=lambda t: key(G[t][0]))
@@ -314,7 +340,7 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
     reduced = []
     for idx in range(len(minimal)):
         others = minimal[:idx] + minimal[idx + 1:]
-        r, _ = _reduce_work(dict(minimal[idx][2]), others, key, p_mod)
+        r, _ = _reduce_work(dict(minimal[idx][2]), others, desc, p_mod)
         if p_mod is None:
             r = _strip_int(r, key)
         reduced.append(_work_to_poly(ring, r).monic())

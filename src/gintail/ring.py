@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import InhomogeneousError, RingMismatchError, SingularMatrixError
 
@@ -151,7 +153,7 @@ def mono_degree(m: Mono) -> int:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -479,44 +481,70 @@ def matrix_inv(M, field):
     return tuple(tuple(row[n:]) for row in A)
 
 
+def _int_mul(a: dict, b: dict, p: int | None) -> dict:
+    """Product of two {mono: int} polynomials, reduced mod p when p is given."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    if p is not None:
+        return {m: c % p for m, c in out.items()}
+    return out
+
+
 def apply_linear_change(f: Polynomial, M) -> Polynomial:
     """Substitute x_i -> sum_j M[i][j] * x_j in f.
 
     M must be invertible, so the substitution is a ring automorphism; applying
-    M then its inverse is the identity.
+    M then its inverse is the identity.  The expansion runs on {mono: int}
+    dicts (ints mod p over GF(p)) and converts to field elements once, at the
+    end.  Over QQ, with M = N/dm and f = F/df for integer N and F, a term of
+    degree d maps to dm^-d times its image under N; scaling it by
+    dm^(top - d), top = deg f, puts every term over the one denominator
+    df * dm^top, so inhomogeneous f and fractional M stay exact.
     """
     ring = f.ring
     field = ring.field
     rows = _coerce_matrix(M, field, ring.num_vars)
     if not matrix_det(rows, field):
         raise SingularMatrixError("coordinate change matrix is singular")
-    images = []
-    for i in range(ring.num_vars):
-        img = {ring.var_mono(j): rows[i][j] for j in range(ring.num_vars) if rows[i][j]}
-        images.append(Polynomial.from_dict(ring, img))
+    if f.is_zero:
+        return f
+    if isinstance(field, PrimeField):
+        p = field.p
+        rows = [[v.v for v in row] for row in rows]
+        terms = [(m, c.v) for m, c in f.terms]
+    else:
+        p = None
+        dm = lcm(*(v.denominator for row in rows for v in row))
+        df = lcm(*(c.denominator for _, c in f.terms))
+        top = f.degree()
+        rows = [[v.numerator * (dm // v.denominator) for v in row] for row in rows]
+        terms = [(m, c.numerator * (df // c.denominator) * dm ** (top - sum(m)))
+                 for m, c in f.terms]
+    images = [{ring.var_mono(j): v for j, v in enumerate(row) if v} for row in rows]
     pow_cache: dict = {}
 
-    def image_power(i: int, e: int) -> Polynomial:
+    def image_power(i: int, e: int) -> dict:
         got = pow_cache.get((i, e))
         if got is None:
-            got = image_power(i, e - 1) * images[i] if e > 1 else images[i]
+            got = _int_mul(image_power(i, e - 1), images[i], p) if e > 1 else images[i]
             pow_cache[(i, e)] = got
         return got
 
     acc: dict = {}
-    for m, c in f.terms:
-        part = ring.constant(c)
+    for m, c in terms:
+        part = {ring.unit_mono(): c}
         for i, e in enumerate(m):
             if e:
-                part = part * image_power(i, e)
-        for mm, cc in part.terms:
-            s = acc.get(mm)
-            s = cc if s is None else s + cc
-            if s:
-                acc[mm] = s
-            else:
-                acc.pop(mm, None)
-    return Polynomial.from_dict(ring, acc)
+                part = _int_mul(part, image_power(i, e), p)
+        for mm, cc in part.items():
+            acc[mm] = acc.get(mm, 0) + cc
+    if p is None:
+        den = df * dm ** top
+        return Polynomial.from_dict(ring, {m: Fraction(c, den) for m, c in acc.items()})
+    return Polynomial.from_dict(ring, {m: Fp(c, p) for m, c in acc.items()})
 
 
 def seeded_invertible_matrix(num_vars: int, seed: int, bound: int = 1000, field=QQ):

@@ -8,6 +8,8 @@ with the fast paths is evidence and not circularity.
 import itertools
 from fractions import Fraction
 
+from gintail.ring import Polynomial
+
 
 def monomials_of_degree(nv, d):
     """All exponent tuples of total degree d, by stars and bars."""
@@ -122,3 +124,79 @@ def fraction_rank(rows, p=None):
                     A[r] = [(x - f * y) % p for x, y in zip(A[r], top)]
         rank += 1
     return rank
+
+
+def random_poly(ring, rng, terms, max_exp=2):
+    """Random input for the differential tests: up to `terms` terms with
+    exponents in [0, max_exp], so inhomogeneous in general, and fractional
+    coefficients (taken mod p over a prime field)."""
+    return Polynomial.from_dict(ring, {
+        tuple(rng.randint(0, max_exp) for _ in range(ring.num_vars)):
+            ring.field.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for _ in range(terms)})
+
+
+def naive_elim_first_less(a, b):
+    """Block order with the first variable above the rest: a larger exponent
+    of x0 wins; on ties, grevlex on the remaining variables."""
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    return naive_grevlex_less(a[1:], b[1:])
+
+
+def naive_linear_change(f, M):
+    """Substitute x_i -> sum_j M[i][j] * x_j in f by Polynomial products,
+    one variable factor at a time, in the field of f."""
+    ring = f.ring
+    n = ring.num_vars
+    images = [sum((ring.variable(j).scale(M[i][j]) for j in range(n)), ring.zero())
+              for i in range(n)]
+    out = ring.zero()
+    for m, c in f.terms:
+        part = ring.constant(c)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                part = part * images[i]
+        out = out + part
+    return out
+
+
+def naive_largest(monos, less):
+    """The largest monomial under the order less(a, b), by a full scan."""
+    best = None
+    for m in monos:
+        if best is None or less(best, m):
+            best = m
+    return best
+
+
+def naive_normal_form(f, G, less):
+    """Remainder of f on division by the polynomial list G, over the field of
+    f: each step scans every term for the largest one under the order
+    less(a, b), and tries the divisors in list order.  Returns {mono: coeff}."""
+    zero = f.ring.field.zero
+    divisors = []
+    for g in G:
+        d = dict(g.terms)
+        if d:
+            lm = naive_largest(d, less)
+            divisors.append((lm, d[lm], d))
+    p = dict(f.terms)
+    remainder = {}
+    while p:
+        m = naive_largest(p, less)
+        hit = next((div for div in divisors if divides(div[0], m)), None)
+        if hit is None:
+            remainder[m] = p.pop(m)
+            continue
+        lm, lc, d = hit
+        q = tuple(y - x for x, y in zip(lm, m))
+        factor = p[m] / lc
+        for gm, gc in d.items():
+            mm = tuple(x + y for x, y in zip(gm, q))
+            s = p.get(mm, zero) - factor * gc
+            if s:
+                p[mm] = s
+            else:
+                p.pop(mm, None)
+    return remainder

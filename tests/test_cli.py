@@ -294,6 +294,15 @@ def test_file_mode_tailing_rejects_vector_flags():
                    "--e", "2") == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ("--seed", "5"), ("--trials", "3"), ("--bound", "9"), ("--force",),
+    ("--field", "fp:7"), ("--seed", "5", "--force", "--field", "fp:7"),
+], ids=["seed", "trials", "bound", "force", "field", "all"])
+def test_vector_mode_tailing_rejects_gin_flags(capsys, flags):
+    assert run_cli("tailing", "--h", "4,4", "--n", "9", "--e", "8", *flags) == 2
+    assert "apply only to ideal-file mode" in capsys.readouterr().err
+
+
 # --- the --force contract ----------------------------------------------------
 
 def test_hilbert_force_keeps_direct_route_on_regularity_4(tmp_path):

@@ -1,12 +1,17 @@
 import random
 
+import pytest
+
 from gintail.borel import MonomialIdeal, hilbert_function
-from gintail.groebner import (buchberger, hilbert_function_rank_oracle,
-                              ideals_equal, initial_ideal, is_member, reduce,
-                              saturate_by_general_linear_form,
+from gintail.groebner import (ELIM_FIRST, GREVLEX, _buchberger_raw, buchberger,
+                              hilbert_function_rank_oracle, ideals_equal,
+                              initial_ideal, is_member, reduce,
+                              saturate_by_general_linear_form, spoly,
                               spoly_certificate)
-from gintail.ring import Polynomial, PolyIdeal, QQ, RingCtx
-from oracles import series_quotient_coeffs
+from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
+                          mono_div, mono_lcm, seeded_linear_form)
+from oracles import (naive_elim_first_less, naive_grevlex_less, naive_largest,
+                     naive_normal_form, random_poly, series_quotient_coeffs)
 
 R3 = RingCtx(3)
 R4 = RingCtx(4)
@@ -78,6 +83,62 @@ def test_reduce_contract_on_non_basis_lists():
             assert not any(mono_divides(lm, m) for lm in lms)
         G = buchberger(PolyIdeal.make(R3, gens))
         assert reduce(f - r, list(G.elements)).is_zero
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
+                                 ids=["QQ", "GF32003"])
+ORDERS = pytest.mark.parametrize("order,less", [
+    (GREVLEX, naive_grevlex_less), (ELIM_FIRST, naive_elim_first_less)],
+    ids=["grevlex", "elim-first"])
+
+
+@FIELDS
+@ORDERS
+def test_reduce_matches_naive_division(field, order, less):
+    # divisor lists that are not Groebner bases: the normal form depends on
+    # the division strategy, so the same term and divisor choices must be made
+    ring = RingCtx(4, field)
+    rng = random.Random(19)
+    for _ in range(12):
+        G = [random_poly(ring, rng, rng.randint(1, 4))
+             for _ in range(rng.randint(1, 3))]
+        f = random_poly(ring, rng, 8, max_exp=3)
+        assert reduce(f, G, order).term_dict() == naive_normal_form(f, G, less)
+
+
+@FIELDS
+@ORDERS
+def test_spoly_cancels_both_leading_terms(field, order, less):
+    ring = RingCtx(3, field)
+    rng = random.Random(23)
+    for _ in range(8):
+        f, g = random_poly(ring, rng, 4), random_poly(ring, rng, 4)
+        if f.is_zero or g.is_zero:
+            continue
+        lmf, lmg = (naive_largest(h.term_dict(), less) for h in (f, g))
+        lcm = mono_lcm(lmf, lmg)
+
+        def part(h, lm):
+            return P(ring, {mono_div(lcm, lm): 1}) * h.scale(field.one / h.term_dict()[lm])
+        assert spoly(f, g, order) == part(f, lmf) - part(g, lmg)
+
+
+@FIELDS
+def test_elimination_basis_of_cut_passes_spoly_certificate(field):
+    # the saturation input: x-block generators plus 1 - t*L, t ranked first
+    ring = RingCtx(3, field)
+    ext = RingCtx(4, field)
+    L = seeded_linear_form(ring, 5, 20)
+
+    def embed(f):
+        return Polynomial.from_dict(ext, {(0,) + m: c for m, c in f.terms})
+
+    gens = [P(ring, {(2, 0, 0): 1, (0, 1, 1): -3}), P(ring, {(1, 1, 0): 2}),
+            P(ring, {(1, 0, 1): 1, (0, 0, 2): 5})]
+    cut = ext.constant(1) - ext.variable(0) * embed(L)
+    basis = _buchberger_raw(ext, [embed(g) for g in gens] + [cut], ELIM_FIRST)
+    assert basis.order == ELIM_FIRST
+    assert spoly_certificate(basis)
 
 
 def test_membership_oracle_random_combinations(quintic_ideal):

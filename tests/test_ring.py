@@ -10,7 +10,7 @@ from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, compare_grevlex, matrix_inv,
                           poly_add, poly_mul, poly_scale,
                           seeded_invertible_matrix)
-from oracles import naive_grevlex_less
+from oracles import naive_grevlex_less, naive_linear_change, random_poly
 
 R4 = RingCtx(4)
 
@@ -125,6 +125,20 @@ def test_linear_change_round_trip():
     M = seeded_invertible_matrix(4, 2023, 50)
     Minv = matrix_inv(M, QQ)
     assert apply_linear_change(apply_linear_change(f, M), Minv) == f
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_linear_change_matches_naive_substitution(field):
+    # the inverse matrices are fractional over QQ, and the polynomials
+    # inhomogeneous, so clearing denominators must rescale by degree
+    ring = RingCtx(4, field)
+    rng = random.Random(31)
+    for trial in range(6):
+        M = seeded_invertible_matrix(4, trial, 9, field)
+        for A in (M, matrix_inv(M, field)):
+            f = random_poly(ring, rng, 5)
+            assert apply_linear_change(f, A) == naive_linear_change(f, A)
+    assert apply_linear_change(ring.zero(), M).is_zero
 
 
 def test_linear_change_rejects_singular():
