@@ -4,8 +4,7 @@ combinatorics, Eliahou-Kervaire Betti tables, ND(1) section analysis, and the
 tailing-Betti / sectional-1-normality transform."""
 
 from .borel import (BettiTable, GeneratorStratum, MonomialIdeal, borel_closure,
-                    ek_betti, hilbert_function, is_borel_fixed, minimalize,
-                    stratum)
+                    ek_betti, hilbert_function, is_borel_fixed, stratum)
 from .errors import (GenericityError, GintailError, HypothesisError,
                      InhomogeneousError, InternalCheckError, NotBorelFixedError,
                      ParseError, RegularityError, RingMismatchError,
@@ -19,13 +18,12 @@ from .invariants import (HilbertPolynomial, SchemeProfile, depth_pd, h1_oracle,
                          h1_twist, hilbert_polynomial, marginal_betti,
                          nd1_check, regularity, scheme_profile)
 from .ring import (Monomial, Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
-                   apply_linear_change, compare_grevlex, poly_add, poly_mul,
-                   poly_scale)
+                   apply_linear_change, compare_grevlex)
 from .tailing import (TailingReport, XiMatrix, betti_from_normality,
                       build_tailing_report, cohomology_from_tailing,
                       degree_genus_from_tailing, hilbert_from_tailing,
-                      normality_from_betti, rigidity_and_bounds,
-                      sectional_normality, structure_check, tailing_from_gin,
-                      vector_report, xi_inverse, xi_matrix)
+                      normality_from_betti, sectional_normality,
+                      structure_check, tailing_from_gin, vector_report,
+                      xi_inverse, xi_matrix)
 
 __version__ = "0.1.0"

@@ -10,13 +10,13 @@ level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .errors import NotBorelFixedError, UnitIdealError
-from .ring import Mono, grevlex_key, mono_degree, mono_divides, mono_max_index
+from .ring import (Mono, grevlex_desc_key, mono_degree, mono_divides,
+                   mono_max_index)
 
 
 def _gen_sort_key(m: Mono):
@@ -27,7 +27,8 @@ def _gen_sort_key(m: Mono):
 
 def _minimal_set(monos) -> tuple:
     """Drop every monomial divisible by another one in the set."""
-    monos = sorted(set(monos), key=grevlex_key)
+    # grevlex-ascending, so every divisor comes before its multiples
+    monos = sorted(set(monos), key=grevlex_desc_key, reverse=True)
     kept: list = []
     for m in monos:
         if not any(mono_divides(k, m) for k in kept):
@@ -112,11 +113,6 @@ class MonomialIdeal:
         from .ring import mono_str
         body = ", ".join(mono_str(g) for g in self.min_gens) if self.min_gens else "0"
         return f"({body})"
-
-
-def minimalize(num_vars: int, gens) -> MonomialIdeal:
-    """Minimal generating set of the ideal generated by an arbitrary monomial set."""
-    return MonomialIdeal.make(num_vars, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +263,6 @@ def ek_betti(J: MonomialIdeal, codim_marker: int | None = None) -> BettiTable:
     return BettiTable(J.num_vars, entries, codim_marker)
 
 
-def betti_regularity(table: BettiTable) -> int:
-    """reg(J) read off the table of R/J: 1 + largest nonzero row."""
-    return 1 + max((d for (i, d), v in table.entries.items() if v and i >= 1), default=-1)
-
-
-def hf_from_betti(table: BettiTable, t: int) -> int:
-    """Hilbert function of R/J from the alternating sum over a (not
-    necessarily minimal) graded free resolution with these ranks."""
-    n = table.num_vars
-    total = 0
-    for (i, d), v in table.entries.items():
-        shift = i + d
-        if t - shift >= 0:
-            total += (-1) ** i * v * comb(n - 1 + t - shift, n - 1)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Hilbert functions of monomial quotients
 # ---------------------------------------------------------------------------
@@ -339,21 +318,3 @@ def hilbert_function(J: MonomialIdeal, t: int) -> int:
     pivot-splitting recursion HF(J) = HF(J + (x)) + HF(J : x) shifted."""
     return _hf(J.num_vars, J.min_gens, t)
 
-
-def hilbert_function_dense(J: MonomialIdeal, t: int) -> int:
-    """Brute-force count of degree-t monomials outside J; exponential in the
-    variable count, kept as an independent oracle for small rings."""
-    if t < 0:
-        return 0
-    n = J.num_vars
-    count = 0
-    for bars in itertools.combinations(range(t + n - 1), n - 1):
-        expo = []
-        prev = -1
-        for b in bars:
-            expo.append(b - prev - 1)
-            prev = b
-        expo.append(t + n - 2 - prev)
-        if not J.contains(tuple(expo)):
-            count += 1
-    return count

@@ -472,6 +472,8 @@ def _vector_tailing(args) -> int:
         raise ParseError(f"{', '.join(stray)} apply only to ideal-file mode")
     if args.n is None or args.e is None:
         raise ParseError("published-vector mode needs --n and --e")
+    if args.pd is not None and not args.e <= args.pd <= args.n + 1:
+        raise ParseError(f"--pd must lie in e..n+1 = {args.e}..{args.n + 1}")
     b, h = ([int(v) for v in text.split(",") if v.strip()] if text else None
             for text in (args.b, args.h))
     rep = vector_report(n=args.n, e=args.e, b=b, h=h, pd=args.pd)

@@ -139,17 +139,12 @@ class FixtureResult:
         self.checks.append((label, bool(got), got, True))
 
 
-def _mono(expos) -> tuple:
-    return tuple(expos)
-
-
 def check_quintic_curve(seed: int = 42, trials: int = 2) -> FixtureResult:
     res = FixtureResult("quintic_curve")
     I = load_bundled_ideal("quintic")
     cert = compute_gin(I, seed=seed, trials=trials)
     res.expect("gin", cert.gin.min_gens, (
-        _mono((2, 0, 0, 0)), _mono((1, 3, 0, 0)), _mono((0, 4, 0, 0)),
-        _mono((1, 2, 1, 0)), _mono((0, 3, 1, 0))))
+        (2, 0, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0), (1, 2, 1, 0), (0, 3, 1, 0)))
     table = ek_betti(cert.gin)
     for (i, d), want in (((1, 1), 1), ((1, 3), 4), ((2, 3), 6), ((3, 3), 2)):
         res.expect(f"betti({i},{d})", table.entry(i, d), want)

@@ -11,24 +11,24 @@ Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
 and intermediate results are content-stripped, which is what keeps exact
 arithmetic feasible at this scale.  Over GF(p) the same loop runs on ints
-mod p.  The division loop finds each leading term through a heap of the
-working polynomial's monomials instead of rescanning all its terms.
-Identical inputs give bit-identical bases.
+mod p.  Polynomials enter and leave this integer working form through
+ring.int_terms and ring.from_int_terms.  The division loop finds each
+leading term through a heap of the working polynomial's monomials instead of
+rescanning all its terms.  Identical inputs give bit-identical bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 from .borel import MonomialIdeal
 from .errors import InternalCheckError, SaturationRetryError
-from .ring import (Polynomial, PolyIdeal, PrimeField, RingCtx,
-                   apply_linear_change, mono_degree, mono_disjoint, mono_div,
-                   mono_lcm, mono_mul, seeded_invertible_matrix,
-                   seeded_linear_form)
+from .ring import (Polynomial, PolyIdeal, RingCtx, apply_linear_change,
+                   from_int_terms, grevlex_desc_key, int_terms, mono_degree,
+                   mono_disjoint, mono_div, mono_lcm, mono_mul,
+                   seeded_invertible_matrix, seeded_linear_form)
 
 GREVLEX = "grevlex"
 ELIM_FIRST = "elim-first"
@@ -37,9 +37,7 @@ ELIM_FIRST = "elim-first"
 def _desc_key(order: str):
     """Key, a flat int tuple, that sorts the order's largest monomial first."""
     if order == GREVLEX:
-        # higher degree first; on ties the smaller exponent at the last
-        # differing variable
-        return lambda m: (-sum(m),) + m[::-1]
+        return grevlex_desc_key
     if order == ELIM_FIRST:
         # block order: the first variable beats any monomial in the rest,
         # grevlex inside the x-block
@@ -75,19 +73,11 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# integer working form
+# division on the integer working form
 # ---------------------------------------------------------------------------
-# Over QQ a working polynomial is {mono: int} with coprime coefficients; over
-# GF(p) it is {mono: int in [1, p-1]} and all arithmetic is mod p.
-
-def _to_work(f: Polynomial, p: int | None) -> dict:
-    if p is not None:
-        return {m: c.v for m, c in f.terms if c.v}
-    den = 1
-    for _, c in f.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in f.terms}
-
+# Over QQ a working polynomial is {mono: int}, kept with coprime coefficients
+# inside Buchberger; over GF(p) it is {mono: int in [1, p-1]} and all
+# arithmetic is mod p.
 
 def _strip_int(d: dict, key) -> dict:
     if not d:
@@ -100,11 +90,6 @@ def _strip_int(d: dict, key) -> dict:
     if g == 1:
         return d
     return {m: c // g for m, c in d.items()}
-
-
-def _work_to_poly(ring: RingCtx, d: dict) -> Polynomial:
-    field = ring.field
-    return Polynomial.from_dict(ring, {m: field.of(c) for m, c in d.items()})
 
 
 def _as_divisor(d: dict, key):
@@ -209,23 +194,14 @@ def reduce(f: Polynomial, G, order: str = GREVLEX) -> Polynomial:
     ring = f.ring
     for g in G:
         ring.check_same(g.ring)
-    p_mod = ring.field.p if isinstance(ring.field, PrimeField) else None
     key = _memo_key(order)
-    divisors = [_as_divisor(_to_work(g, p_mod), key) for g in G if not g.is_zero]
+    divisors = [_as_divisor(int_terms(g)[0], key) for g in G if not g.is_zero]
     if not divisors:
         return f
-    desc = _desc_key(order)
-    if p_mod is not None:
-        work = _to_work(f, p_mod)
-        rem, _ = _reduce_work(work, divisors, desc, p_mod, exact=True)
-        return _work_to_poly(ring, rem)
-    den = 1
-    for _, c in f.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    work = {m: int(c * den) for m, c in f.terms}
-    rem, scale = _reduce_work(work, divisors, desc, None, exact=True)
-    undo = Fraction(1, scale * den)
-    return Polynomial.from_dict(ring, {m: Fraction(c) * undo for m, c in rem.items()})
+    work, den = int_terms(f)
+    rem, scale = _reduce_work(work, divisors, _desc_key(order), ring.field.p,
+                              exact=True)
+    return from_int_terms(ring, rem, scale * den)
 
 
 def _spoly_work(di: dict, dj: dict, key, p_mod: int | None) -> dict:
@@ -258,19 +234,16 @@ def _spoly_work(di: dict, dj: dict, key, p_mod: int | None) -> dict:
 def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
     """S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, normalized so both leading
     terms cancel exactly."""
-    p_mod = f.ring.field.p if isinstance(f.ring.field, PrimeField) else None
+    p_mod = f.ring.field.p
     key = _order_key(order)
-    df, dg = _to_work(f, p_mod), _to_work(g, p_mod)
+    df, dg = int_terms(f)[0], int_terms(g)[0]
     lcf, lcg = df[max(df, key=key)], dg[max(dg, key=key)]
     s = _spoly_work(df, dg, key, p_mod)
     # with f', g' the integer forms shifted up to the lcm, _spoly_work returns
     # lcg/h * f' - lcf/h * g' (h = gcd(lcf, lcg)) over QQ and
     # f' - lcf/lcg * g' over GF(p)
-    if p_mod is None:
-        undo = Fraction(gcd(lcf, lcg), lcf * lcg)
-    else:
-        undo = pow(lcf, -1, p_mod)
-    return _work_to_poly(f.ring, {m: c * undo for m, c in s.items()})
+    den = lcf * lcg // gcd(lcf, lcg) if p_mod is None else lcf
+    return from_int_terms(f.ring, s, den)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +254,12 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
     """Reduced basis of an arbitrary (possibly inhomogeneous) generator list."""
     key = _memo_key(order)
     desc = _desc_key(order)
-    p_mod = ring.field.p if isinstance(ring.field, PrimeField) else None
+    p_mod = ring.field.p
     G: list = []  # (lm, lc, terms) in insertion order
     for f in polys:
         if f.is_zero:
             continue
-        w = _to_work(f, p_mod)
+        w = int_terms(f)[0]
         if p_mod is None:
             w = _strip_int(w, key)
         if w:
@@ -343,7 +316,7 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
         r, _ = _reduce_work(dict(minimal[idx][2]), others, desc, p_mod)
         if p_mod is None:
             r = _strip_int(r, key)
-        reduced.append(_work_to_poly(ring, r).monic())
+        reduced.append(from_int_terms(ring, r).monic())
     reduced.sort(key=lambda f: key(max((m for m, _ in f.terms), key=key)))
     return GroebnerBasis(ring, tuple(reduced), order=order, reduced=True)
 
@@ -473,16 +446,15 @@ def graded_dimension(I: PolyIdeal, d: int) -> int:
     ring = I.ring
     n = ring.num_vars
     index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
-    p_mod = ring.field.p if isinstance(ring.field, PrimeField) else None
     rows = []
     for g in I.gens:
         dg = g.degree()
         if dg > d:
             continue
-        work = _to_work(g, p_mod)
+        work = int_terms(g)[0]
         for mult in _monomials_of_degree(n, d - dg):
             rows.append({index[mono_mul(m, mult)]: c for m, c in work.items()})
-    return _sparse_rank(rows, p_mod)
+    return _sparse_rank(rows, ring.field.p)
 
 
 def hilbert_function_rank_oracle(I: PolyIdeal, d: int) -> int:

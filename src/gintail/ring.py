@@ -85,6 +85,7 @@ class RationalField:
 
     certified = True
     name = "QQ"
+    p = None            # no modulus: integer working forms stay exact
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -139,10 +140,6 @@ class PrimeField:
 
 QQ = RationalField()
 
-#: Default fast-mode modulus; large enough that chance agreement failures
-#: with characteristic 0 are not a practical concern at desk scale.
-DEFAULT_PRIME = 32003
-
 
 # ---------------------------------------------------------------------------
 # monomials and the grevlex order
@@ -187,10 +184,11 @@ def mono_max_index(m: Mono) -> int:
     return -1
 
 
-def grevlex_key(m: Mono):
-    """Sort key realizing grevlex: higher degree wins, ties break at the last
-    differing exponent with the smaller exponent winning."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+def grevlex_desc_key(m: Mono):
+    """Sort key, a flat int tuple, that puts the grevlex-largest monomial
+    first: higher degree first; on ties, the smaller exponent at the last
+    differing variable."""
+    return (-sum(m),) + m[::-1]
 
 
 def compare_grevlex(a: Mono, b: Mono) -> int:
@@ -198,8 +196,8 @@ def compare_grevlex(a: Mono, b: Mono) -> int:
     if len(a) != len(b):
         raise RingMismatchError(
             f"monomials live in different rings ({len(a)} vs {len(b)} variables)")
-    ka, kb = grevlex_key(a), grevlex_key(b)
-    return (ka > kb) - (ka < kb)
+    ka, kb = grevlex_desc_key(a), grevlex_desc_key(b)
+    return (ka < kb) - (ka > kb)
 
 
 def mono_str(m: Mono) -> str:
@@ -277,7 +275,7 @@ class Polynomial:
                     f"monomial with {len(m)} exponents in {ring.num_vars}-variable ring")
             if any(e < 0 or e > MAX_EXPONENT for e in m):
                 raise ValueError(f"exponent out of range in {m}")
-        items.sort(key=lambda t: grevlex_key(t[0]), reverse=True)
+        items.sort(key=lambda t: grevlex_desc_key(t[0]))
         return cls(ring, items)
 
     def term_dict(self) -> dict:
@@ -385,16 +383,30 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
+# ---------------------------------------------------------------------------
+# the integer working form
+# ---------------------------------------------------------------------------
+# Exact kernels (division, S-polynomials, rank, coordinate change) run on
+# {mono: int} dicts.  Over GF(p) the ints are residues mod p; over QQ they are
+# numerators over one common denominator.
+
+def int_terms(f: Polynomial) -> tuple:
+    """(work, den) with f = work / den: over GF(p) the residues of the
+    coefficients and den = 1, over QQ the numerators after clearing the lcm
+    of the denominators."""
+    if f.ring.field.p is not None:
+        return {m: c.v for m, c in f.terms}, 1
+    den = lcm(*(c.denominator for _, c in f.terms))
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms}, den
 
 
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def poly_scale(f: Polynomial, c) -> Polynomial:
-    return f.scale(c)
+def from_int_terms(ring: RingCtx, d: dict, den: int = 1) -> Polynomial:
+    """The polynomial d / den over the ring's field; inverse of int_terms."""
+    p = ring.field.p
+    if p is None:
+        return Polynomial.from_dict(ring, {m: Fraction(c, den) for m, c in d.items()})
+    inv = pow(den, -1, p)
+    return Polynomial.from_dict(ring, {m: Fp(c * inv, p) for m, c in d.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +509,13 @@ def apply_linear_change(f: Polynomial, M) -> Polynomial:
     """Substitute x_i -> sum_j M[i][j] * x_j in f.
 
     M must be invertible, so the substitution is a ring automorphism; applying
-    M then its inverse is the identity.  The expansion runs on {mono: int}
-    dicts (ints mod p over GF(p)) and converts to field elements once, at the
+    M then its inverse is the identity.  The expansion runs on the integer
+    working form (int_terms) and converts to field elements once, at the
     end.  Over QQ, with M = N/dm and f = F/df for integer N and F, a term of
     degree d maps to dm^-d times its image under N; scaling it by
     dm^(top - d), top = deg f, puts every term over the one denominator
-    df * dm^top, so inhomogeneous f and fractional M stay exact.
+    df * dm^top, so inhomogeneous f and fractional M stay exact.  Over GF(p)
+    dm = df = 1.
     """
     ring = f.ring
     field = ring.field
@@ -511,18 +524,16 @@ def apply_linear_change(f: Polynomial, M) -> Polynomial:
         raise SingularMatrixError("coordinate change matrix is singular")
     if f.is_zero:
         return f
-    if isinstance(field, PrimeField):
-        p = field.p
-        rows = [[v.v for v in row] for row in rows]
-        terms = [(m, c.v) for m, c in f.terms]
-    else:
-        p = None
+    p = field.p
+    if p is None:
         dm = lcm(*(v.denominator for row in rows for v in row))
-        df = lcm(*(c.denominator for _, c in f.terms))
-        top = f.degree()
         rows = [[v.numerator * (dm // v.denominator) for v in row] for row in rows]
-        terms = [(m, c.numerator * (df // c.denominator) * dm ** (top - sum(m)))
-                 for m, c in f.terms]
+    else:
+        dm = 1
+        rows = [[v.v for v in row] for row in rows]
+    work, df = int_terms(f)
+    top = f.degree()
+    terms = [(m, c * dm ** (top - sum(m))) for m, c in work.items()]
     images = [{ring.var_mono(j): v for j, v in enumerate(row) if v} for row in rows]
     pow_cache: dict = {}
 
@@ -541,10 +552,13 @@ def apply_linear_change(f: Polynomial, M) -> Polynomial:
                 part = _int_mul(part, image_power(i, e), p)
         for mm, cc in part.items():
             acc[mm] = acc.get(mm, 0) + cc
-    if p is None:
-        den = df * dm ** top
-        return Polynomial.from_dict(ring, {m: Fraction(c, den) for m, c in acc.items()})
-    return Polynomial.from_dict(ring, {m: Fp(c, p) for m, c in acc.items()})
+    return from_int_terms(ring, acc, df * dm ** top)
+
+
+def _check_bound(bound: int):
+    # with bound 0 every sample is zero: no invertible matrix, no nonzero form
+    if bound < 1:
+        raise ValueError(f"coefficient bound must be at least 1, got {bound}")
 
 
 def seeded_invertible_matrix(num_vars: int, seed: int, bound: int = 1000, field=QQ):
@@ -553,6 +567,7 @@ def seeded_invertible_matrix(num_vars: int, seed: int, bound: int = 1000, field=
     Resamples on a zero determinant; more than 100 resamples would mean the
     generator is broken, not unlucky.
     """
+    _check_bound(bound)
     rng = random.Random(seed)
     for _ in range(100):
         rows = tuple(
@@ -565,6 +580,7 @@ def seeded_invertible_matrix(num_vars: int, seed: int, bound: int = 1000, field=
 
 def seeded_linear_form(ring: RingCtx, seed: int, bound: int = 1000) -> Polynomial:
     """Deterministic nonzero linear form with integer coefficients in [-bound, bound]."""
+    _check_bound(bound)
     rng = random.Random(seed)
     while True:
         coeffs = [rng.randint(-bound, bound) for _ in range(ring.num_vars)]

@@ -241,8 +241,8 @@ class BoundsReport:
 def tailing_bounds(b, e: int, pd: int, reg: int | None = None,
                    certified: bool = True) -> BoundsReport:
     """Rigidity / lower-bound check: a vanishing first tailing entry forces
-    2-regularity, and otherwise every entry up to the projective dimension is
-    compared against C(pd+1, i+1).
+    2-regularity, and otherwise every entry b holds up to the projective
+    dimension is compared against C(pd+1, i+1).
 
     A rigidity failure on certified input is a library bug and raises.  A
     lower-bound shortfall is only recorded: the bound presumes every section
@@ -262,7 +262,8 @@ def tailing_bounds(b, e: int, pd: int, reg: int | None = None,
             violations.append(msg)
         return BoundsReport("rigidity", not violations, (), tuple(violations))
     details = []
-    for i in range(e, pd + 1):
+    # only the indices b holds: pd can reach n + 1 on unsaturated input
+    for i in range(e, min(pd, e + len(b) - 1) + 1):
         bound = comb(pd + 1, i + 1)
         value = b[i - e]
         details.append((i, bound, value, value - bound))
@@ -270,11 +271,6 @@ def tailing_bounds(b, e: int, pd: int, reg: int | None = None,
             violations.append(
                 f"beta_({i},2) = {value} < lower bound C({pd + 1},{i + 1}) = {bound}")
     return BoundsReport("bounds", not violations, tuple(details), tuple(violations))
-
-
-def rigidity_and_bounds(b, profile: SchemeProfile,
-                        certified: bool = True) -> BoundsReport:
-    return tailing_bounds(b, profile.codim, profile.pd, profile.reg, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +367,20 @@ def structure_check(cert: GinCertificate, profile: SchemeProfile,
 # full report
 # ---------------------------------------------------------------------------
 
+def _readings(b, n: int, e: int, warnings: list, h3_warning: str) -> tuple:
+    """Hilbert reconstruction, degree/genus and cohomology read off b.
+    Appends the connectedness warning to warnings, then h3_warning when the
+    h3 bounds come out inverted."""
+    reconstructed = hilbert_from_tailing(b, n, e)
+    warnings.append("Hilbert reconstruction from tailing data assumes a "
+                    "connected algebraic set (hypothesis recorded, not verified)")
+    coh = cohomology_from_tailing(b, n, e)
+    if (coh.h3_lower_raw is not None and coh.h3_upper is not None
+            and coh.h3_lower_raw > coh.h3_upper):
+        warnings.append(h3_warning)
+    return reconstructed, degree_genus_from_tailing(b, n, e, n - e), coh
+
+
 @dataclass(frozen=True)
 class TailingReport:
     n: int
@@ -406,19 +416,13 @@ def build_tailing_report(cert: GinCertificate, profile: SchemeProfile | None = N
     if not consistent and not broken:
         raise InternalCheckError(
             "b != Xi.h on input satisfying every hypothesis; library bug")
-    reconstructed = hilbert_from_tailing(b, n, e)
-    warnings.append("Hilbert reconstruction from tailing data assumes a "
-                    "connected algebraic set (hypothesis recorded, not verified)")
+    # h3_upper - h3_lower equals the h2 reading, which is an honest
+    # cohomology dimension only under the recorded connectedness hypothesis;
+    # inversion flags that hypothesis as violated
+    reconstructed, dg, coh = _readings(
+        b, n, e, warnings, "h3 bounds inverted: the cohomology readings "
+                           "presume a connected algebraic set")
     hilbert_match = reconstructed.chis == profile.hilbert.chis
-    dg = degree_genus_from_tailing(b, n, e, n - e)
-    coh = cohomology_from_tailing(b, n, e)
-    if (coh.h3_lower_raw is not None and coh.h3_upper is not None
-            and coh.h3_lower_raw > coh.h3_upper):
-        # h3_upper - h3_lower equals the h2 reading, which is an honest
-        # cohomology dimension only under the recorded connectedness
-        # hypothesis; inversion flags that hypothesis as violated
-        warnings.append("h3 bounds inverted: the cohomology readings presume "
-                        "a connected algebraic set")
     bounds = tailing_bounds(b, e, profile.pd, profile.reg, certified=not broken)
     if not bounds.ok and bounds.mode == "bounds":
         warnings.append("tailing lower bounds not met at some index; the "
@@ -455,15 +459,9 @@ def vector_report(n: int, e: int, b=None, h=None,
                             "does not satisfy the theorem's hypotheses")
     if len(b) != size:
         raise ValueError(f"vector length must be n-e+1 = {size}")
-    reconstructed = hilbert_from_tailing(b, n, e)
-    warnings.append("Hilbert reconstruction from tailing data assumes a "
-                    "connected algebraic set (hypothesis recorded, not verified)")
-    dg = degree_genus_from_tailing(b, n, e, n - e)
-    coh = cohomology_from_tailing(b, n, e)
-    if (coh.h3_lower_raw is not None and coh.h3_upper is not None
-            and coh.h3_lower_raw > coh.h3_upper):
-        warnings.append("h3 lower bound exceeds upper bound: input outside "
-                        "theorem hypotheses")
+    reconstructed, dg, coh = _readings(
+        b, n, e, warnings, "h3 lower bound exceeds upper bound: input outside "
+                           "theorem hypotheses")
     bounds = tailing_bounds(b, e, pd, None, certified=False) if pd is not None else None
     return TailingReport(
         n=n, e=e, b=tuple(b), h=tuple(h), consistent=True, profile=None,

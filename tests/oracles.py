@@ -100,6 +100,12 @@ def ek_alternating_hf(entries, nv, t):
     return total
 
 
+def betti_regularity(entries):
+    """reg(J) read off the Betti numbers {(i, d): v} of R/J: 1 + the largest
+    row with a nonzero entry in a column i >= 1."""
+    return 1 + max((d for (i, d), v in entries.items() if v and i >= 1), default=-1)
+
+
 def fraction_rank(rows, p=None):
     """Rank of a dense integer matrix by literal Gaussian elimination: over
     Fraction when p is None, otherwise over the integers mod p."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -303,6 +304,19 @@ def test_vector_mode_tailing_rejects_gin_flags(capsys, flags):
     assert "apply only to ideal-file mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pd,code", [("5", 2), ("1", 2), ("4", 0), ("2", 0)])
+def test_vector_mode_pd_must_lie_in_e_to_n_plus_1(capsys, pd, code):
+    assert run_cli("tailing", "--b", "5,1", "--n", "3", "--e", "2", "--pd", pd) == code
+    if code:
+        assert "--pd must lie in e..n+1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gin", "tailing"])
+def test_bound_below_one_is_input_error(capsys, command):
+    assert run_cli(command, _fixture_path("twisted_cubic"), "--bound", "0") == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 # --- the --force contract ----------------------------------------------------
 
 def test_hilbert_force_keeps_direct_route_on_regularity_4(tmp_path):
@@ -320,7 +334,73 @@ def test_hilbert_force_keeps_direct_route_on_regularity_4(tmp_path):
         "3-regular ideal")
 
 
+def test_tailing_force_on_unsaturated_input(tmp_path):
+    # pd = n + 1 = 3 here, one past the last index the tailing vector holds
+    src = tmp_path / "cone.ideal"
+    src.write_text("ring 3\ngens:\nx0^3\nx0^2*x1\nx0*x1^2\nx0^2*x2\nx0*x1*x2\n")
+    out = tmp_path / "r.json"
+    assert run_cli("tailing", str(src), "--force", "--format", "json",
+                   "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["profile"]["pd"] == 3
+    rep = report["tailing"]
+    assert rep["forced"] is True
+    assert [row[0] for row in rep["bounds"]["details"]] == \
+        list(range(rep["e"], rep["n"] + 1))
+
+
 def test_tailing_force_still_refuses_regularity_4(capsys):
     assert run_cli("tailing", _fixture_path("quintic"), "--seed", "42",
                    "--force") == 1
     assert "3-regular" in capsys.readouterr().err
+
+
+# --- frozen reports ----------------------------------------------------------
+
+def _report_digest(tmp_path, name, field):
+    """SHA-256 over every file command's exit code and JSON report, with the
+    machine-dependent input.file dropped."""
+    out = tmp_path / "r.json"
+    parts = []
+    for command, _, _ in LAYOUTS:
+        if out.exists():
+            out.unlink()
+        code = run_cli(command, _fixture_path(name), "--field", field,
+                       "--format", "json", "--out", str(out))
+        report = json.loads(out.read_text()) if out.exists() else None
+        if report is not None:
+            del report["input"]["file"]
+        parts.append(f"{command} {code}\n{json.dumps(report, indent=2)}\n")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+#: digests of the reports as first recorded; a change to any report byte, or
+#: to any command's exit code, changes them
+FROZEN_DIGESTS = {
+    ("nonreduced_monomial", "q"): "6b39e3d330f359e30cdaf15d66ba08a384c24a07f61a114a18331e4a12ecd7ef",
+    ("nonreduced_monomial", "fp:32003"): "1e6c33b4b9ab6932a50465d0f3566332106ef6dc2b8eeaf879036a42a9367f64",
+    ("quintic", "q"): "1ffc0e08bd32d1ed1659dc587dd01c4845e4d8d10b787457502636d8b4054594",
+    ("quintic", "fp:32003"): "59b7530247f4c58332fa98608b80c389b536c1c1ca3893a0ca6e39babf239be4",
+    ("three_lines_embedded_point", "q"): "101516f77e598a9bc20e7c81f39e27a2284938d49c01ecc3af08757ebd6ce3a4",
+    ("three_lines_embedded_point", "fp:32003"): "1e65907ccc16a215772625a5bab196903f8b56ef564d0d5ef30ce841d46af6fc",
+    ("twisted_cubic", "q"): "7898d9e8afdeb276d9b9daf11bb7dd5cd5322daa8dcdd539090d4dd681bc3b25",
+    ("twisted_cubic", "fp:32003"): "79771bd812f720af74558986a61a287c422501f01fea0a68fe844dee5ac4c71a",
+    ("two_planes", "q"): "09290a5f9d13a9bde61525a1055256da9a9215ddd6a16ea9d844997cf5439ee5",
+    ("two_planes", "fp:32003"): "52ec2a3ff50f1519ab933ed6b7fcef365b9125aad7454467eed53380abe8c7bf",
+    ("unsaturated_pair", "q"): "d03322a73251c474482143330ca956058876167f9ad259f03ec4d0091b3cc644",
+    ("unsaturated_pair", "fp:32003"): "10d31471dbf33a16db27a82629160fc7ed1247ffa79fbbf615b2ae850f3f755a",
+}
+
+
+@pytest.mark.parametrize("name,field", list(FROZEN_DIGESTS),
+                         ids=[f"{n}-{f}" for n, f in FROZEN_DIGESTS])
+def test_reports_match_frozen_digests(tmp_path, name, field):
+    assert _report_digest(tmp_path, name, field) == FROZEN_DIGESTS[(name, field)]
+
+
+def test_frozen_digests_cover_every_bundled_fixture():
+    from importlib import resources
+    bundled = {p.name[:-len(".ideal")]
+               for p in (resources.files("gintail") / "fixtures").iterdir()
+               if p.name.endswith(".ideal")}
+    assert set(FROZEN_DIGESTS) == {(n, f) for n in bundled for f in ("q", "fp:32003")}

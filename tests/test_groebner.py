@@ -242,6 +242,11 @@ def test_saturate_already_saturated(quintic_ideal):
     assert ideals_equal(S, quintic_ideal)
 
 
+def test_saturate_rejects_bound_below_one(quintic_ideal):
+    with pytest.raises(ValueError, match="at least 1"):
+        saturate_by_general_linear_form(quintic_ideal, seed=3, bound=0)
+
+
 def test_saturate_split_point():
     # x0*(x0,x1) in two variables saturates to (x0)
     R2 = RingCtx(2)

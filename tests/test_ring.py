@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +8,9 @@ from hypothesis import given, strategies as st
 from gintail.errors import (InhomogeneousError, RingMismatchError,
                             SingularMatrixError)
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
-                          apply_linear_change, compare_grevlex, matrix_inv,
-                          poly_add, poly_mul, poly_scale,
-                          seeded_invertible_matrix)
+                          apply_linear_change, compare_grevlex,
+                          from_int_terms, int_terms, matrix_inv,
+                          seeded_invertible_matrix, seeded_linear_form)
 from oracles import naive_grevlex_less, naive_linear_change, random_poly
 
 R4 = RingCtx(4)
@@ -88,8 +89,8 @@ def small_polys(ring, max_terms=4):
 
 @given(small_polys(R4), small_polys(R4), small_polys(R4))
 def test_mul_associative_add_distributive(f, g, h):
-    assert poly_mul(poly_mul(f, g), h) == poly_mul(f, poly_mul(g, h))
-    assert poly_mul(f, poly_add(g, h)) == poly_add(poly_mul(f, g), poly_mul(f, h))
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
 
 
 def test_homogeneous_products_and_sums():
@@ -101,8 +102,25 @@ def test_homogeneous_products_and_sums():
 
 def test_scale_and_zero():
     f = P(R4, {(1, 0, 0, 0): 2})
-    assert poly_scale(f, 0).is_zero
-    assert poly_scale(f, Fraction(1, 2)) == P(R4, {(1, 0, 0, 0): 1})
+    assert f.scale(0).is_zero
+    assert f.scale(Fraction(1, 2)) == P(R4, {(1, 0, 0, 0): 1})
+
+
+# --- the integer working form ------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@given(seed=st.integers(0, 2**32), terms=st.integers(0, 6))
+def test_int_terms_round_trip(field, seed, terms):
+    # random_poly draws fractional coefficients, reduced mod p over GF(p)
+    f = random_poly(RingCtx(3, field), random.Random(seed), terms)
+    work, den = int_terms(f)
+    assert from_int_terms(f.ring, work, den) == f
+    assert list(work) == [m for m, _ in f.terms]
+    if field.p is None:
+        assert den == lcm(*(c.denominator for _, c in f.terms))
+        assert all(type(c) is int for c in work.values())
+    else:
+        assert den == 1 and all(0 < c < field.p for c in work.values())
 
 
 def test_exponent_bound_checked():
@@ -139,6 +157,14 @@ def test_linear_change_matches_naive_substitution(field):
             f = random_poly(ring, rng, 5)
             assert apply_linear_change(f, A) == naive_linear_change(f, A)
     assert apply_linear_change(ring.zero(), M).is_zero
+
+
+def test_samplers_reject_bound_below_one():
+    # with bound 0 every sample is zero, so neither sampler could succeed
+    with pytest.raises(ValueError, match="at least 1"):
+        seeded_invertible_matrix(3, 1, bound=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        seeded_linear_form(RingCtx(3), 1, bound=0)
 
 
 def test_linear_change_rejects_singular():

@@ -11,7 +11,7 @@ from gintail.invariants import hilbert_polynomial, scheme_profile
 from gintail.tailing import (betti_from_normality, build_tailing_report,
                              cohomology_from_tailing, degree_genus_from_tailing,
                              hilbert_from_tailing, normality_from_betti,
-                             rigidity_and_bounds, sectional_normality,
+                             sectional_normality,
                              structure_check, tailing_bounds, tailing_from_gin,
                              vector_report, xi_inverse, xi_matrix)
 from oracles import point_section_h1
@@ -170,7 +170,7 @@ def test_bounds_published_fivefold():
 
 def test_rigidity_branch(twisted_cubic_cert):
     profile = scheme_profile(twisted_cubic_cert)
-    rep = rigidity_and_bounds([0, 0], profile)
+    rep = tailing_bounds([0, 0], profile.codim, profile.pd, profile.reg)
     assert rep.mode == "rigidity" and rep.ok
 
 
@@ -179,6 +179,14 @@ def test_rigidity_violation_is_internal_error():
         tailing_bounds([0, 0], e=2, pd=3, reg=3, certified=True)
     rep = tailing_bounds([0, 0], e=2, pd=3, reg=3, certified=False)
     assert not rep.ok
+
+
+def test_bounds_stop_at_the_last_index_b_holds():
+    # pd = n + 1 on unsaturated input: C(pd+1, i+1) is compared only for
+    # the indices e..n that b has entries for
+    rep = tailing_bounds([5, 1], e=2, pd=4, certified=False)
+    assert [(i, bound, value) for i, bound, value, _ in rep.details] == \
+        [(2, 10, 5), (3, 5, 1)]
 
 
 def test_bound_violation_recorded_not_raised():
