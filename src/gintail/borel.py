@@ -77,12 +77,13 @@ class MonomialIdeal:
 
     def restrict_last_to_zero(self) -> "MonomialIdeal":
         """(J, x_n)/(x_n): keep generators without the last variable, in one
-        variable fewer."""
+        variable fewer.  Dropping an all-zero coordinate keeps a minimal set
+        minimal and keeps it in _gen_sort_key order, so nothing is redone."""
         if self.num_vars < 2:
             raise ValueError("cannot restrict a ring with a single variable")
         last = self.num_vars - 1
-        kept = [g[:-1] for g in self.min_gens if g[last] == 0]
-        return MonomialIdeal.make(self.num_vars - 1, kept)
+        kept = tuple(g[:-1] for g in self.min_gens if g[last] == 0)
+        return MonomialIdeal(self.num_vars - 1, kept)
 
     def saturate_last(self) -> "MonomialIdeal":
         """union_k (J : x_n^k): strip all last-variable factors and re-minimalize."""

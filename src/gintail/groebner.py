@@ -12,9 +12,16 @@ coprime integer coefficients, reduction cross-multiplies instead of dividing,
 and intermediate results are content-stripped, which is what keeps exact
 arithmetic feasible at this scale.  Over GF(p) the same loop runs on ints
 mod p.  Polynomials enter and leave this integer working form through
-ring.int_terms and ring.from_int_terms.  The division loop finds each
-leading term through a heap of the working polynomial's monomials instead of
-rescanning all its terms.  Identical inputs give bit-identical bases.
+ring.int_terms and ring.from_int_terms.
+
+Inside the kernel a monomial is packed (ring.Packing): a working polynomial
+is a dict {D: c} keyed by the order key D, so a product of monomials is a
+sum, the leading term is max(d), and the division loop finds each leading
+term through an int max-heap.  One table per run maps each D seen to its
+word E, against which a divisibility test is one subtraction and one mask
+with the guard bits.  The packed D is the one definition of each order here.
+A product past ring.MAX_PACKED_DEGREE = 2^15 - 1 sets a guard bit and is
+refused with a ValueError.  Identical inputs give bit-identical bases.
 """
 
 from __future__ import annotations
@@ -25,43 +32,10 @@ from math import comb, gcd
 
 from .borel import MonomialIdeal
 from .errors import InternalCheckError, SaturationRetryError
-from .ring import (Polynomial, PolyIdeal, RingCtx, apply_linear_change,
-                   from_int_terms, grevlex_desc_key, int_terms, mono_degree,
-                   mono_disjoint, mono_div, mono_lcm, mono_mul,
-                   seeded_invertible_matrix, seeded_linear_form)
-
-GREVLEX = "grevlex"
-ELIM_FIRST = "elim-first"
-
-
-def _desc_key(order: str):
-    """Key, a flat int tuple, that sorts the order's largest monomial first."""
-    if order == GREVLEX:
-        return grevlex_desc_key
-    if order == ELIM_FIRST:
-        # block order: the first variable beats any monomial in the rest,
-        # grevlex inside the x-block
-        return lambda m: (-m[0], -sum(m)) + m[:0:-1]
-    raise ValueError(f"unknown order {order!r}")
-
-
-def _order_key(order: str):
-    """Key that sorts ascending in the order."""
-    desc = _desc_key(order)
-    return lambda m: tuple(-x for x in desc(m))
-
-
-def _memo_key(order: str):
-    key = _order_key(order)
-    cache: dict = {}
-
-    def memo(m):
-        t = cache.get(m)
-        if t is None:
-            t = key(m)
-            cache[m] = t
-        return t
-    return memo
+from .ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE, Packing,
+                   Polynomial, PolyIdeal, RingCtx, apply_linear_change,
+                   from_int_terms, int_terms, mono_lcm, mono_mul,
+                   packed_overflow, seeded_invertible_matrix, seeded_linear_form)
 
 
 @dataclass(frozen=True)
@@ -73,66 +47,83 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# division on the integer working form
+# division on the packed integer working form
 # ---------------------------------------------------------------------------
-# Over QQ a working polynomial is {mono: int}, kept with coprime coefficients
-# inside Buchberger; over GF(p) it is {mono: int in [1, p-1]} and all
-# arithmetic is mod p.
+# Over QQ a working polynomial is {D: int}, kept with coprime coefficients
+# inside Buchberger; over GF(p) it is {D: int in [1, p-1]} and all
+# arithmetic is mod p.  `table` maps every D in play to its word E.
 
-def _strip_int(d: dict, key) -> dict:
+def _pack_work(work: dict, pk, table: dict) -> dict:
+    """{mono: c} -> {D: c}, recording each D's word in table."""
+    out = {}
+    for m, c in work.items():
+        d, e = pk.pack(m)
+        table[d] = e
+        out[d] = c
+    return out
+
+
+def _unpack_work(d: dict, pk, table: dict) -> dict:
+    return {pk.unpack(table[m]): c for m, c in d.items()}
+
+
+def _strip_int(d: dict) -> dict:
     if not d:
         return d
     g = 0
     for c in d.values():
         g = gcd(g, c)
-    if d[max(d, key=key)] < 0:
+    if d[max(d)] < 0:
         g = -g
     if g == 1:
         return d
     return {m: c // g for m, c in d.items()}
 
 
-def _as_divisor(d: dict, key):
-    lm = max(d, key=key)
-    return (lm, d[lm], tuple(d.items()))
+def _as_divisor(d: dict, table: dict):
+    """(lm, E of lm, lc, terms) of a nonzero packed polynomial."""
+    lm = max(d)
+    return (lm, table[lm], d[lm], tuple(d.items()))
 
 
-def _reduce_work(p: dict, divisors, desc, p_mod: int | None, exact: bool = False):
-    """Core division loop on integer working polynomials.
+def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
+                 exact: bool = False):
+    """Core division loop on packed integer working polynomials.
 
     Each step reduces the order-maximal term of the working polynomial.  It is
-    found through a heap of (desc(m), m) entries, desc being the order's
-    _desc_key: a monomial is pushed when it enters the polynomial, and an
-    entry whose monomial has since cancelled is skipped when popped (once a
-    monomial is reduced every later term is smaller, so it never returns).
-    Divisors are tried in list order, the leading term first.  Over QQ the
-    reduction is fraction-free: to cancel the lead it scales the whole
+    found through a max-heap of the D keys (pushed negated): a monomial is
+    pushed when it enters the polynomial, and an entry whose monomial has
+    since cancelled is skipped when popped (once a monomial is reduced every
+    later term is smaller, so it never returns).  Divisors, as _as_divisor
+    builds them, are tried in list order, the leading term first.  Over QQ
+    the reduction is fraction-free: to cancel the lead it scales the whole
     remainder-in-progress by lc(g)/gcd instead of dividing, and returns the
     accumulated scale so exact callers can undo it.  In non-exact mode the
     working polynomial is content-stripped as it goes.
     """
+    guard = pk.guard
     p = dict(p)
-    heap = [(desc(m), m) for m in p]
+    heap = [-m for m in p]
     heapify(heap)
     remainder: dict = {}
     scale = 1
     steps = 0
     while p:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = p.get(m)
         if c is None:
             continue
-        hit = None
+        e = table[m]
         for div in divisors:
-            q = mono_div(m, div[0])
-            if q is not None:
-                hit = (q, div)
+            if not (e - div[1]) & guard:
                 break
-        if hit is None:
+        else:
             remainder[m] = c
             del p[m]
             continue
-        q, (lm, lc, terms) = hit
+        lm, lm_e, lc, terms = div
+        q = m - lm
+        q_e = e - lm_e
         if p_mod is None:
             g = gcd(c, lc)
             a = lc // g
@@ -145,30 +136,27 @@ def _reduce_work(p: dict, divisors, desc, p_mod: int | None, exact: bool = False
                     p[mm] *= a
                 for mm in remainder:
                     remainder[mm] *= a
-            for gm, gc in terms:
-                mm = mono_mul(gm, q)
-                if mm in p:
-                    s = p[mm] - b * gc
-                    if s:
-                        p[mm] = s
-                    else:
-                        del p[mm]
-                else:
-                    p[mm] = -b * gc
-                    heappush(heap, (desc(mm), mm))
         else:
-            f = c * pow(lc, -1, p_mod) % p_mod
-            for gm, gc in terms:
-                mm = mono_mul(gm, q)
-                if mm in p:
-                    s = (p[mm] - f * gc) % p_mod
-                    if s:
-                        p[mm] = s
-                    else:
-                        del p[mm]
+            b = c * pow(lc, -1, p_mod) % p_mod
+        for gm, gc in terms:
+            mm = gm + q
+            s = p.get(mm)
+            if s is None:
+                p[mm] = -b * gc if p_mod is None else -b * gc % p_mod
+                heappush(heap, -mm)
+                if mm not in table:
+                    ee = table[gm] + q_e
+                    if ee & guard:
+                        raise packed_overflow(pk.degree(ee))
+                    table[mm] = ee
+            else:
+                s -= b * gc
+                if p_mod is not None:
+                    s %= p_mod
+                if s:
+                    p[mm] = s
                 else:
-                    p[mm] = -f * gc % p_mod
-                    heappush(heap, (desc(mm), mm))
+                    del p[mm]
         steps += 1
         if not exact and p_mod is None and steps % 8 == 0 and p:
             g = 0
@@ -180,6 +168,37 @@ def _reduce_work(p: dict, divisors, desc, p_mod: int | None, exact: bool = False
                 p = {m: c // g for m, c in p.items()}
                 remainder = {m: c // g for m, c in remainder.items()}
     return remainder, scale
+
+
+def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict, pk,
+                p_mod: int | None) -> dict:
+    """S-polynomial of two divisors (see _as_divisor) whose leading
+    monomials have the packed lcm (lcm, lcm_e)."""
+    lci, lcj = gi[2], gj[2]
+    if p_mod is None:
+        g = gcd(lci, lcj)
+        a, b = lcj // g, lci // g
+    else:
+        a, b = 1, lci * pow(lcj, -1, p_mod) % p_mod
+    guard = pk.guard
+    out: dict = {}
+    for (lm, lm_e, _, terms), f in ((gi, a), (gj, -b)):
+        q, q_e = lcm - lm, lcm_e - lm_e
+        for m, c in terms:
+            mm = m + q
+            if mm not in table:
+                ee = table[m] + q_e
+                if ee & guard:
+                    raise packed_overflow(pk.degree(ee))
+                table[mm] = ee
+            s = out.get(mm, 0) + f * c
+            if p_mod is not None:
+                s %= p_mod
+            if s:
+                out[mm] = s
+            else:
+                out.pop(mm, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,56 +213,34 @@ def reduce(f: Polynomial, G, order: str = GREVLEX) -> Polynomial:
     ring = f.ring
     for g in G:
         ring.check_same(g.ring)
-    key = _memo_key(order)
-    divisors = [_as_divisor(int_terms(g)[0], key) for g in G if not g.is_zero]
+    pk = Packing(ring.num_vars, order)
+    table: dict = {}
+    divisors = [_as_divisor(_pack_work(int_terms(g)[0], pk, table), table)
+                for g in G if not g.is_zero]
     if not divisors:
         return f
     work, den = int_terms(f)
-    rem, scale = _reduce_work(work, divisors, _desc_key(order), ring.field.p,
-                              exact=True)
-    return from_int_terms(ring, rem, scale * den)
-
-
-def _spoly_work(di: dict, dj: dict, key, p_mod: int | None) -> dict:
-    lmi = max(di, key=key)
-    lmj = max(dj, key=key)
-    lci, lcj = di[lmi], dj[lmj]
-    lcm = mono_lcm(lmi, lmj)
-    qi = mono_div(lcm, lmi)
-    qj = mono_div(lcm, lmj)
-    if p_mod is None:
-        g = gcd(lci, lcj)
-        a, b = lcj // g, lci // g
-    else:
-        a, b = 1, lci * pow(lcj, -1, p_mod) % p_mod
-    out: dict = {}
-    for m, c in di.items():
-        out[mono_mul(m, qi)] = a * c
-    for m, c in dj.items():
-        mm = mono_mul(m, qj)
-        s = out.get(mm, 0) - b * c
-        if p_mod is not None:
-            s %= p_mod
-        if s:
-            out[mm] = s
-        else:
-            out.pop(mm, None)
-    return out
+    rem, scale = _reduce_work(_pack_work(work, pk, table), divisors, table, pk,
+                              ring.field.p, exact=True)
+    return from_int_terms(ring, _unpack_work(rem, pk, table), scale * den)
 
 
 def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
     """S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, normalized so both leading
     terms cancel exactly."""
     p_mod = f.ring.field.p
-    key = _order_key(order)
-    df, dg = int_terms(f)[0], int_terms(g)[0]
-    lcf, lcg = df[max(df, key=key)], dg[max(dg, key=key)]
-    s = _spoly_work(df, dg, key, p_mod)
+    pk = Packing(f.ring.num_vars, order)
+    table: dict = {}
+    df, dg = (_as_divisor(_pack_work(int_terms(h)[0], pk, table), table)
+              for h in (f, g))
+    lcm, lcm_e = pk.pack(mono_lcm(pk.unpack(df[1]), pk.unpack(dg[1])))
+    s = _spoly_work(df, dg, lcm, lcm_e, table, pk, p_mod)
     # with f', g' the integer forms shifted up to the lcm, _spoly_work returns
     # lcg/h * f' - lcf/h * g' (h = gcd(lcf, lcg)) over QQ and
     # f' - lcf/lcg * g' over GF(p)
+    lcf, lcg = df[2], dg[2]
     den = lcf * lcg // gcd(lcf, lcg) if p_mod is None else lcf
-    return from_int_terms(f.ring, s, den)
+    return from_int_terms(f.ring, _unpack_work(s, pk, table), den)
 
 
 # ---------------------------------------------------------------------------
@@ -252,72 +249,74 @@ def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
 
 def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
     """Reduced basis of an arbitrary (possibly inhomogeneous) generator list."""
-    key = _memo_key(order)
-    desc = _desc_key(order)
+    pk = Packing(ring.num_vars, order)
+    guard = pk.guard
     p_mod = ring.field.p
-    G: list = []  # (lm, lc, terms) in insertion order
+    table: dict = {}
+    G: list = []    # divisors (lm, E of lm, lc, terms) in insertion order
     for f in polys:
         if f.is_zero:
             continue
-        w = int_terms(f)[0]
+        w = _pack_work(int_terms(f)[0], pk, table)
         if p_mod is None:
-            w = _strip_int(w, key)
+            w = _strip_int(w)
         if w:
-            G.append(_as_divisor(w, key))
+            G.append(_as_divisor(w, table))
+    lms = [pk.unpack(g[1]) for g in G]   # the same, as tuples, for lcms
     # pair heap in the normal strategy: lowest lcm degree, then smallest lcm
-    # in the order, then the indices, so the selection order is total; pending
-    # holds the same pairs, for the chain criterion
+    # in the order, then the indices, so the selection order is total (for
+    # grevlex, D alone already ranks the degree first); pending holds the
+    # same pairs, for the chain criterion
     pairs: list = []
     pending: set = set()
 
     def add_pairs(j):
         for i in range(j):
-            lcm = mono_lcm(G[i][0], G[j][0])
-            heappush(pairs, (mono_degree(lcm), key(lcm), i, j, lcm))
+            lcm, lcm_e = pk.pack(mono_lcm(lms[i], lms[j]))
+            heappush(pairs, (pk.degree(lcm_e), lcm, i, j, lcm_e))
             pending.add((i, j))
 
     for j in range(len(G)):
         add_pairs(j)
     while pairs:
-        *_, i, j, lcm = heappop(pairs)
+        _, lcm, i, j, lcm_e = heappop(pairs)
         pending.discard((i, j))
-        if mono_disjoint(G[i][0], G[j][0]):
-            continue
+        if lcm == G[i][0] + G[j][0]:
+            continue    # coprime leading monomials: lcm = product
         chained = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if (mono_div(lcm, G[k][0]) is not None
+            if (not (lcm_e - G[k][1]) & guard
                     and (min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
                 chained = True
                 break
         if chained:
             continue
-        s = _spoly_work(dict(G[i][2]), dict(G[j][2]), key, p_mod)
-        r, _ = _reduce_work(s, G, desc, p_mod)
+        s = _spoly_work(G[i], G[j], lcm, lcm_e, table, pk, p_mod)
+        r, _ = _reduce_work(s, G, table, pk, p_mod)
         if r:
             if p_mod is None:
-                r = _strip_int(r, key)
-            G.append(_as_divisor(r, key))
+                r = _strip_int(r)
+            G.append(_as_divisor(r, table))
+            lms.append(pk.unpack(G[-1][1]))
             add_pairs(len(G) - 1)
 
-    # minimalize: keep only elements whose lm is not divisible by another lm
-    order_idx = sorted(range(len(G)), key=lambda t: key(G[t][0]))
+    # minimalize: keep only elements whose lm is not divisible by another lm;
+    # taken in ascending order, so the basis comes out sorted by leading term
     kept: list = []
-    for t in order_idx:
-        if not any(mono_div(G[t][0], G[s][0]) is not None for s in kept):
-            kept.append(t)
-    minimal = [G[t] for t in kept]
+    for g in sorted(G, key=lambda g: g[0]):
+        if not any(not (g[1] - h[1]) & guard for h in kept):
+            kept.append(g)
     # interreduce tails, then normalize leading coefficients to 1
     reduced = []
-    for idx in range(len(minimal)):
-        others = minimal[:idx] + minimal[idx + 1:]
-        r, _ = _reduce_work(dict(minimal[idx][2]), others, desc, p_mod)
+    for idx in range(len(kept)):
+        others = kept[:idx] + kept[idx + 1:]
+        r, _ = _reduce_work(dict(kept[idx][3]), others, table, pk, p_mod)
         if p_mod is None:
-            r = _strip_int(r, key)
-        reduced.append(from_int_terms(ring, r).monic())
-    reduced.sort(key=lambda f: key(max((m for m, _ in f.terms), key=key)))
+            r = _strip_int(r)
+        reduced.append(from_int_terms(ring, _unpack_work(r, pk, table)).monic())
     return GroebnerBasis(ring, tuple(reduced), order=order, reduced=True)
 
 
@@ -332,9 +331,16 @@ def initial_ideal(G: GroebnerBasis) -> MonomialIdeal:
     monomials are exactly the minimal generators."""
     if not G.reduced:
         raise ValueError("initial_ideal expects a reduced basis")
-    key = _order_key(G.order)
-    lms = [max((m for m, _ in g.terms), key=key) for g in G.elements]
-    return MonomialIdeal.make(G.ring.num_vars, lms)
+    return MonomialIdeal.make(G.ring.num_vars,
+                              [_lead(g, G.order) for g in G.elements])
+
+
+def _lead(f: Polynomial, order: str):
+    """Leading monomial of f in the order (its first term in grevlex)."""
+    if order == GREVLEX:
+        return f.lead_monomial()
+    pk = Packing(f.ring.num_vars, order)
+    return max((m for m, _ in f.terms), key=lambda m: pk.pack(m)[0])
 
 
 def is_member(f: Polynomial, G: GroebnerBasis) -> bool:
@@ -470,8 +476,13 @@ def hilbert_function_rank_oracle(I: PolyIdeal, d: int) -> int:
 def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000) -> MonomialIdeal:
     """Grevlex initial ideal after one seeded random coordinate change; one
     genericity trial of compute_gin and one probe of the saturation check."""
+    # refuse a degree the packed kernel cannot hold before the change, which
+    # would first expand every power of it in full
+    top = max(g.degree() for g in I.gens)
+    if top > MAX_PACKED_DEGREE:
+        raise packed_overflow(top)
     M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
-    moved = [apply_linear_change(g, M) for g in I.gens]
+    moved = apply_linear_change(I.gens, M)
     return initial_ideal(_buchberger_raw(I.ring, moved, GREVLEX))
 
 
@@ -511,11 +522,10 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
     cut = ext.constant(1) - ext.variable(0) * embed(L)
     basis = _buchberger_raw(ext, [embed(g) for g in I.gens] + [cut], ELIM_FIRST)
     kept = []
-    elim_key = _order_key(ELIM_FIRST)
     for g in basis.elements:
         if all(m[0] == 0 for m, _ in g.terms):
             kept.append(Polynomial.from_dict(ring, {m[1:]: c for m, c in g.terms}))
-        elif max((m for m, _ in g.terms), key=elim_key)[0] == 0:
+        elif _lead(g, ELIM_FIRST)[0] == 0:
             raise InternalCheckError("t-free leading term on a poly involving t")
     if not kept:
         raise InternalCheckError("saturation produced no generators")

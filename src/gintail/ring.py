@@ -6,6 +6,15 @@ exponent tuples; polynomials map monomials to nonzero field elements and keep
 their terms sorted descending in grevlex, so the leading term is always the
 first one.  Coefficients are arbitrary-precision rationals (the certified
 mode) or elements of an odd prime field (a fast, advisory mode).
+
+The exact Groebner kernel does not use the tuples: a Packing turns each
+monomial into two ints that are linear in the exponents (Bachmann and
+Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  The order key D
+makes multiplication `+` and comparison in the monomial order `<`; the word
+E, 16-bit fields with a clear guard bit on top of each, makes a divisibility
+test one subtraction and one mask.  Packed monomials have total degree at
+most MAX_PACKED_DEGREE = 2^15 - 1; anything larger is refused with a
+ValueError (exit 2 from the CLI), never wrapped into a wrong answer.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .errors import InhomogeneousError, RingMismatchError, SingularMatrixError
 
@@ -158,22 +167,8 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(b: Mono, a: Mono):
-    """b / a, or None when a does not divide b."""
-    q = []
-    for x, y in zip(a, b):
-        if x > y:
-            return None
-        q.append(y - x)
-    return tuple(q)
-
-
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_disjoint(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def mono_max_index(m: Mono) -> int:
@@ -198,6 +193,72 @@ def compare_grevlex(a: Mono, b: Mono) -> int:
             f"monomials live in different rings ({len(a)} vs {len(b)} variables)")
     ka, kb = grevlex_desc_key(a), grevlex_desc_key(b)
     return (ka < kb) - (ka > kb)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+GREVLEX = "grevlex"
+#: block order: the first variable beats any monomial in the rest, grevlex
+#: inside the rest (the auxiliary variable of the saturation)
+ELIM_FIRST = "elim-first"
+
+_FIELD = 16                      # bits per field of E and digit of D
+MAX_PACKED_DEGREE = 2**15 - 1    # keeps every field's top (guard) bit clear
+
+
+def packed_overflow(degree: int) -> ValueError:
+    return ValueError(
+        f"monomial of degree {degree} exceeds {MAX_PACKED_DEGREE}, the largest "
+        "degree of the packed monomial form")
+
+
+class Packing:
+    """The packed form of monomials in num_vars variables for one order,
+    GREVLEX or ELIM_FIRST.
+
+    With B = 2^16 and N = num_vars, a monomial x^a packs to
+      D = deg(a)*B^N - sum_{i>=1} a_i*B^i        (grevlex)
+      D = a_0*B^(N+1) + the grevlex D            (ELIM_FIRST)
+    whose digits, 0 or -a_i, are balanced: with every a_i < 2^15, D is
+    injective, D(ab) = D(a) + D(b), and D(a) < D(b) iff a < b in the order;
+    and to E = sum_i a_i*2^(16i) + deg(a)*2^(16N), one field per variable
+    plus one for the degree.  When every field is below 2^15, a | b iff
+    (E(b) - E(a)) & guard == 0, since a field that would go negative borrows
+    and sets its guard bit; and E(a) + E(b) carries nowhere, so a guard bit
+    set in the sum is an overflow, caught before anything wraps.
+    """
+
+    __slots__ = ("num_vars", "weights", "fields", "guard")
+
+    def __init__(self, num_vars: int, order: str = GREVLEX):
+        top = 1 << (_FIELD * num_vars)
+        weights = [top] + [top - (1 << (_FIELD * i)) for i in range(1, num_vars)]
+        if order == ELIM_FIRST:
+            weights[0] += top << _FIELD
+        elif order != GREVLEX:
+            raise ValueError(f"unknown order {order!r}")
+        self.num_vars = num_vars
+        self.weights = tuple(weights)       # D = sum_i a_i * weights[i]
+        self.fields = tuple((1 << (_FIELD * i)) + top for i in range(num_vars))
+        # the top bit of every field of E
+        self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(num_vars + 1))
+
+    def pack(self, m: Mono) -> tuple:
+        """(D, E) of m; a ValueError past MAX_PACKED_DEGREE."""
+        d = sum(m)
+        if d > MAX_PACKED_DEGREE:
+            raise packed_overflow(d)
+        return sum(map(mul, m, self.weights)), sum(map(mul, m, self.fields))
+
+    def unpack(self, e: int) -> Mono:
+        """The exponent tuple of the word E."""
+        mask = (1 << _FIELD) - 1
+        return tuple((e >> (_FIELD * i)) & mask for i in range(self.num_vars))
+
+    def degree(self, e: int) -> int:
+        return e >> (_FIELD * self.num_vars)
 
 
 def mono_str(m: Mono) -> str:
@@ -505,25 +566,30 @@ def _int_mul(a: dict, b: dict, p: int | None) -> dict:
     return out
 
 
-def apply_linear_change(f: Polynomial, M) -> Polynomial:
-    """Substitute x_i -> sum_j M[i][j] * x_j in f.
+def apply_linear_change(gens, M) -> tuple:
+    """Substitute x_i -> sum_j M[i][j] * x_j in each polynomial of gens, all
+    in one ring; returns the images as a tuple (empty for empty gens).
 
     M must be invertible, so the substitution is a ring automorphism; applying
-    M then its inverse is the identity.  The expansion runs on the integer
-    working form (int_terms) and converts to field elements once, at the
-    end.  Over QQ, with M = N/dm and f = F/df for integer N and F, a term of
-    degree d maps to dm^-d times its image under N; scaling it by
-    dm^(top - d), top = deg f, puts every term over the one denominator
-    df * dm^top, so inhomogeneous f and fractional M stay exact.  Over GF(p)
-    dm = df = 1.
+    M then its inverse is the identity.  M is checked once, and the powers of
+    the images of the variables are shared by all the generators.  The
+    expansion runs on the integer working form (int_terms) and converts to
+    field elements once per generator, at the end.  Over QQ, with M = N/dm
+    and f = F/df for integer N and F, a term of degree d maps to dm^-d times
+    its image under N; scaling it by dm^(top - d), top = deg f, puts every
+    term over the one denominator df * dm^top, so inhomogeneous f and
+    fractional M stay exact.  Over GF(p) dm = df = 1.
     """
-    ring = f.ring
+    gens = tuple(gens)
+    if not gens:
+        return ()
+    ring = gens[0].ring
+    for f in gens:
+        ring.check_same(f.ring)
     field = ring.field
     rows = _coerce_matrix(M, field, ring.num_vars)
     if not matrix_det(rows, field):
         raise SingularMatrixError("coordinate change matrix is singular")
-    if f.is_zero:
-        return f
     p = field.p
     if p is None:
         dm = lcm(*(v.denominator for row in rows for v in row))
@@ -531,28 +597,32 @@ def apply_linear_change(f: Polynomial, M) -> Polynomial:
     else:
         dm = 1
         rows = [[v.v for v in row] for row in rows]
-    work, df = int_terms(f)
-    top = f.degree()
-    terms = [(m, c * dm ** (top - sum(m))) for m, c in work.items()]
     images = [{ring.var_mono(j): v for j, v in enumerate(row) if v} for row in rows]
-    pow_cache: dict = {}
+    powers = [[None, image] for image in images]   # powers[i][e]: image_i^e
 
     def image_power(i: int, e: int) -> dict:
-        got = pow_cache.get((i, e))
-        if got is None:
-            got = _int_mul(image_power(i, e - 1), images[i], p) if e > 1 else images[i]
-            pow_cache[(i, e)] = got
-        return got
+        got = powers[i]
+        while len(got) <= e:
+            got.append(_int_mul(got[-1], images[i], p))
+        return got[e]
 
-    acc: dict = {}
-    for m, c in terms:
-        part = {ring.unit_mono(): c}
-        for i, e in enumerate(m):
-            if e:
-                part = _int_mul(part, image_power(i, e), p)
-        for mm, cc in part.items():
-            acc[mm] = acc.get(mm, 0) + cc
-    return from_int_terms(ring, acc, df * dm ** top)
+    out = []
+    for f in gens:
+        if f.is_zero:
+            out.append(f)
+            continue
+        work, df = int_terms(f)
+        top = f.degree()
+        acc: dict = {}
+        for m, c in work.items():
+            part = {ring.unit_mono(): c * dm ** (top - sum(m))}
+            for i, e in enumerate(m):
+                if e:
+                    part = _int_mul(part, image_power(i, e), p)
+            for mm, cc in part.items():
+                acc[mm] = acc.get(mm, 0) + cc
+        out.append(from_int_terms(ring, acc, df * dm ** top))
+    return tuple(out)
 
 
 def _check_bound(bound: int):

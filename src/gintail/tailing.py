@@ -250,7 +250,12 @@ def tailing_bounds(b, e: int, pd: int, reg: int | None = None,
     can break that even with 3-regularity and ND(1) intact -- e.g. the double
     line with an embedded point cut out by x0^2*(x0, x1) in three variables
     has b = (2, 1) and pd = 2, under the claimed floor C(3, 2) = 3.
+
+    A projective dimension below the codimension e is impossible and raises
+    a ValueError, instead of a vacuous pass that compared nothing.
     """
+    if pd < e:
+        raise ValueError(f"projective dimension {pd} is below the codimension {e}")
     violations = []
     if b[0] == 0:
         ok = reg is None or reg <= 2

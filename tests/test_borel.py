@@ -85,6 +85,21 @@ def test_restrict_last_examples():
     assert J.restrict_last_to_zero().min_gens == ((1, 1),)
 
 
+def test_restrict_last_keeps_minimal_set_in_order():
+    # restriction builds the ideal directly from the kept generators; they
+    # must already be what MonomialIdeal.make would produce
+    rng = random.Random(17)
+    for _ in range(40):
+        J = random_borel(rng)
+        nv = J.num_vars
+        monos = [tuple(rng.randint(0, 2) for _ in range(nv)) for _ in range(5)]
+        unsaturated = MonomialIdeal.make(
+            nv, [m for m in monos if any(m)] + [(0,) * (nv - 1) + (1,)])
+        for K in (J, unsaturated):
+            kept = [g[:-1] for g in K.min_gens if g[-1] == 0]
+            assert K.restrict_last_to_zero() == MonomialIdeal.make(nv - 1, kept)
+
+
 def test_saturate_last_example():
     J = MonomialIdeal.make(3, [(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (2, 0, 1)])
     assert J.saturate_last().min_gens == ((2, 0, 0), (1, 2, 0), (0, 3, 0))

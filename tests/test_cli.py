@@ -311,6 +311,13 @@ def test_vector_mode_pd_must_lie_in_e_to_n_plus_1(capsys, pd, code):
         assert "--pd must lie in e..n+1" in capsys.readouterr().err
 
 
+def test_degree_past_packed_limit_is_input_error(tmp_path, capsys):
+    big = tmp_path / "big.ideal"
+    big.write_text("ring 2\ngens:\nx0^32768\n")
+    assert run_cli("gin", str(big)) == 2
+    assert "packed monomial form" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gin", "tailing"])
 def test_bound_below_one_is_input_error(capsys, command):
     assert run_cli(command, _fixture_path("twisted_cubic"), "--bound", "0") == 2

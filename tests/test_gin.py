@@ -143,8 +143,7 @@ def _polynomial_level_section(I: PolyIdeal, seed: int) -> PolyIdeal:
     M = seeded_invertible_matrix(I.ring.num_vars, seed, 1000, I.ring.field)
     S = RingCtx(I.ring.num_vars - 1, I.ring.field)
     gens = []
-    for g in I.gens:
-        moved = apply_linear_change(g, M)
+    for moved in apply_linear_change(I.gens, M):
         d = {}
         for m, c in moved.terms:
             if m[-1] == 0:

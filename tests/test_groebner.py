@@ -3,15 +3,17 @@ import random
 import pytest
 
 from gintail.borel import MonomialIdeal, hilbert_function
+from gintail.gin import compute_gin
 from gintail.groebner import (ELIM_FIRST, GREVLEX, _buchberger_raw, buchberger,
                               hilbert_function_rank_oracle, ideals_equal,
                               initial_ideal, is_member, reduce,
                               saturate_by_general_linear_form, spoly,
                               spoly_certificate)
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
-                          mono_div, mono_lcm, seeded_linear_form)
-from oracles import (naive_elim_first_less, naive_grevlex_less, naive_largest,
-                     naive_normal_form, random_poly, series_quotient_coeffs)
+                          mono_lcm, seeded_linear_form)
+from oracles import (monomials_of_degree, naive_elim_first_less,
+                     naive_grevlex_less, naive_largest, naive_normal_form,
+                     random_poly, series_quotient_coeffs)
 
 R3 = RingCtx(3)
 R4 = RingCtx(4)
@@ -119,7 +121,8 @@ def test_spoly_cancels_both_leading_terms(field, order, less):
         lcm = mono_lcm(lmf, lmg)
 
         def part(h, lm):
-            return P(ring, {mono_div(lcm, lm): 1}) * h.scale(field.one / h.term_dict()[lm])
+            quotient = tuple(x - y for x, y in zip(lcm, lm))
+            return P(ring, {quotient: 1}) * h.scale(field.one / h.term_dict()[lm])
         assert spoly(f, g, order) == part(f, lmf) - part(g, lmg)
 
 
@@ -233,6 +236,36 @@ def test_initial_ideal_hf_equality_random():
         ini = initial_ideal(buchberger(I))
         for d in range(9):
             assert hilbert_function(ini, d) == hilbert_function_rank_oracle(I, d)
+
+
+def test_degree_past_packed_limit_is_refused():
+    R2 = RingCtx(2)
+    with pytest.raises(ValueError, match="packed"):
+        buchberger(PolyIdeal.make(R2, [P(R2, {(32768, 0): 1})]))
+    # inputs that fit, with a product past the limit midway through a
+    # division: the elimination order is not degree-compatible, so
+    # t^20000 reduced by t - x^20000 reaches t^19999 * x^20000
+    cut = P(R2, {(1, 0): 1, (0, 20000): -1})
+    with pytest.raises(ValueError, match="packed"):
+        reduce(P(R2, {(20000, 0): 1}), [cut], ELIM_FIRST)
+    with pytest.raises(ValueError, match="packed"):
+        spoly(P(R2, {(20000, 0): 1}), cut, ELIM_FIRST)
+
+
+def test_qq_and_prime_field_gins_agree_on_quadric_intersections():
+    rng = random.Random(41)
+    for nv, count in ((4, 2), (4, 3), (5, 2), (5, 3)):
+        quadrics = [{m: rng.randint(1, 9) * rng.choice((-1, 1))
+                     for m in rng.sample(monomials_of_degree(nv, 2), 6)}
+                    for _ in range(count)]
+        gins = []
+        for field in (QQ, PrimeField(32003)):
+            ring = RingCtx(nv, field)
+            I = PolyIdeal.make(ring, [P(ring, q) for q in quadrics])
+            gins.append(compute_gin(I, seed=nv * 10 + count).gin)
+        assert gins[0] == gins[1]
+        assert [hilbert_function(gins[0], t) for t in range(6)] == \
+            series_quotient_coeffs([2] * count, nv, 5)
 
 
 # --- saturation --------------------------------------------------------------

@@ -7,11 +7,14 @@ from hypothesis import given, strategies as st
 
 from gintail.errors import (InhomogeneousError, RingMismatchError,
                             SingularMatrixError)
-from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
+from gintail.ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE, Packing,
+                          Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, compare_grevlex,
-                          from_int_terms, int_terms, matrix_inv,
-                          seeded_invertible_matrix, seeded_linear_form)
-from oracles import naive_grevlex_less, naive_linear_change, random_poly
+                          from_int_terms, int_terms, matrix_inv, mono_divides,
+                          mono_mul, seeded_invertible_matrix,
+                          seeded_linear_form)
+from oracles import (naive_elim_first_less, naive_grevlex_less,
+                     naive_linear_change, random_poly)
 
 R4 = RingCtx(4)
 
@@ -128,21 +131,59 @@ def test_exponent_bound_checked():
         Polynomial.from_dict(R4, {(2**31, 0, 0, 0): QQ.of(1)})
 
 
+# --- packed monomials --------------------------------------------------------
+
+# pairs of monomials in 1..10 variables; the wide exponents reach the packed
+# degree limit, so products of them overflow
+mono_pairs = st.tuples(st.integers(1, 10), st.sampled_from([3, 3276])).flatmap(
+    lambda shape: st.tuples(monos(*shape), monos(*shape)))
+
+
+@given(mono_pairs, st.sampled_from([GREVLEX, ELIM_FIRST]))
+def test_packed_monomials_match_tuple_definitions(pair, order):
+    a, b = pair
+    less = naive_grevlex_less if order == GREVLEX else naive_elim_first_less
+    pk = Packing(len(a), order)
+    (da, ea), (db, eb) = pk.pack(a), pk.pack(b)
+    assert (da < db, da == db, da > db) == (less(a, b), a == b, less(b, a))
+    assert pk.unpack(ea) == a and pk.degree(ea) == sum(a)
+    assert (not (eb - ea) & pk.guard) == mono_divides(a, b)
+    assert (not (ea - eb) & pk.guard) == mono_divides(b, a)
+    if sum(a) + sum(b) <= MAX_PACKED_DEGREE:
+        assert pk.pack(mono_mul(a, b)) == (da + db, ea + eb)
+    else:
+        assert (ea + eb) & pk.guard
+
+
+def test_packing_refuses_degree_past_limit():
+    pk = Packing(3)
+    pk.pack((MAX_PACKED_DEGREE, 0, 0))
+    # a product whose exponents all fit but whose degree does not: only the
+    # degree field's guard bit reports it
+    _, e = pk.pack((10000, 10000, 10000))
+    assert (e + e) & pk.guard
+    for m in ((MAX_PACKED_DEGREE + 1, 0, 0), (2**16, 0, 0), (0, 2**15, 2**15)):
+        with pytest.raises(ValueError, match="packed"):
+            pk.pack(m)
+    with pytest.raises(ValueError, match="unknown order"):
+        Packing(3, "lex")
+
+
 # --- linear changes ----------------------------------------------------------
 
 def test_linear_change_identity_and_permutation():
     f = P(R4, {(1, 0, 0, 0): 1})
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert apply_linear_change(f, ident) == f
+    assert apply_linear_change([f], ident) == (f,)
     swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert apply_linear_change(f, swap) == R4.variable(1)
+    assert apply_linear_change([f], swap) == (R4.variable(1),)
 
 
 def test_linear_change_round_trip():
     f = P(R4, {(2, 0, 0, 0): 1})
     M = seeded_invertible_matrix(4, 2023, 50)
     Minv = matrix_inv(M, QQ)
-    assert apply_linear_change(apply_linear_change(f, M), Minv) == f
+    assert apply_linear_change(apply_linear_change([f], M), Minv) == (f,)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
@@ -155,8 +196,16 @@ def test_linear_change_matches_naive_substitution(field):
         M = seeded_invertible_matrix(4, trial, 9, field)
         for A in (M, matrix_inv(M, field)):
             f = random_poly(ring, rng, 5)
-            assert apply_linear_change(f, A) == naive_linear_change(f, A)
-    assert apply_linear_change(ring.zero(), M).is_zero
+            assert apply_linear_change([f], A) == (naive_linear_change(f, A),)
+    assert apply_linear_change([ring.zero()], M)[0].is_zero
+
+
+def test_linear_change_of_a_high_power():
+    # powers of the images are built by a loop, not by one recursive call
+    # per exponent step, so exponents past the recursion limit work
+    R1 = RingCtx(1)
+    moved, = apply_linear_change([P(R1, {(1500,): 1})], [[2]])
+    assert moved == P(R1, {(1500,): 2**1500})
 
 
 def test_samplers_reject_bound_below_one():
@@ -171,7 +220,7 @@ def test_linear_change_rejects_singular():
     f = P(R4, {(1, 0, 0, 0): 1})
     M = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(SingularMatrixError):
-        apply_linear_change(f, M)
+        apply_linear_change([f], M)
 
 
 def test_linear_change_is_ring_homomorphism():
@@ -182,16 +231,15 @@ def test_linear_change_is_ring_homomorphism():
                    for _ in range(3)})
         g = P(R4, {tuple(rng.randint(0, 2) for _ in range(4)): rng.randint(-4, 4)
                    for _ in range(3)})
-        assert apply_linear_change(f * g, M) == \
-            apply_linear_change(f, M) * apply_linear_change(g, M)
-        assert apply_linear_change(f + g, M) == \
-            apply_linear_change(f, M) + apply_linear_change(g, M)
+        mf, mg, mfg, msum = apply_linear_change([f, g, f * g, f + g], M)
+        assert mfg == mf * mg
+        assert msum == mf + mg
 
 
 def test_linear_change_preserves_homogeneous_degree():
     f = P(R4, {(1, 1, 0, 0): 3, (0, 0, 2, 0): -1})
     M = seeded_invertible_matrix(4, 5, 10)
-    out = apply_linear_change(f, M)
+    out, = apply_linear_change([f], M)
     assert out.is_homogeneous() and out.degree() == 2
 
 

@@ -189,6 +189,14 @@ def test_bounds_stop_at_the_last_index_b_holds():
         [(2, 10, 5), (3, 5, 1)]
 
 
+def test_bounds_reject_pd_below_codimension():
+    # pd >= e always holds; a smaller pd used to pass with nothing compared
+    with pytest.raises(ValueError, match="below the codimension"):
+        tailing_bounds([5, 1], e=2, pd=1)
+    with pytest.raises(ValueError, match="below the codimension"):
+        vector_report(3, 2, b=[5, 1], pd=0)
+
+
 def test_bound_violation_recorded_not_raised():
     rep = tailing_bounds([1, 1], e=2, pd=3, certified=True)
     assert not rep.ok and rep.violations
