@@ -30,7 +30,8 @@ from .errors import (GenericityError, GintailError, HypothesisError,
 from .gin import compute_gin
 from .groebner import buchberger
 from .invariants import scheme_profile
-from .ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx, mono_str)
+from .ring import (MAX_PACKED_DEGREE, Polynomial, PolyIdeal, PrimeField, QQ,
+                   RingCtx, mono_str, packed_overflow)
 from .tailing import build_tailing_report, vector_report, xi_matrix
 
 EXIT_OK = 0
@@ -84,12 +85,18 @@ def _tokenize_expr(src: str, line_no: int):
     return toks
 
 
+# each parenthesis level costs the recursive descent five stack frames; this
+# keeps the deepest accepted expression well inside Python's recursion limit
+MAX_NESTING = 100
+
+
 class _ExprParser:
     def __init__(self, toks, ring: RingCtx, line_no: int):
         self.toks = toks
         self.pos = 0
         self.ring = ring
         self.line = line_no
+        self.depth = 0      # open parentheses around the current position
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -124,12 +131,14 @@ class _ExprParser:
         return node
 
     def factor(self) -> Polynomial:
-        t = self.peek()
-        if t is not None and t.kind in "+-":
+        # a run of unary signs is read in a loop, so its length costs no
+        # recursion depth
+        negate = False
+        while (t := self.peek()) is not None and t.kind in "+-":
             self.take()
-            inner = self.factor()
-            return inner if t.kind == "+" else -inner
-        return self.power()
+            negate ^= t.kind == "-"
+        node = self.power()
+        return -node if negate else node
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -140,6 +149,12 @@ class _ExprParser:
                 raise ParseError("exponent must be a nonnegative integer",
                                  e_tok.line, e_tok.col)
             e = int(e_tok.text)
+            # the product below takes e steps, so e itself is bounded too: a
+            # power of a constant is counted as if it had degree e
+            degree = e * max(base.degree(), 1)
+            if degree > MAX_PACKED_DEGREE:
+                raise ParseError(f"exponent {e}: {packed_overflow(degree)}",
+                                 e_tok.line, e_tok.col)
             out = self.ring.constant(1)
             for _ in range(e):
                 out = out * base
@@ -158,7 +173,13 @@ class _ExprParser:
                     t.line, t.col)
             return self.ring.variable(idx)
         if t.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels",
+                    t.line, t.col)
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             close = self.take()
             if close.kind != ")":
                 raise ParseError("expected ')'", close.line, close.col)

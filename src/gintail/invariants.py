@@ -1,10 +1,11 @@
 """Scheme-level invariants read off a certified Gin.
 
-Dimension, degree and the Hilbert polynomial come from finite differences of
-the Hilbert function at and above the regularity; depth and projective
-dimension from the Eliahou-Kervaire support; the ND(1) verdicts from the
-generic-section Gins; and 1-normality (more generally (d-1)-normality of a
-(d+1)-regular scheme) by two independent routes that must agree:
+Dimension, degree and the Hilbert polynomial come from the Eliahou-Kervaire
+decomposition of the Borel-fixed Gin, a closed sum over its minimal
+generators; depth and projective dimension from the Eliahou-Kervaire
+support; the ND(1) verdicts from the generic-section Gins; and 1-normality
+(more generally (d-1)-normality of a (d+1)-regular scheme) by two
+independent routes that must agree:
 
   * counting the degree-(d+1) minimal generators whose top variable is
     x_{n-1}, and
@@ -14,12 +15,14 @@ generic-section Gins; and 1-normality (more generally (d-1)-normality of a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
 from .borel import MonomialIdeal, ek_betti, hilbert_function, require_borel, stratum
 from .errors import InternalCheckError, RegularityError, UnitIdealError
 from .gin import GinCertificate, generic_section_gin
+from .ring import mono_degree, mono_max_index
 
 
 def binom_poly(a: int, k: int) -> int:
@@ -89,45 +92,33 @@ def depth_pd(gin: MonomialIdeal) -> tuple:
 
 
 def hilbert_polynomial(gin: MonomialIdeal) -> HilbertPolynomial:
-    """Fit the binomial-basis expansion of the Hilbert polynomial from Hilbert
-    function values at t = reg, .., reg + num_vars + 1 by finite differences.
+    """Hilbert polynomial of R/J for a Borel-fixed J in N variables.
 
-    The fit proper uses dim+1 points starting at reg; one extra point guards
-    against an off-by-one in the stabilization threshold, and the trailing
-    difference rows must vanish.
+    By the Eliahou-Kervaire decomposition every monomial of J is uniquely
+    u*v with u a minimal generator and v a monomial in x_max(u)..x_{N-1}, so
+
+        P(t) = C(t+N-1, N-1) - sum_u C(t - deg u + k_u - 1, k_u - 1),
+
+    with k_u = N - max(u); chi_j is the j-th backward difference of P at 0.
     """
     nv = gin.num_vars
-    t0 = gin.max_gen_degree()
-    m = nv + 1
-    vals = [hilbert_function(gin, t0 + i) for i in range(m + 1)]
-    table = [vals]
-    while len(table) <= m:
-        prev = table[-1]
-        table.append([b - a for a, b in zip(prev, prev[1:])])
-    r = max((k for k in range(m + 1) if any(table[k])), default=None)
-    if r is None or vals[-1] == 0:
+    # the scheme is empty exactly when J is m-primary, i.e. some minimal
+    # generator is a pure power of x_i for every i (any monomial ideal)
+    powers = {i for g in gin.min_gens for i, e in enumerate(g)
+              if e == mono_degree(g)}
+    if len(powers) == nv:
         raise ValueError(
             "the Hilbert polynomial is zero: empty schemes are rejected")
-    if r > nv - 1:
-        raise ValueError(
-            "Hilbert function does not stabilize to a polynomial of degree "
-            "below the variable count; the ideal is not saturated")
-
-    def evaluate(t: int) -> int:
-        # Newton form from the dim+1 leftmost values
-        return sum(table[k][0] * binom_poly(t - t0, k) for k in range(r + 1))
-
-    if evaluate(t0 + r + 1) != vals[r + 1]:
-        raise InternalCheckError(
-            "Hilbert function disagrees with its finite-difference fit one "
-            "point past the stabilization threshold")
-
-    chis = []
-    for j in range(r + 1):
-        # backward-difference power applied j times, evaluated at t = 0
-        chis.append(sum((-1) ** s * comb(j, s) * evaluate(-s) for s in range(j + 1)))
-    if chis[-1] <= 0:
-        raise InternalCheckError("nonpositive leading Hilbert coefficient")
+    require_borel(gin)
+    groups = Counter((mono_degree(g), nv - mono_max_index(g)) for g in gin.min_gens)
+    # values[s] = P(-s); P has degree below N, so s < N gives every chi_j
+    values = [binom_poly(nv - 1 - s, nv - 1)
+              - sum(c * binom_poly(k - 1 - d - s, k - 1) for (d, k), c in groups.items())
+              for s in range(nv)]
+    chis = [sum((-1) ** s * comb(j, s) * values[s] for s in range(j + 1))
+            for j in range(nv)]
+    while not chis[-1]:
+        chis.pop()
     return HilbertPolynomial(tuple(reversed(chis)))
 
 

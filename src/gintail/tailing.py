@@ -155,10 +155,7 @@ def degree_genus_from_tailing(b, n: int, e: int, r: int) -> DegreeGenus:
     tailing vector alone."""
     if r != n - e:
         raise ValueError(f"r must equal n - e = {n - e}, got {r}")
-    if len(b) != n - e + 1:
-        raise ValueError(f"b must have length {n - e + 1}")
-    degree = e + 1 + sum((-1) ** (i - e) * comb(i, e) * b[i - e]
-                         for i in range(e, n + 1))
+    degree = hilbert_from_tailing(b, n, e).degree
     p_a = None
     q = None
     sect = None

@@ -2,11 +2,12 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gintail.cli import main, parse_ideal
 from gintail.errors import ParseError
 from gintail.fixtures import bundled_ideal_text
-from gintail.ring import PrimeField, QQ
+from gintail.ring import PolyIdeal, PrimeField, QQ
 
 QUINTIC_TEXT = bundled_ideal_text("quintic")
 
@@ -83,6 +84,40 @@ def test_parse_round_trips_printed_polynomials():
     text = "ring 4\ngens:\n" + "\n".join(str(g) for g in I.gens) + "\n"
     again = parse_ideal(text)
     assert again.gens == I.gens
+
+
+@pytest.mark.parametrize("expr", ["x0^99999999999", "2^99999999999*x0",
+                                  "(x0*x1)^16384"])
+def test_parse_huge_exponent_is_refused(expr):
+    with pytest.raises(ParseError, match=r"packed monomial form \(line 3, col"):
+        parse_ideal(f"ring 2\ngens:\n{expr}\n")
+
+
+def test_parse_deep_parentheses_refused_with_position():
+    assert parse_ideal("ring 2\ngens:\n" + "(" * 100 + "x0" + ")" * 100 + "\n")
+    with pytest.raises(ParseError, match=r"deeper than 100 levels \(line 3, col 101\)"):
+        parse_ideal("ring 2\ngens:\n" + "(" * 1200 + "x0" + ")" * 1200 + "\n")
+
+
+def test_parse_long_run_of_unary_signs():
+    for count, sign in ((5000, 1), (5001, -1)):
+        I = parse_ideal("ring 2\ngens:\n" + "-" * count + "x0\n")
+        assert I.gens[0].terms == (((1, 0), QQ.of(sign)),)
+
+
+EXPR_TOKENS = ["x0", "x1", "x2", "x01", "x", "y", "0", "1", "2", "10", "+", "-",
+               "*", "^", "(", ")", "#", "\n"]
+
+
+@given(st.lists(st.sampled_from(EXPR_TOKENS), max_size=24),
+       st.sampled_from([" ", "\t", "  "]))
+def test_parse_fuzz_raises_only_parse_error(tokens, sep):
+    # tokens are always separated, so no exponent grows past 10
+    try:
+        I = parse_ideal("ring 2\ngens:\n" + sep.join(tokens) + "\n")
+    except ParseError:
+        return
+    assert isinstance(I, PolyIdeal)
 
 
 # --- subcommands -------------------------------------------------------------

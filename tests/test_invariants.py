@@ -1,9 +1,11 @@
+import random
+from collections import Counter
 from math import comb
 
 import pytest
 
-from gintail.borel import MonomialIdeal, ek_betti, hilbert_function
-from gintail.errors import RegularityError
+from gintail.borel import MonomialIdeal, borel_closure, ek_betti, hilbert_function
+from gintail.errors import NotBorelFixedError, RegularityError
 from gintail.fixtures import random_nd1_borel_ideals
 from gintail.gin import certificate_for_borel_ideal
 from gintail.invariants import (depth_pd, h1_oracle, h1_twist,
@@ -51,6 +53,39 @@ def test_hilbert_polynomial_matches_hf_beyond_reg(five_lines_cert):
     reg = regularity(five_lines_cert.gin)
     for t in range(reg, reg + 6):
         assert hp.evaluate(t) == hilbert_function(five_lines_cert.gin, t)
+
+
+def test_hilbert_polynomial_matches_hf_on_random_borel_closures():
+    # the closed Eliahou-Kervaire sum against the pivot-splitting recursion
+    rng = random.Random(31)
+    kinds = Counter()
+    for _ in range(150):
+        nv = rng.randint(2, 9)
+        monos = []
+        for _ in range(rng.randint(0, 3)):
+            m = [0] * nv
+            for _ in range(rng.randint(1, 3)):
+                m[rng.randrange(nv)] += 1
+            monos.append(tuple(m))
+        J = borel_closure(nv, monos)
+        reg = regularity(J)
+        points = range(reg, reg + nv + 2)
+        if J.contains((0,) * (nv - 1) + (reg,)):
+            kinds["empty"] += 1
+            with pytest.raises(ValueError, match="empty schemes"):
+                hilbert_polynomial(J)
+            assert all(hilbert_function(J, t) == 0 for t in points)
+            continue
+        kinds["zero" if J.is_zero else
+              "unsaturated" if J.max_gen_index() == nv - 1 else "saturated"] += 1
+        hp = hilbert_polynomial(J)
+        assert [hp.evaluate(t) for t in points] == [hilbert_function(J, t) for t in points]
+    assert min(kinds[k] for k in ("empty", "zero", "unsaturated", "saturated")) >= 5, kinds
+
+
+def test_hilbert_polynomial_refuses_non_borel_input():
+    with pytest.raises(NotBorelFixedError):
+        hilbert_polynomial(MonomialIdeal.make(2, [(0, 2)]))
 
 
 # --- regularity, depth, pd ---------------------------------------------------
