@@ -54,6 +54,14 @@ class _Tok:
         self.col = col
 
 
+# ASCII only: str.isdigit() also accepts digits such as '²' that int() refuses
+_DIGITS = frozenset("0123456789")
+
+
+def _is_number(text: str) -> bool:
+    return bool(text) and all(ch in _DIGITS for ch in text)
+
+
 def _tokenize_expr(src: str, line_no: int):
     toks = []
     i = 0
@@ -65,15 +73,15 @@ def _tokenize_expr(src: str, line_no: int):
         if ch == "#":
             break
         col = i + 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("int", src[i:j], line_no, col))
             i = j
-        elif ch == "x" and i + 1 < len(src) and src[i + 1].isdigit():
+        elif ch == "x" and i + 1 < len(src) and src[i + 1] in _DIGITS:
             j = i + 1
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("var", src[i:j], line_no, col))
             i = j
@@ -88,6 +96,17 @@ def _tokenize_expr(src: str, line_no: int):
 # each parenthesis level costs the recursive descent five stack frames; this
 # keeps the deepest accepted expression well inside Python's recursion limit
 MAX_NESTING = 100
+
+# the longest digit string read as an integer: Python's default cap on
+# str -> int conversion, applied here on every Python version
+MAX_DIGITS = 4300
+
+
+def _read_int(digits: str, line: int, col=None) -> int:
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"number of {len(digits)} digits is longer than "
+                         f"{MAX_DIGITS} digits", line, col)
+    return int(digits)
 
 
 class _ExprParser:
@@ -148,7 +167,7 @@ class _ExprParser:
             if e_tok.kind != "int":
                 raise ParseError("exponent must be a nonnegative integer",
                                  e_tok.line, e_tok.col)
-            e = int(e_tok.text)
+            e = _read_int(e_tok.text, e_tok.line, e_tok.col)
             # the product below takes e steps, so e itself is bounded too: a
             # power of a constant is counted as if it had degree e
             degree = e * max(base.degree(), 1)
@@ -164,9 +183,9 @@ class _ExprParser:
     def atom(self) -> Polynomial:
         t = self.take()
         if t.kind == "int":
-            return self.ring.constant(int(t.text))
+            return self.ring.constant(_read_int(t.text, t.line, t.col))
         if t.kind == "var":
-            idx = int(t.text[1:])
+            idx = _read_int(t.text[1:], t.line, t.col)
             if idx >= self.ring.num_vars:
                 raise ParseError(
                     f"unknown variable x{idx} (ring has x0..x{self.ring.num_vars - 1})",
@@ -202,16 +221,17 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
             if parts[0] == "ring":
                 if ring is not None:
                     raise ParseError("duplicate ring declaration", line_no)
-                if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+                ring = (_read_int(parts[1], line_no)
+                        if len(parts) == 2 and _is_number(parts[1]) else 0)
+                if ring < 1:
                     raise ParseError("ring declaration needs a positive variable count",
                                      line_no)
-                ring = int(parts[1])
             elif parts[0] == "field":
                 if parts[1:] == ["q"]:
                     field = QQ
-                elif len(parts) == 3 and parts[1] == "fp" and parts[2].isdigit():
+                elif len(parts) == 3 and parts[1] == "fp" and _is_number(parts[2]):
                     try:
-                        field = PrimeField(int(parts[2]))
+                        field = PrimeField(_read_int(parts[2], line_no))
                     except ValueError as ex:
                         raise ParseError(str(ex), line_no) from None
                 else:

@@ -5,7 +5,10 @@ order (an auxiliary variable t ranked above the whole x-block) used to
 saturate by a general linear form.  Pairs wait in a heap keyed by the normal
 strategy (lcm degree, then the order on the lcm, then the pair's indices), so
 each pair is ranked once, when it is made; Buchberger's coprime-lcm and chain
-criteria are applied as pairs leave the heap.
+criteria are applied as pairs leave the heap.  A genericity trial reads only
+leading monomials, so it stops at a minimal basis (reduced=False); given a
+target, the initial ideal of the same ideal in other coordinates, it also
+drops the pairs that the target's Hilbert function proves reduce to zero.
 
 Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
@@ -40,6 +43,11 @@ from .ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE, Packing,
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A Groebner basis, sorted ascending by leading term.  Reduced: monic,
+    with no term divisible by another element's lead.  Otherwise minimal:
+    the leading monomials are still the minimal generators of the initial
+    ideal."""
+
     ring: RingCtx
     elements: tuple
     order: str = GREVLEX
@@ -247,8 +255,22 @@ def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
-    """Reduced basis of an arbitrary (possibly inhomogeneous) generator list."""
+def _buchberger_raw(ring: RingCtx, polys, order: str, reduced: bool = True,
+                    target=None) -> GroebnerBasis:
+    """Groebner basis of an arbitrary (possibly inhomogeneous) generator list.
+
+    With reduced=False the run stops at a minimal basis: its leading
+    monomials are the minimal generators of the initial ideal, but tails are
+    not interreduced and leading coefficients are not normalized.
+
+    target, for homogeneous input only, is the initial ideal of the same
+    ideal in other coordinates (a MonomialIdeal), so it has the same Hilbert
+    function.  Once every target generator of degree <= d is divisible by a
+    current leading monomial, the leads span the whole degree-d piece of the
+    initial ideal, so every remaining pair of degree d reduces to zero and is
+    dropped unreduced.  The basis comes out exactly as it would without the
+    target: a dropped pair is one that would have added nothing.
+    """
     pk = Packing(ring.num_vars, order)
     guard = pk.guard
     p_mod = ring.field.p
@@ -263,6 +285,14 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
         if w:
             G.append(_as_divisor(w, table))
     lms = [pk.unpack(g[1]) for g in G]   # the same, as tuples, for lcms
+    # target generators not yet divisible by a lead, as (degree, E), sorted
+    # so the first has the lowest degree
+    uncovered = [] if target is None else sorted(
+        (sum(m), pk.pack(m)[1]) for m in target.min_gens)
+
+    def cover(lead_e):
+        uncovered[:] = [t for t in uncovered if (t[1] - lead_e) & guard]
+
     # pair heap in the normal strategy: lowest lcm degree, then smallest lcm
     # in the order, then the indices, so the selection order is total (for
     # grevlex, D alone already ranks the degree first); pending holds the
@@ -278,9 +308,15 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
 
     for j in range(len(G)):
         add_pairs(j)
+        if target is not None:
+            cover(G[j][1])
     while pairs:
-        _, lcm, i, j, lcm_e = heappop(pairs)
+        if target is not None and not uncovered:
+            break       # every remaining pair reduces to zero
+        deg, lcm, i, j, lcm_e = heappop(pairs)
         pending.discard((i, j))
+        if target is not None and uncovered[0][0] > deg:
+            continue    # the leads already span this degree
         if lcm == G[i][0] + G[j][0]:
             continue    # coprime leading monomials: lcm = product
         chained = False
@@ -302,6 +338,8 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
             G.append(_as_divisor(r, table))
             lms.append(pk.unpack(G[-1][1]))
             add_pairs(len(G) - 1)
+            if target is not None:
+                cover(G[-1][1])
 
     # minimalize: keep only elements whose lm is not divisible by another lm;
     # taken in ascending order, so the basis comes out sorted by leading term
@@ -309,15 +347,19 @@ def _buchberger_raw(ring: RingCtx, polys, order: str) -> GroebnerBasis:
     for g in sorted(G, key=lambda g: g[0]):
         if not any(not (g[1] - h[1]) & guard for h in kept):
             kept.append(g)
+    if not reduced:
+        return GroebnerBasis(ring, tuple(
+            from_int_terms(ring, _unpack_work(dict(g[3]), pk, table)) for g in kept),
+            order=order, reduced=False)
     # interreduce tails, then normalize leading coefficients to 1
-    reduced = []
+    out = []
     for idx in range(len(kept)):
         others = kept[:idx] + kept[idx + 1:]
         r, _ = _reduce_work(dict(kept[idx][3]), others, table, pk, p_mod)
         if p_mod is None:
             r = _strip_int(r)
-        reduced.append(from_int_terms(ring, _unpack_work(r, pk, table)).monic())
-    return GroebnerBasis(ring, tuple(reduced), order=order, reduced=True)
+        out.append(from_int_terms(ring, _unpack_work(r, pk, table)).monic())
+    return GroebnerBasis(ring, tuple(out), order=order, reduced=True)
 
 
 def buchberger(I: PolyIdeal, order: str = GREVLEX) -> GroebnerBasis:
@@ -327,10 +369,8 @@ def buchberger(I: PolyIdeal, order: str = GREVLEX) -> GroebnerBasis:
 
 
 def initial_ideal(G: GroebnerBasis) -> MonomialIdeal:
-    """Monomial ideal of leading terms.  For a reduced basis the leading
-    monomials are exactly the minimal generators."""
-    if not G.reduced:
-        raise ValueError("initial_ideal expects a reduced basis")
+    """Monomial ideal of leading terms.  For a reduced or minimal basis the
+    leading monomials are exactly the minimal generators."""
     return MonomialIdeal.make(G.ring.num_vars,
                               [_lead(g, G.order) for g in G.elements])
 
@@ -473,9 +513,14 @@ def hilbert_function_rank_oracle(I: PolyIdeal, d: int) -> int:
 # saturation by a general linear form
 # ---------------------------------------------------------------------------
 
-def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000) -> MonomialIdeal:
+def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
+                         target: MonomialIdeal | None = None) -> MonomialIdeal:
     """Grevlex initial ideal after one seeded random coordinate change; one
-    genericity trial of compute_gin and one probe of the saturation check."""
+    genericity trial of compute_gin and one probe of the saturation check.
+
+    The run stops at a minimal basis, since only its leads are read.  target,
+    an initial ideal of I in other coordinates (an earlier trial's), lets it
+    skip the pairs that provably reduce to zero; the result is the same."""
     # refuse a degree the packed kernel cannot hold before the change, which
     # would first expand every power of it in full
     top = max(g.degree() for g in I.gens)
@@ -483,7 +528,8 @@ def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000) -> Monomial
         raise packed_overflow(top)
     M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
     moved = apply_linear_change(I.gens, M)
-    return initial_ideal(_buchberger_raw(I.ring, moved, GREVLEX))
+    return initial_ideal(_buchberger_raw(I.ring, moved, GREVLEX, reduced=False,
+                                         target=target))
 
 
 def _mix_seed(master: int, idx: int) -> int:
@@ -508,8 +554,9 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
     keep the t-free elements.  The result is verified a posteriori: the
     initial ideal of the output after a random coordinate change must have no
     minimal generator involving the last variable (unsaturated ideals are
-    detected exactly by such generators).  A failed check raises
-    SaturationRetryError so the caller can retry with a fresh seed.
+    detected exactly by such generators).  Two probes run, the second aimed
+    at the first's initial ideal (see seeded_initial_ideal).  A failed check
+    raises SaturationRetryError so the caller can retry with a fresh seed.
     """
     ring = I.ring
     n = ring.num_vars
@@ -533,8 +580,9 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
 
     if any(g.degree() == 0 for g in kept):
         return result  # unit ideal: nothing left to verify
+    ini = None      # the first probe is the second one's target
     for probe in (1, 2):
-        ini = seeded_initial_ideal(result, _mix_seed(seed, probe), bound)
+        ini = seeded_initial_ideal(result, _mix_seed(seed, probe), bound, ini)
         if any(g[n - 1] > 0 for g in ini.min_gens):
             raise SaturationRetryError(
                 f"saturation check failed for seed {seed}; retry with a new seed")

@@ -566,6 +566,45 @@ def _int_mul(a: dict, b: dict, p: int | None) -> dict:
     return out
 
 
+def _linear_power(row, e: int, p: int | None) -> dict:
+    """(sum_j row[j] * x_j)^e as {mono: int} by the multinomial theorem: the
+    coefficient of prod_j x_j^k_j is e! / prod_j k_j! * prod_j row[j]^k_j.
+    The compositions k of e are walked over the nonzero entries of row, one
+    variable at a time, carrying the product of the binomials and powers
+    chosen so far; the last variable takes what is left."""
+    support = [(j, a) for j, a in enumerate(row) if a]
+    powers = []             # powers[t][k] = (entry t of support)^k
+    for _, a in support:
+        got = [1]
+        for _ in range(e):
+            got.append(got[-1] * a if p is None else got[-1] * a % p)
+        powers.append(got)
+    expo = [0] * len(row)
+    out: dict = {}
+    last = len(support) - 1
+
+    def walk(t: int, rest: int, coef: int):
+        j = support[t][0]
+        if t == last:
+            expo[j] = rest
+            c = coef * powers[t][rest]
+            if p is not None:
+                c %= p
+            if c:
+                out[tuple(expo)] = c
+            expo[j] = 0
+            return
+        binom = 1           # C(rest, k)
+        for k in range(rest + 1):
+            expo[j] = k
+            walk(t + 1, rest - k, coef * binom * powers[t][k])
+            binom = binom * (rest - k) // (k + 1)
+        expo[j] = 0
+
+    walk(0, e, 1)
+    return out
+
+
 def apply_linear_change(gens, M) -> tuple:
     """Substitute x_i -> sum_j M[i][j] * x_j in each polynomial of gens, all
     in one ring; returns the images as a tuple (empty for empty gens).
@@ -573,8 +612,9 @@ def apply_linear_change(gens, M) -> tuple:
     M must be invertible, so the substitution is a ring automorphism; applying
     M then its inverse is the identity.  M is checked once, and the powers of
     the images of the variables are shared by all the generators.  The
-    expansion runs on the integer working form (int_terms) and converts to
-    field elements once per generator, at the end.  Over QQ, with M = N/dm
+    expansion runs on the integer working form (int_terms), takes each power
+    of an image from the multinomial theorem, and converts to field elements
+    once per generator, at the end.  Over QQ, with M = N/dm
     and f = F/df for integer N and F, a term of degree d maps to dm^-d times
     its image under N; scaling it by dm^(top - d), top = deg f, puts every
     term over the one denominator df * dm^top, so inhomogeneous f and
@@ -597,14 +637,13 @@ def apply_linear_change(gens, M) -> tuple:
     else:
         dm = 1
         rows = [[v.v for v in row] for row in rows]
-    images = [{ring.var_mono(j): v for j, v in enumerate(row) if v} for row in rows]
-    powers = [[None, image] for image in images]   # powers[i][e]: image_i^e
+    powers: dict = {}       # (i, e) -> image of x_i^e
 
     def image_power(i: int, e: int) -> dict:
-        got = powers[i]
-        while len(got) <= e:
-            got.append(_int_mul(got[-1], images[i], p))
-        return got[e]
+        got = powers.get((i, e))
+        if got is None:
+            got = powers[i, e] = _linear_power(rows[i], e, p)
+        return got
 
     out = []
     for f in gens:

@@ -99,6 +99,33 @@ def test_parse_deep_parentheses_refused_with_position():
         parse_ideal("ring 2\ngens:\n" + "(" * 1200 + "x0" + ")" * 1200 + "\n")
 
 
+@pytest.mark.parametrize("expr,col", [("1" * 5000 + "*x0", 1),
+                                      ("x0^" + "1" * 5000, 4),
+                                      ("x" + "1" * 5000, 1)])
+def test_parse_very_long_integer_is_refused_with_position(expr, col):
+    with pytest.raises(ParseError, match=rf"5000 digits .*\(line 3, col {col}\)"):
+        parse_ideal(f"ring 2\ngens:\n{expr}\n")
+
+
+def test_parse_long_integers_in_directives_are_refused():
+    for text in ("ring " + "1" * 5000 + "\ngens:\nx0\n",
+                 "ring 2\nfield fp " + "1" * 5000 + "\ngens:\nx0\n"):
+        with pytest.raises(ParseError, match="5000 digits"):
+            parse_ideal(text)
+    # 4300 digits are still read exactly
+    I = parse_ideal("ring 2\ngens:\n" + "1" * 4300 + "*x0\n")
+    assert I.gens[0].terms == (((1, 0), QQ.of(int("1" * 4300))),)
+
+
+@pytest.mark.parametrize("text", ["ring 2\ngens:\nx0^\u00b2\n",
+                                  "ring 2\ngens:\n\u0663*x0\n",
+                                  "ring \u00b2\ngens:\nx0\n"])
+def test_parse_non_ascii_digits_are_refused(text):
+    # str.isdigit() accepts these, and int() refuses '²' or reads '٣' as 3
+    with pytest.raises(ParseError):
+        parse_ideal(text)
+
+
 def test_parse_long_run_of_unary_signs():
     for count, sign in ((5000, 1), (5001, -1)):
         I = parse_ideal("ring 2\ngens:\n" + "-" * count + "x0\n")

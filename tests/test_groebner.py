@@ -4,13 +4,18 @@ import pytest
 
 from gintail.borel import MonomialIdeal, hilbert_function
 from gintail.gin import compute_gin
+from gintail import groebner
+from gintail.fixtures import (ci_three_quadrics, ci_two_quadrics,
+                              five_lines_ideal, load_bundled_ideal,
+                              random_quadrics)
 from gintail.groebner import (ELIM_FIRST, GREVLEX, _buchberger_raw, buchberger,
                               hilbert_function_rank_oracle, ideals_equal,
                               initial_ideal, is_member, reduce,
-                              saturate_by_general_linear_form, spoly,
-                              spoly_certificate)
+                              saturate_by_general_linear_form,
+                              seeded_initial_ideal, spoly, spoly_certificate)
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
-                          mono_lcm, seeded_linear_form)
+                          apply_linear_change, mono_lcm,
+                          seeded_invertible_matrix, seeded_linear_form)
 from oracles import (monomials_of_degree, naive_elim_first_less,
                      naive_grevlex_less, naive_largest, naive_normal_form,
                      random_poly, series_quotient_coeffs)
@@ -266,6 +271,101 @@ def test_qq_and_prime_field_gins_agree_on_quadric_intersections():
         assert gins[0] == gins[1]
         assert [hilbert_function(gins[0], t) for t in range(6)] == \
             series_quotient_coeffs([2] * count, nv, 5)
+
+
+# --- genericity trials ---------------------------------------------------------
+
+GF = PrimeField(32003)
+
+# the polynomial inputs of the corpus, and seeded intersections of quadrics
+TRIAL_INPUTS = {
+    "quintic": lambda: load_bundled_ideal("quintic"),
+    "two_planes": lambda: load_bundled_ideal("two_planes"),
+    "twisted_cubic": lambda: load_bundled_ideal("twisted_cubic"),
+    "three_lines_embedded_point": lambda: load_bundled_ideal(
+        "three_lines_embedded_point"),
+    "five_lines": five_lines_ideal,
+    "ci_three_quadrics": lambda: ci_three_quadrics(2),
+    "del_pezzo_quartic": lambda: ci_two_quadrics(3),
+    "quadrics_4_in_6": lambda: random_quadrics(4, 6, 17),
+}
+
+
+def over(I: PolyIdeal, field) -> PolyIdeal:
+    ring = RingCtx(I.ring.num_vars, field)
+    return PolyIdeal.make(ring, [
+        Polynomial.from_dict(ring, {m: field.of(c) for m, c in g.terms})
+        for g in I.gens])
+
+
+def trial_basis(I: PolyIdeal, seed: int, target=None):
+    """The minimal basis one genericity trial computes."""
+    M = seeded_invertible_matrix(I.ring.num_vars, seed, 1000, I.ring.field)
+    return _buchberger_raw(I.ring, apply_linear_change(I.gens, M), GREVLEX,
+                           reduced=False, target=target)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", sorted(TRIAL_INPUTS))
+def test_targeted_trial_equals_untargeted(name, field):
+    I = over(TRIAL_INPUTS[name](), field)
+    J1 = seeded_initial_ideal(I, 1)
+    for seed in (2, 3):
+        plain = trial_basis(I, seed)
+        assert trial_basis(I, seed, target=J1) == plain
+        assert seeded_initial_ideal(I, seed, target=J1) == initial_ideal(plain)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_minimal_trial_basis_has_the_reduced_leads(quintic_ideal, field):
+    I = over(quintic_ideal, field)
+    M = seeded_invertible_matrix(4, 5, 1000, field)
+    moved = apply_linear_change(I.gens, M)
+    full = _buchberger_raw(I.ring, moved, GREVLEX)
+    minimal = _buchberger_raw(I.ring, moved, GREVLEX, reduced=False)
+    assert full.reduced and not minimal.reduced
+    assert [g.lead_monomial() for g in minimal.elements] == \
+        [g.lead_monomial() for g in full.elements]
+    assert all(isinstance(g, Polynomial) for g in minimal.elements)
+    assert spoly_certificate(minimal)
+    assert all(is_member(g, full) for g in minimal.elements)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_non_generic_target_keeps_the_trial_exact(quintic_ideal, field):
+    # in(I) in the original coordinates has I's Hilbert function but is not
+    # the Gin; a trial aimed at it still returns its own initial ideal
+    I = over(quintic_ideal, field)
+    J0 = initial_ideal(buchberger(I))
+    for seed in (4, 9):
+        plain = seeded_initial_ideal(I, seed)
+        assert plain != J0
+        assert seeded_initial_ideal(I, seed, target=J0) == plain
+    # and the other way round: non-generic coordinates aimed at the Gin
+    gin = seeded_initial_ideal(I, 4)
+    original = _buchberger_raw(I.ring, I.gens, GREVLEX, reduced=False)
+    assert _buchberger_raw(I.ring, I.gens, GREVLEX, reduced=False,
+                           target=gin) == original
+    assert initial_ideal(original) == J0
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_targeted_trial_skips_reductions(monkeypatch, field):
+    I = over(random_quadrics(4, 6, 17), field)
+    J1 = seeded_initial_ideal(I, 1)
+    calls = []
+    counted = groebner._reduce_work
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce_work", counting)
+    plain = trial_basis(I, 2)
+    untargeted = len(calls)
+    del calls[:]
+    assert trial_basis(I, 2, target=J1) == plain
+    assert len(calls) < untargeted
 
 
 # --- saturation --------------------------------------------------------------

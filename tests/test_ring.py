@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -201,11 +202,42 @@ def test_linear_change_matches_naive_substitution(field):
 
 
 def test_linear_change_of_a_high_power():
-    # powers of the images are built by a loop, not by one recursive call
-    # per exponent step, so exponents past the recursion limit work
+    # powers of the images recurse once per variable, not once per exponent
+    # step, so exponents past the recursion limit work
     R1 = RingCtx(1)
     moved, = apply_linear_change([P(R1, {(1500,): 1})], [[2]])
     assert moved == P(R1, {(1500,): 2**1500})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(5)],
+                         ids=["QQ", "GF32003", "GF5"])
+def test_linear_change_of_powers_matches_naive_substitution(field):
+    # pure powers and products of powers up to degree 6, under matrices with
+    # zero entries too; over GF(5) some multinomial coefficients vanish
+    rng = random.Random(57)
+    for nv in (1, 2, 3, 4):
+        ring = RingCtx(nv, field)
+        for trial in range(4):
+            M = seeded_invertible_matrix(nv, 100 * nv + trial, 3 - trial % 2, field)
+            for _ in range(3):
+                expo = tuple(rng.randint(0, 6 // nv) for _ in range(nv))
+                power = P(ring, {expo: rng.randint(1, 9)})
+                f = power + random_poly(ring, rng, 3, max_exp=3)
+                for g in (power, f):
+                    if not g.is_zero:
+                        assert apply_linear_change([g], M) == \
+                            (naive_linear_change(g, M),)
+
+
+def test_linear_change_of_x0_to_the_1600_is_fast():
+    # one power from the multinomial theorem, not 1600 successive products
+    R2 = RingCtx(2)
+    start = time.perf_counter()
+    moved, = apply_linear_change([P(R2, {(1600, 0): 1})], [[3, -2], [1, 1]])
+    assert time.perf_counter() - start < 5
+    assert len(moved.terms) == 1601
+    for k in (0, 1, 800, 1599, 1600):
+        assert moved.term_dict()[(k, 1600 - k)] == comb(1600, k) * 3**k * (-2)**(1600 - k)
 
 
 def test_samplers_reject_bound_below_one():
