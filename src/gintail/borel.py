@@ -120,7 +120,12 @@ class MonomialIdeal:
 # Borel-fixed property
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+#: entries kept by the Borel-check memo: one borel_tailing pass asks about
+#: 196 distinct ideals, and a long-running process must not grow without bound
+BOREL_CHECK_CACHE = 1024
+
+
+@lru_cache(maxsize=BOREL_CHECK_CACHE)
 def _is_borel_fixed(num_vars: int, gens: tuple) -> bool:
     J = MonomialIdeal(num_vars, gens)
     for g in gens:

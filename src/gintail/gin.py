@@ -7,14 +7,18 @@ the rationals with coefficient bound 1000 an accidental agreement on a
 non-generic ideal is not a practical concern at this scale, but the
 certificate records that it is a surrogate, not a proof.
 
-Each trial stops at a minimal Groebner basis, since only its leading
-monomials are read.  Trials 2..k also skip every S-pair that trial 1's
-Hilbert function proves reduces to zero (Traverso's Hilbert-driven pair
-skipping, with trial 1's initial ideal J1 as the target, in the same field).
+Every trial moves only a minimal generating set of the input
+(groebner.minimal_generators), computed once, and stops at a minimal
+Groebner basis, since only its leading monomials are read.  Trials 2..k
+also skip every S-pair that trial 1's Hilbert function proves reduces to
+zero (Traverso's Hilbert-driven pair skipping, with trial 1's initial ideal
+J1 as the target, in the same field).
 A skipped pair would have added nothing, so each trial still returns its own
 initial ideal, generic or not: agreement still compares each trial's own
 leads with J1, and the rank cross-check against exact linear algebra still
-checks the engine.
+checks the engine.  That cross-check runs on the caller's own generators, so
+a generator wrongly dropped as redundant changes the Hilbert function it
+sees and raises GenericityError.
 """
 
 from __future__ import annotations
@@ -25,14 +29,9 @@ from math import comb
 from . import borel
 from .borel import MonomialIdeal, is_borel_fixed
 from .errors import GenericityError, NotBorelFixedError
-from .groebner import (_mix_seed, hilbert_function_rank_oracle,
-                       seeded_initial_ideal)
+from .groebner import (HF_CHECK_LIMIT, _mix_seed, hilbert_function_rank_oracle,
+                       minimal_generators, seeded_initial_ideal)
 from .ring import PolyIdeal, QQ, RingCtx
-
-#: Degree-d pieces larger than this skip the exact rank cross-check: its cost
-#: is a sparse elimination on that many columns, which fills in as it goes;
-#: every bundled fixture stays well below.
-HF_CHECK_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,11 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
     ring = I.ring
     nv = ring.num_vars
     seeds = tuple(_mix_seed(seed, k) for k in range(trials))
-    # trial 1 fixes the Hilbert function that lets trials 2..k skip pairs
-    first = seeded_initial_ideal(I, seeds[0], bound)
-    others = [seeded_initial_ideal(I, s, bound, first) for s in seeds[1:]]
+    # every trial moves only the minimal generators; trial 1 fixes the
+    # Hilbert function that lets trials 2..k skip pairs
+    gens = minimal_generators(I)
+    first = seeded_initial_ideal(gens, seeds[0], bound)
+    others = [seeded_initial_ideal(gens, s, bound, first) for s in seeds[1:]]
     if any(r != first for r in others):
         raise GenericityError(
             f"initial ideals disagree across trials (seeds {seeds}); "
@@ -110,7 +111,8 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
             "input ideal was not saturated")
 
     # cross-check the Hilbert function against exact linear algebra on the
-    # original generators, degree by degree up to reg + 2
+    # caller's own generators, degree by degree up to reg + 2, so a generator
+    # wrongly dropped above shows here
     reg = first.max_gen_degree()
     hf_checked = True
     for t in range(reg + 3):

@@ -407,12 +407,23 @@ def spoly_certificate(G: GroebnerBasis) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert functions by exact linear algebra (the dual route to monomial
-# counting; used to cross-check initial ideals)
+# Hilbert functions and minimal generators by exact linear algebra (the dual
+# route to monomial counting; used to cross-check initial ideals)
 # ---------------------------------------------------------------------------
 
-def _sparse_rank(rows, p: int | None = None) -> int:
-    """Rank of a matrix given as sparse rows {column: coefficient}.
+#: Degree-d pieces with more monomials than this are not eliminated: the
+#: Hilbert-function cross-check of compute_gin stops there, and
+#: minimal_generators keeps their generators untested.  The cost is a sparse
+#: elimination on that many columns, which fills in as it goes; every bundled
+#: fixture stays well below.
+HF_CHECK_LIMIT = 400
+
+
+def _sparse_pivots(rows, p: int | None = None) -> list:
+    """Pivot columns, ascending, of the row echelon form of a matrix given as
+    sparse rows {column: coefficient}, with columns taken in increasing
+    order: column c is a pivot exactly when some vector of the row space has
+    its leading (smallest) nonzero entry in column c.
 
     Over QQ (p None) the entries are integers and the rank is exact: a row is
     eliminated fraction-free, as (lc/g)*row - (c/g)*pivot with g = gcd(lc, c).
@@ -433,11 +444,11 @@ def _sparse_rank(rows, p: int | None = None) -> int:
             buckets.setdefault(min(row), []).append(row)
     cols = list(buckets)
     heapify(cols)
-    rank = 0
+    pivots = []
     while cols:
         col = heappop(cols)
         bucket = buckets.pop(col)
-        rank += 1
+        pivots.append(col)
         pivot = min(bucket, key=lambda r: abs(r[col]))
         lc = pivot[col]
         if p is not None:
@@ -468,7 +479,13 @@ def _sparse_rank(rows, p: int | None = None) -> int:
                 else:
                     buckets[lead] = [row]
                     heappush(cols, lead)
-    return rank
+    return pivots
+
+
+def _sparse_rank(rows, p: int | None = None) -> int:
+    """Rank of a matrix given as sparse rows {column: coefficient}, exact over
+    QQ and mod p over GF(p) (see _sparse_pivots)."""
+    return len(_sparse_pivots(rows, p))
 
 
 def _monomials_of_degree(n: int, d: int):
@@ -486,27 +503,72 @@ def _monomials_of_degree(n: int, d: int):
     return out
 
 
-def graded_dimension(I: PolyIdeal, d: int) -> int:
-    """dim_k of the degree-d piece of I, as the rank of the span of all
-    monomial multiples m*g with deg(m*g) = d."""
-    ring = I.ring
-    n = ring.num_vars
-    index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
+def _macaulay_rows(gens, n: int, d: int, index: dict) -> list:
+    """The degree-d Macaulay rows of gens: every monomial multiple m*g with
+    deg(m*g) = d, as a sparse row over the integer working form of g, with
+    index mapping each degree-d monomial to its column."""
     rows = []
-    for g in I.gens:
+    for g in gens:
         dg = g.degree()
         if dg > d:
             continue
         work = int_terms(g)[0]
         for mult in _monomials_of_degree(n, d - dg):
             rows.append({index[mono_mul(m, mult)]: c for m, c in work.items()})
-    return _sparse_rank(rows, ring.field.p)
+    return rows
+
+
+def graded_dimension(I: PolyIdeal, d: int) -> int:
+    """dim_k of the degree-d piece of I, as the rank of the span of all
+    monomial multiples m*g with deg(m*g) = d."""
+    n = I.ring.num_vars
+    index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
+    return _sparse_rank(_macaulay_rows(I.gens, n, d, index), I.ring.field.p)
 
 
 def hilbert_function_rank_oracle(I: PolyIdeal, d: int) -> int:
     """HF(R/I, d) computed without Groebner bases."""
     n = I.ring.num_vars
     return comb(n - 1 + d, n - 1) - graded_dimension(I, d)
+
+
+def minimal_generators(I: PolyIdeal) -> PolyIdeal:
+    """A minimal generating set of I, chosen from I.gens and kept in their
+    order.
+
+    The generator degrees d are walked in ascending order.  The degree-d
+    generators are appended, each as a row with a tag column of its own past
+    every monomial column, to the degree-d Macaulay rows of the generators
+    kept below d, and one elimination settles them all: a generator is
+    redundant exactly when its tag column becomes a pivot.  Tags run in
+    reverse input order, so that pivot says the generator lies in the span of
+    the lower-degree multiples and of the degree-d generators listed before
+    it; among dependent generators of one degree the first is kept.  A degree
+    piece with more than HF_CHECK_LIMIT monomials is not eliminated, and its
+    generators are kept untested, which is always sound.  Exact over QQ, mod
+    p over GF(p).
+    """
+    ring = I.ring
+    n = ring.num_vars
+    by_degree: dict = {}
+    for k, g in enumerate(I.gens):
+        by_degree.setdefault(g.degree(), []).append(k)
+    kept: list = []     # indices into I.gens
+    for d in sorted(by_degree):
+        batch = by_degree[d]
+        if comb(n - 1 + d, n - 1) > HF_CHECK_LIMIT:
+            kept += batch
+            continue
+        index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
+        rows = _macaulay_rows([I.gens[k] for k in kept], n, d, index)
+        top = len(index) + len(batch) - 1     # the first generator's tag
+        for t, k in enumerate(batch):
+            row = {index[m]: c for m, c in int_terms(I.gens[k])[0].items()}
+            row[top - t] = 1
+            rows.append(row)
+        pivots = set(_sparse_pivots(rows, ring.field.p))
+        kept += [k for t, k in enumerate(batch) if top - t not in pivots]
+    return PolyIdeal.make(ring, [I.gens[k] for k in sorted(kept)])
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +613,15 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
 
     Computed by the auxiliary-variable trick: adjoin t ranked above all x_i,
     add the generator 1 - t*L, take a reduced basis for the block order, and
-    keep the t-free elements.  The result is verified a posteriori: the
+    keep the t-free elements.  That basis carries redundant elements (two
+    quadrics come back with a cubic in their ideal), so the result is the
+    minimal_generators of the t-free part.  It is verified a posteriori: the
     initial ideal of the output after a random coordinate change must have no
     minimal generator involving the last variable (unsaturated ideals are
-    detected exactly by such generators).  Two probes run, the second aimed
-    at the first's initial ideal (see seeded_initial_ideal).  A failed check
-    raises SaturationRetryError so the caller can retry with a fresh seed.
+    detected exactly by such generators).  Two probes run on the minimal
+    generators, the second aimed at the first's initial ideal (see
+    seeded_initial_ideal).  A failed check raises SaturationRetryError so the
+    caller can retry with a fresh seed.
     """
     ring = I.ring
     n = ring.num_vars
@@ -576,9 +641,9 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
             raise InternalCheckError("t-free leading term on a poly involving t")
     if not kept:
         raise InternalCheckError("saturation produced no generators")
-    result = PolyIdeal.make(ring, kept)
+    result = minimal_generators(PolyIdeal.make(ring, kept))
 
-    if any(g.degree() == 0 for g in kept):
+    if any(g.degree() == 0 for g in result.gens):
         return result  # unit ideal: nothing left to verify
     ini = None      # the first probe is the second one's target
     for probe in (1, 2):

@@ -39,16 +39,36 @@ MAX_EXPONENT = 2**31 - 1
 # coefficient fields
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 2017); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_MODULUS = 3_317_044_064_679_887_385_961_981 - 1
+
+
 def _is_prime(p: int) -> bool:
+    """Primality of p <= MAX_PRIME_MODULUS by deterministic Miller-Rabin."""
+    if p > MAX_PRIME_MODULUS:
+        raise ValueError(f"prime field modulus {p} exceeds {MAX_PRIME_MODULUS}, "
+                         "above which primality is not proven here")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -533,25 +553,6 @@ def matrix_det(M, field):
                 factor = A[r][col] * inv
                 A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
     return det
-
-
-def matrix_inv(M, field):
-    """Inverse by Gauss-Jordan; raises SingularMatrixError when det = 0."""
-    n = len(M)
-    A = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        A[col], A[piv] = A[piv], A[col]
-        inv = field.one / A[col][col]
-        A[col] = [a * inv for a in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                factor = A[r][col]
-                A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
-    return tuple(tuple(row[n:]) for row in A)
 
 
 def _int_mul(a: dict, b: dict, p: int | None) -> dict:

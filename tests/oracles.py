@@ -8,6 +8,7 @@ with the fast paths is evidence and not circularity.
 import itertools
 from fractions import Fraction
 
+from gintail.errors import SingularMatrixError
 from gintail.ring import Polynomial
 
 
@@ -206,3 +207,34 @@ def naive_normal_form(f, G, less):
             else:
                 p.pop(mm, None)
     return remainder
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def matrix_inv(M, field):
+    """Inverse by Gauss-Jordan; raises SingularMatrixError when det = 0."""
+    n = len(M)
+    A = [list(row) + [field.one if i == j else field.zero for j in range(n)]
+         for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        A[col], A[piv] = A[piv], A[col]
+        inv = field.one / A[col][col]
+        A[col] = [a * inv for a in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                factor = A[r][col]
+                A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
+    return tuple(tuple(row[n:]) for row in A)

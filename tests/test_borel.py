@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from gintail.borel import (MonomialIdeal, borel_closure, ek_betti,
-                           hilbert_function, is_borel_fixed, stratum)
+from gintail.borel import (BOREL_CHECK_CACHE, MonomialIdeal, _is_borel_fixed,
+                           borel_closure, ek_betti, hilbert_function,
+                           is_borel_fixed, stratum)
 from gintail.errors import NotBorelFixedError, UnitIdealError
 from gintail.ring import mono_divides, mono_max_index
 from oracles import (bounded_saturation_members, dense_standard_count,
@@ -73,6 +74,17 @@ def test_borel_closure_is_borel():
     rng = random.Random(11)
     for _ in range(30):
         assert is_borel_fixed(random_borel(rng))
+
+
+def test_borel_check_memo_is_bounded():
+    for k in range(1, BOREL_CHECK_CACHE + 200):
+        assert is_borel_fixed(MonomialIdeal.make(2, [(k, 0)]))
+    info = _is_borel_fixed.cache_info()
+    assert info.maxsize == BOREL_CHECK_CACHE
+    assert info.currsize <= BOREL_CHECK_CACHE
+    # evicted entries are recomputed, not misread
+    assert is_borel_fixed(MonomialIdeal.make(2, [(1, 0)]))
+    assert not is_borel_fixed(MonomialIdeal.make(2, [(0, 1)]))
 
 
 # --- restriction and saturation ----------------------------------------------

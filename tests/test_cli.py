@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +78,21 @@ def test_parse_comments_and_field():
     I = parse_ideal("# header\nring 2  # two variables\nfield fp 101\ngens:\nx0^2 # square\n")
     assert isinstance(I.ring.field, PrimeField)
     assert I.ring.field.p == 101
+
+
+def test_parse_large_prime_moduli_at_once(tmp_path):
+    # trial division took 0.9 s on the first modulus and hours on the second
+    start = time.perf_counter()
+    for p in (100000000000031, 10000000000000000051):
+        assert parse_ideal(f"ring 2\nfield fp {p}\ngens:\nx0\n").ring.field.p == p
+    assert time.perf_counter() - start < 1
+    # above the bound where Miller-Rabin on 13 bases is proven: refused
+    text = "ring 2\nfield fp 3317044064679887385961981\ngens:\nx0\n"
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_ideal(text)
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    assert main(["gin", str(path)]) == 2
 
 
 def test_parse_round_trips_printed_polynomials():

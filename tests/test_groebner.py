@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -9,8 +10,9 @@ from gintail.fixtures import (ci_three_quadrics, ci_two_quadrics,
                               five_lines_ideal, load_bundled_ideal,
                               random_quadrics)
 from gintail.groebner import (ELIM_FIRST, GREVLEX, _buchberger_raw, buchberger,
-                              hilbert_function_rank_oracle, ideals_equal,
-                              initial_ideal, is_member, reduce,
+                              graded_dimension, hilbert_function_rank_oracle,
+                              ideals_equal, initial_ideal, is_member,
+                              minimal_generators, reduce,
                               saturate_by_general_linear_form,
                               seeded_initial_ideal, spoly, spoly_certificate)
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
@@ -368,11 +370,106 @@ def test_targeted_trial_skips_reductions(monkeypatch, field):
     assert len(calls) < untargeted
 
 
+# --- minimal generators ------------------------------------------------------
+
+def planted(I: PolyIdeal, rng) -> PolyIdeal:
+    """I.gens with redundant generators inserted: multiples of generators by
+    random forms of positive degree, anywhere, and linear combinations of two
+    generators of one degree, somewhere after both of them."""
+    gens = list(I.gens)
+    field = I.ring.field
+    for _ in range(rng.randint(2, 5)):
+        a = rng.choice(gens)
+        if rng.random() < 0.5:
+            extra = a * random_homogeneous(I.ring, rng, rng.randint(1, 2))
+            at = rng.randint(0, len(gens))
+        else:
+            b = rng.choice([g for g in gens if g.degree() == a.degree()])
+            extra = a.scale(field.of(rng.randint(1, 9))) + b.scale(field.of(rng.randint(-9, 9)))
+            at = rng.randint(max(gens.index(a), gens.index(b)) + 1, len(gens))
+        if not extra.is_zero:
+            gens.insert(at, extra)
+    return PolyIdeal.make(I.ring, gens)
+
+
+def is_redundant(M: PolyIdeal, k: int) -> bool:
+    """Whether M.gens[k] lies in the ideal of the other generators, read off
+    the dimension of the degree piece it lives in."""
+    d = M.gens[k].degree()
+    rest = M.gens[:k] + M.gens[k + 1:]
+    return bool(rest) and (graded_dimension(PolyIdeal.make(M.ring, rest), d)
+                           == graded_dimension(M, d))
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["quintic", "twisted_cubic", "ci_three_quadrics"])
+def test_minimal_generators_remove_planted_redundancy(name, field):
+    base = over(TRIAL_INPUTS[name](), field)
+    assert minimal_generators(base) == base
+    rng = random.Random(f"planted:{name}:{field}")
+    for _ in range(3):
+        I = planted(base, rng)
+        M = minimal_generators(I)
+        assert len(I.gens) > len(base.gens)
+        # each planted generator comes after what it depends on, so the
+        # first-in-input-order rule returns exactly the base
+        assert M == base
+        assert ideals_equal(M, I)
+        assert not any(is_redundant(M, k) for k in range(len(M.gens)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_minimal_generators_keep_the_first_of_dependent_ones(field):
+    ring = RingCtx(3, field)
+    f = P(ring, {(2, 0, 0): 1, (0, 1, 1): -2})
+    g = P(ring, {(1, 1, 0): 3, (0, 0, 2): 1})
+    h = f + g.scale(field.of(5))
+    for gens, kept in (([f, f.scale(field.of(2))], [f]),
+                       ([f.scale(field.of(2)), f], [f.scale(field.of(2))]),
+                       ([f, g, h], [f, g]),
+                       ([h, f, g], [h, f]),
+                       ([f * ring.variable(1), g, f], [g, f])):
+        assert minimal_generators(PolyIdeal.make(ring, gens)).gens == tuple(kept)
+
+
+def test_minimal_generators_keep_an_over_limit_generator():
+    # in 9 variables the cubics fit under HF_CHECK_LIMIT and the quartics do
+    # not: a redundant quartic is kept untested, a redundant cubic is not
+    ring = RingCtx(9)
+    x0 = ring.variable(0)
+    assert comb(8 + 3, 8) <= groebner.HF_CHECK_LIMIT < comb(8 + 4, 8)
+    cubic, quartic = x0 * x0 * x0, x0 * x0 * x0 * x0
+    assert minimal_generators(PolyIdeal.make(ring, [x0, cubic])).gens == (x0,)
+    assert minimal_generators(PolyIdeal.make(ring, [x0, quartic])).gens == (x0, quartic)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["quintic", "ci_three_quadrics"])
+def test_gin_of_planted_redundancy_equals_gin_of_minimal(name, field):
+    # the trials run on minimal generators, the rank cross-check on the
+    # caller's; a trial on too few generators would fail that check
+    base = over(TRIAL_INPUTS[name](), field)
+    I = planted(base, random.Random(f"gin:{name}"))
+    assert len(I.gens) > len(base.gens)
+    assert compute_gin(I, seed=5) == compute_gin(base, seed=5)
+
+
 # --- saturation --------------------------------------------------------------
 
 def test_saturate_already_saturated(quintic_ideal):
     S = saturate_by_general_linear_form(quintic_ideal, seed=17)
     assert ideals_equal(S, quintic_ideal)
+
+
+@pytest.mark.parametrize("count,nv", [(2, 5), (3, 4)])
+def test_saturate_returns_minimal_generators(count, nv):
+    # the elimination basis also holds a cubic (two quadrics) or two cubics
+    # and a quartic (three in 4 variables) of the quadrics' ideal; only the
+    # quadrics come back
+    I = random_quadrics(count, nv, 3)
+    S = saturate_by_general_linear_form(I, seed=4)
+    assert [g.degree() for g in S.gens] == [2] * count
+    assert ideals_equal(S, I)
 
 
 def test_saturate_rejects_bound_below_one(quintic_ideal):

@@ -8,14 +8,14 @@ from hypothesis import given, strategies as st
 
 from gintail.errors import (InhomogeneousError, RingMismatchError,
                             SingularMatrixError)
-from gintail.ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE, Packing,
-                          Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
+from gintail.ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE,
+                          MAX_PRIME_MODULUS, Packing, Polynomial, PolyIdeal,
+                          PrimeField, QQ, RingCtx, _is_prime,
                           apply_linear_change, compare_grevlex,
-                          from_int_terms, int_terms, matrix_inv, mono_divides,
-                          mono_mul, seeded_invertible_matrix,
-                          seeded_linear_form)
-from oracles import (naive_elim_first_less, naive_grevlex_less,
-                     naive_linear_change, random_poly)
+                          from_int_terms, int_terms, mono_divides, mono_mul,
+                          seeded_invertible_matrix, seeded_linear_form)
+from oracles import (matrix_inv, naive_elim_first_less, naive_grevlex_less,
+                     naive_linear_change, random_poly, trial_division_is_prime)
 
 R4 = RingCtx(4)
 
@@ -283,6 +283,22 @@ def test_prime_field_validation():
     with pytest.raises(ValueError):
         PrimeField(2)
     assert PrimeField(32003).name == "GF(32003)"
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division_is_prime(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime((2 ** 13 - 1) * (2 ** 17 - 1) * (2 ** 31 - 1))
+    assert not _is_prime(MAX_PRIME_MODULUS)     # decided, not refused
+    with pytest.raises(ValueError, match="exceeds"):
+        PrimeField(MAX_PRIME_MODULUS + 1)
 
 
 def test_prime_field_agrees_with_rationals_mod_p():
