@@ -2,10 +2,10 @@
 
 A monomial ideal is stored by its minimal generating set.  For Borel-fixed
 ideals (closed under the variable swaps x_i*m in J => x_j*m in J for j <= i,
-the characteristic-0 criterion) the Eliahou-Kervaire resolution gives every
-graded Betti number of R/J in closed form, and restriction / saturation in
-the last variable implement general hyperplane sections at the monomial
-level.
+the characteristic-0 criterion, tested on the adjacent swaps j = i - 1 of
+the minimal generators) the Eliahou-Kervaire resolution gives every graded
+Betti number of R/J in closed form, and restriction / saturation in the last
+variable implement general hyperplane sections at the monomial level.
 """
 
 from __future__ import annotations
@@ -127,16 +127,18 @@ BOREL_CHECK_CACHE = 1024
 
 @lru_cache(maxsize=BOREL_CHECK_CACHE)
 def _is_borel_fixed(num_vars: int, gens: tuple) -> bool:
+    """Whether every adjacent move x_i -> x_{i-1} of every generator stays in
+    J.  This is the whole Borel test: if each minimal generator m passes,
+    so does every monomial u = m*w of J, because the move lands in m or in w;
+    and any move x_i -> x_j with j < i is a chain of adjacent moves."""
     J = MonomialIdeal(num_vars, gens)
     for g in gens:
-        for i in range(num_vars):
-            if g[i] == 0:
-                continue
-            for j in range(i):
-                swapped = list(g)
-                swapped[i] -= 1
-                swapped[j] += 1
-                if not J.contains(tuple(swapped)):
+        for i in range(1, num_vars):
+            if g[i]:
+                moved = list(g)
+                moved[i] -= 1
+                moved[i - 1] += 1
+                if not J.contains(tuple(moved)):
                     return False
     return True
 
@@ -153,18 +155,17 @@ def require_borel(J: MonomialIdeal):
 
 def borel_closure(num_vars: int, monos) -> MonomialIdeal:
     """Smallest Borel-fixed ideal containing the given monomials: close the
-    generator set under single swaps x_i -> x_j (j < i), then minimalize."""
+    generator set under adjacent moves x_i -> x_{i-1}, which chain into every
+    move x_i -> x_j (j < i), then minimalize."""
     seen = set(tuple(m) for m in monos)
     queue = list(seen)
     while queue:
         m = queue.pop()
-        for i in range(num_vars):
-            if m[i] == 0:
-                continue
-            for j in range(i):
+        for i in range(1, num_vars):
+            if m[i]:
                 s = list(m)
                 s[i] -= 1
-                s[j] += 1
+                s[i - 1] += 1
                 s = tuple(s)
                 if s not in seen:
                     seen.add(s)

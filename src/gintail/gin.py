@@ -68,7 +68,8 @@ class GinCertificate:
 
     @property
     def saturation_defect(self) -> bool:
-        return any("saturation" in w for w in self.warnings)
+        """Some minimal generator of the Gin involves the last variable."""
+        return any(g[-1] > 0 for g in self.gin.min_gens)
 
 
 def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,

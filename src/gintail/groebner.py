@@ -25,6 +25,11 @@ word E, against which a divisibility test is one subtraction and one mask
 with the guard bits.  The packed D is the one definition of each order here.
 A product past ring.MAX_PACKED_DEGREE = 2^15 - 1 sets a guard bit and is
 refused with a ValueError.  Identical inputs give bit-identical bases.
+
+The dual route, exact linear algebra, builds degree-d Macaulay rows and
+eliminates them with ring._sparse_pivots: the rank gives the Hilbert
+function that cross-checks initial ideals, and tag columns on the rows of a
+degree's generators pick a minimal generating set.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from math import comb, gcd
 from .borel import MonomialIdeal
 from .errors import InternalCheckError, SaturationRetryError
 from .ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE, Packing,
-                   Polynomial, PolyIdeal, RingCtx, apply_linear_change,
-                   from_int_terms, int_terms, mono_lcm, mono_mul,
-                   packed_overflow, seeded_invertible_matrix, seeded_linear_form)
+                   Polynomial, PolyIdeal, RingCtx, _sparse_pivots,
+                   apply_linear_change, from_int_terms, int_terms, mono_lcm,
+                   mono_mul, packed_overflow, seeded_invertible_matrix,
+                   seeded_linear_form)
 
 
 @dataclass(frozen=True)
@@ -419,75 +425,6 @@ def spoly_certificate(G: GroebnerBasis) -> bool:
 HF_CHECK_LIMIT = 400
 
 
-def _sparse_pivots(rows, p: int | None = None) -> list:
-    """Pivot columns, ascending, of the row echelon form of a matrix given as
-    sparse rows {column: coefficient}, with columns taken in increasing
-    order: column c is a pivot exactly when some vector of the row space has
-    its leading (smallest) nonzero entry in column c.
-
-    Over QQ (p None) the entries are integers and the rank is exact: a row is
-    eliminated fraction-free, as (lc/g)*row - (c/g)*pivot with g = gcd(lc, c).
-    Over GF(p) the same loop runs mod p.  Rows are bucketed by their leading
-    (smallest) column; columns are taken in increasing order, the bucket row
-    with the smallest |leading coefficient| becomes the pivot, and only the
-    other rows of that bucket are rewritten and re-bucketed.  Small pivots and
-    untouched rows keep integer entries from growing exponentially, as they do
-    when every row below a pivot is rescaled at every step.
-    """
-    buckets: dict = {}
-    for row in rows:
-        if p is None:
-            row = {k: v for k, v in row.items() if v}
-        else:
-            row = {k: v % p for k, v in row.items() if v % p}
-        if row:
-            buckets.setdefault(min(row), []).append(row)
-    cols = list(buckets)
-    heapify(cols)
-    pivots = []
-    while cols:
-        col = heappop(cols)
-        bucket = buckets.pop(col)
-        pivots.append(col)
-        pivot = min(bucket, key=lambda r: abs(r[col]))
-        lc = pivot[col]
-        if p is not None:
-            inv = pow(lc, -1, p)
-        for row in bucket:
-            if row is pivot:
-                continue
-            if p is None:
-                g = gcd(lc, row[col])
-                a, b = lc // g, row[col] // g
-                if a != 1:
-                    for k in row:
-                        row[k] *= a
-            else:
-                b = row[col] * inv % p
-            for k, v in pivot.items():
-                s = row.get(k, 0) - b * v
-                if p is not None:
-                    s %= p
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
-            if row:
-                lead = min(row)
-                if lead in buckets:
-                    buckets[lead].append(row)
-                else:
-                    buckets[lead] = [row]
-                    heappush(cols, lead)
-    return pivots
-
-
-def _sparse_rank(rows, p: int | None = None) -> int:
-    """Rank of a matrix given as sparse rows {column: coefficient}, exact over
-    QQ and mod p over GF(p) (see _sparse_pivots)."""
-    return len(_sparse_pivots(rows, p))
-
-
 def _monomials_of_degree(n: int, d: int):
     if d < 0:
         return []
@@ -503,10 +440,12 @@ def _monomials_of_degree(n: int, d: int):
     return out
 
 
-def _macaulay_rows(gens, n: int, d: int, index: dict) -> list:
+def _macaulay_rows(gens, n: int, d: int) -> list:
     """The degree-d Macaulay rows of gens: every monomial multiple m*g with
-    deg(m*g) = d, as a sparse row over the integer working form of g, with
-    index mapping each degree-d monomial to its column."""
+    deg(m*g) = d, as a sparse row over the integer working form of g, whose
+    columns are the degree-d monomials in _monomials_of_degree order.  A
+    generator of degree d gives exactly one row."""
+    index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
     rows = []
     for g in gens:
         dg = g.degree()
@@ -518,18 +457,12 @@ def _macaulay_rows(gens, n: int, d: int, index: dict) -> list:
     return rows
 
 
-def graded_dimension(I: PolyIdeal, d: int) -> int:
-    """dim_k of the degree-d piece of I, as the rank of the span of all
-    monomial multiples m*g with deg(m*g) = d."""
-    n = I.ring.num_vars
-    index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
-    return _sparse_rank(_macaulay_rows(I.gens, n, d, index), I.ring.field.p)
-
-
 def hilbert_function_rank_oracle(I: PolyIdeal, d: int) -> int:
-    """HF(R/I, d) computed without Groebner bases."""
+    """HF(R/I, d) computed without Groebner bases: the number of degree-d
+    monomials minus the rank of the degree-d Macaulay rows of I.gens."""
     n = I.ring.num_vars
-    return comb(n - 1 + d, n - 1) - graded_dimension(I, d)
+    rank = len(_sparse_pivots(_macaulay_rows(I.gens, n, d), I.ring.field.p))
+    return comb(n - 1 + d, n - 1) - rank
 
 
 def minimal_generators(I: PolyIdeal) -> PolyIdeal:
@@ -556,16 +489,15 @@ def minimal_generators(I: PolyIdeal) -> PolyIdeal:
     kept: list = []     # indices into I.gens
     for d in sorted(by_degree):
         batch = by_degree[d]
-        if comb(n - 1 + d, n - 1) > HF_CHECK_LIMIT:
+        cols = comb(n - 1 + d, n - 1)
+        if cols > HF_CHECK_LIMIT:
             kept += batch
             continue
-        index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
-        rows = _macaulay_rows([I.gens[k] for k in kept], n, d, index)
-        top = len(index) + len(batch) - 1     # the first generator's tag
-        for t, k in enumerate(batch):
-            row = {index[m]: c for m, c in int_terms(I.gens[k])[0].items()}
+        rows = _macaulay_rows([I.gens[k] for k in kept + batch], n, d)
+        # the batch's rows come last; its first generator's tag is the top
+        top = cols + len(batch) - 1
+        for t, row in enumerate(rows[len(rows) - len(batch):]):
             row[top - t] = 1
-            rows.append(row)
         pivots = set(_sparse_pivots(rows, ring.field.p))
         kept += [k for t, k in enumerate(batch) if top - t not in pivots]
     return PolyIdeal.make(ring, [I.gens[k] for k in sorted(kept)])

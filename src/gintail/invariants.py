@@ -158,9 +158,6 @@ class SchemeProfile:
     def is_3regular(self) -> bool:
         return self.reg <= 3
 
-    def nd1_at(self, j: int) -> bool:
-        return dict(self.nd1)[j]
-
 
 def scheme_profile(cert: GinCertificate) -> SchemeProfile:
     gin = cert.gin

@@ -15,6 +15,12 @@ E, 16-bit fields with a clear guard bit on top of each, makes a divisibility
 test one subtraction and one mask.  Packed monomials have total degree at
 most MAX_PACKED_DEGREE = 2^15 - 1; anything larger is refused with a
 ValueError (exit 2 from the CLI), never wrapped into a wrong answer.
+
+The library's one Gaussian elimination, _sparse_pivots, also lives here, on
+sparse integer rows: exact and fraction-free over QQ, mod p over GF(p).  It
+decides whether a coordinate change is invertible (full rank of its integer
+rows), and groebner uses it for the Hilbert-function rank cross-check and
+for minimal generators.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, mul
 
 from .errors import InhomogeneousError, RingMismatchError, SingularMatrixError
@@ -467,9 +474,10 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # the integer working form
 # ---------------------------------------------------------------------------
-# Exact kernels (division, S-polynomials, rank, coordinate change) run on
-# {mono: int} dicts.  Over GF(p) the ints are residues mod p; over QQ they are
-# numerators over one common denominator.
+# Exact kernels (division, S-polynomials, coordinate change) run on
+# {mono: int} dicts, and the one Gaussian elimination, _sparse_pivots, on
+# {column: int} rows.  Over GF(p) the ints are residues mod p; over QQ they
+# are numerators over one common denominator.
 
 def int_terms(f: Polynomial) -> tuple:
     """(work, den) with f = work / den: over GF(p) the residues of the
@@ -488,6 +496,70 @@ def from_int_terms(ring: RingCtx, d: dict, den: int = 1) -> Polynomial:
         return Polynomial.from_dict(ring, {m: Fraction(c, den) for m, c in d.items()})
     inv = pow(den, -1, p)
     return Polynomial.from_dict(ring, {m: Fp(c * inv, p) for m, c in d.items()})
+
+
+def _sparse_pivots(rows, p: int | None = None) -> list:
+    """Pivot columns, ascending, of the row echelon form of a matrix given as
+    sparse rows {column: coefficient}, with columns taken in increasing
+    order: column c is a pivot exactly when some vector of the row space has
+    its leading (smallest) nonzero entry in column c.  The rank is their
+    number; the rows themselves are not modified.
+
+    Over QQ (p None) the entries are integers and the rank is exact: a row is
+    eliminated fraction-free, as (lc/g)*row - (c/g)*pivot with g = gcd(lc, c).
+    Over GF(p) the same loop runs mod p.  Rows are bucketed by their leading
+    (smallest) column; columns are taken in increasing order, the bucket row
+    with the smallest |leading coefficient| becomes the pivot, and only the
+    other rows of that bucket are rewritten and re-bucketed.  Small pivots and
+    untouched rows keep integer entries from growing exponentially, as they do
+    when every row below a pivot is rescaled at every step.
+    """
+    buckets: dict = {}
+    for row in rows:
+        if p is None:
+            row = {k: v for k, v in row.items() if v}
+        else:
+            row = {k: v % p for k, v in row.items() if v % p}
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    cols = list(buckets)
+    heapify(cols)
+    pivots = []
+    while cols:
+        col = heappop(cols)
+        bucket = buckets.pop(col)
+        pivots.append(col)
+        pivot = min(bucket, key=lambda r: abs(r[col]))
+        lc = pivot[col]
+        if p is not None:
+            inv = pow(lc, -1, p)
+        for row in bucket:
+            if row is pivot:
+                continue
+            if p is None:
+                g = gcd(lc, row[col])
+                a, b = lc // g, row[col] // g
+                if a != 1:
+                    for k in row:
+                        row[k] *= a
+            else:
+                b = row[col] * inv % p
+            for k, v in pivot.items():
+                s = row.get(k, 0) - b * v
+                if p is not None:
+                    s %= p
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
+            if row:
+                lead = min(row)
+                if lead in buckets:
+                    buckets[lead].append(row)
+                else:
+                    buckets[lead] = [row]
+                    heappush(cols, lead)
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -532,27 +604,6 @@ def _coerce_matrix(M, field, n: int):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise RingMismatchError(f"coordinate change must be {n}x{n}")
     return rows
-
-
-def matrix_det(M, field):
-    """Determinant by exact Gaussian elimination."""
-    n = len(M)
-    A = [list(row) for row in M]
-    det = field.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            return field.zero
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det = det * A[col][col]
-        inv = field.one / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col]:
-                factor = A[r][col] * inv
-                A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
-    return det
 
 
 def _int_mul(a: dict, b: dict, p: int | None) -> dict:
@@ -611,11 +662,12 @@ def apply_linear_change(gens, M) -> tuple:
     in one ring; returns the images as a tuple (empty for empty gens).
 
     M must be invertible, so the substitution is a ring automorphism; applying
-    M then its inverse is the identity.  M is checked once, and the powers of
-    the images of the variables are shared by all the generators.  The
-    expansion runs on the integer working form (int_terms), takes each power
-    of an image from the multinomial theorem, and converts to field elements
-    once per generator, at the end.  Over QQ, with M = N/dm
+    M then its inverse is the identity.  M is checked once, as full rank of
+    its integer rows (_sparse_pivots: exact over QQ, mod p over GF(p)), and
+    the powers of the images of the variables are shared by all the
+    generators.  The expansion runs on the integer working form (int_terms),
+    takes each power of an image from the multinomial theorem, and converts
+    to field elements once per generator, at the end.  Over QQ, with M = N/dm
     and f = F/df for integer N and F, a term of degree d maps to dm^-d times
     its image under N; scaling it by dm^(top - d), top = deg f, puts every
     term over the one denominator df * dm^top, so inhomogeneous f and
@@ -629,8 +681,6 @@ def apply_linear_change(gens, M) -> tuple:
         ring.check_same(f.ring)
     field = ring.field
     rows = _coerce_matrix(M, field, ring.num_vars)
-    if not matrix_det(rows, field):
-        raise SingularMatrixError("coordinate change matrix is singular")
     p = field.p
     if p is None:
         dm = lcm(*(v.denominator for row in rows for v in row))
@@ -638,6 +688,8 @@ def apply_linear_change(gens, M) -> tuple:
     else:
         dm = 1
         rows = [[v.v for v in row] for row in rows]
+    if len(_sparse_pivots([dict(enumerate(r)) for r in rows], p)) < len(rows):
+        raise SingularMatrixError("coordinate change matrix is singular")
     powers: dict = {}       # (i, e) -> image of x_i^e
 
     def image_power(i: int, e: int) -> dict:
@@ -674,17 +726,17 @@ def _check_bound(bound: int):
 def seeded_invertible_matrix(num_vars: int, seed: int, bound: int = 1000, field=QQ):
     """Deterministic invertible matrix with entries uniform in [-bound, bound].
 
-    Resamples on a zero determinant; more than 100 resamples would mean the
-    generator is broken, not unlucky.
+    Resamples on a rank-deficient sample (over the field: mod p over
+    GF(p)); more than 100 resamples would mean the generator is broken, not
+    unlucky.
     """
     _check_bound(bound)
     rng = random.Random(seed)
     for _ in range(100):
-        rows = tuple(
-            tuple(field.of(rng.randint(-bound, bound)) for _ in range(num_vars))
-            for _ in range(num_vars))
-        if matrix_det(rows, field):
-            return rows
+        rows = [[rng.randint(-bound, bound) for _ in range(num_vars)]
+                for _ in range(num_vars)]
+        if len(_sparse_pivots([dict(enumerate(r)) for r in rows], field.p)) == num_vars:
+            return tuple(tuple(field.of(v) for v in r) for r in rows)
     raise RuntimeError("could not sample an invertible matrix (internal error)")
 
 

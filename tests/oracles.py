@@ -41,6 +41,42 @@ def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def all_swaps_is_borel_fixed(nv, gens):
+    """Borel test by every swap x_i -> x_j (j < i) of every generator of the
+    monomial ideal (gens), with membership by divisibility."""
+    for g in gens:
+        for i in range(nv):
+            if g[i] == 0:
+                continue
+            for j in range(i):
+                swapped = list(g)
+                swapped[i] -= 1
+                swapped[j] += 1
+                if not any(divides(h, swapped) for h in gens):
+                    return False
+    return True
+
+
+def all_swaps_borel_closure(nv, monos):
+    """Every monomial reachable from monos by swaps x_i -> x_j (j < i)."""
+    seen = set(tuple(m) for m in monos)
+    queue = list(seen)
+    while queue:
+        m = queue.pop()
+        for i in range(nv):
+            if m[i] == 0:
+                continue
+            for j in range(i):
+                s = list(m)
+                s[i] -= 1
+                s[j] += 1
+                s = tuple(s)
+                if s not in seen:
+                    seen.add(s)
+                    queue.append(s)
+    return seen
+
+
 def dense_standard_count(gens, nv, t):
     """Number of degree-t monomials not divisible by any generator."""
     return sum(1 for m in monomials_of_degree(nv, t)

@@ -7,7 +7,8 @@ from gintail.borel import (BOREL_CHECK_CACHE, MonomialIdeal, _is_borel_fixed,
                            is_borel_fixed, stratum)
 from gintail.errors import NotBorelFixedError, UnitIdealError
 from gintail.ring import mono_divides, mono_max_index
-from oracles import (bounded_saturation_members, dense_standard_count,
+from oracles import (all_swaps_borel_closure, all_swaps_is_borel_fixed,
+                     bounded_saturation_members, dense_standard_count,
                      ek_alternating_hf, monomials_of_degree)
 
 QUINTIC_GIN = MonomialIdeal.make(4, [
@@ -74,6 +75,34 @@ def test_borel_closure_is_borel():
     rng = random.Random(11)
     for _ in range(30):
         assert is_borel_fixed(random_borel(rng))
+
+
+def test_adjacent_moves_agree_with_all_swaps():
+    # closures are Borel; a random set, or a closure with one generator
+    # dropped, usually is not
+    rng = random.Random(20)
+    borel = 0
+    for _ in range(2000):
+        nv = rng.randint(2, 7)
+        monos = []
+        for _ in range(rng.randint(1, 4)):
+            expo = [0] * nv
+            for _ in range(rng.randint(1, 3)):
+                expo[rng.randrange(nv)] += 1
+            monos.append(tuple(expo))
+        J = borel_closure(nv, monos)
+        assert J == MonomialIdeal.make(nv, all_swaps_borel_closure(nv, monos))
+        kind = rng.randrange(3)
+        if kind == 1:
+            J = MonomialIdeal.make(nv, monos)
+        elif kind == 2 and len(J.min_gens) > 1:
+            gens = list(J.min_gens)
+            gens.pop(rng.randrange(len(gens)))
+            J = MonomialIdeal.make(nv, gens)
+        verdict = is_borel_fixed(J)
+        assert verdict == all_swaps_is_borel_fixed(nv, J.min_gens), J
+        borel += verdict
+    assert 500 < borel < 1500
 
 
 def test_borel_check_memo_is_bounded():

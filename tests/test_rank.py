@@ -1,12 +1,14 @@
-"""The sparse rank routine behind the Hilbert-function cross-check, against a
-literal Gaussian elimination over Fraction or mod p."""
+"""The one sparse elimination, behind the Hilbert-function cross-check, the
+invertibility test and minimal generators, against a literal Gaussian
+elimination over Fraction or mod p."""
 
 import random
 
 import pytest
 
-from gintail.groebner import _sparse_rank, graded_dimension
-from gintail.ring import Polynomial, PolyIdeal, PrimeField, QQ, RingCtx
+from gintail.groebner import hilbert_function_rank_oracle
+from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
+                          _sparse_pivots)
 from oracles import fraction_rank, monomials_of_degree
 
 P = 32003
@@ -50,13 +52,13 @@ def test_sparse_rank_matches_fraction_rank(p):
     rng = random.Random(f"rank:{p}")
     for _ in range(300):
         A = random_matrix(rng)
-        assert _sparse_rank(sparse(A), p) == fraction_rank(A, p), A
+        assert len(_sparse_pivots(sparse(A), p)) == fraction_rank(A, p), A
 
 
 def test_sparse_rank_leaves_rows_untouched():
     rows = sparse([[2, 4, 1], [3, 5, 0], [0, 0, 7]])
     before = [dict(r) for r in rows]
-    assert _sparse_rank(rows) == 3
+    assert len(_sparse_pivots(rows)) == 3
     assert rows == before
 
 
@@ -64,14 +66,14 @@ def test_qq_rank_never_goes_modular():
     # the 2x2 minor on the last two columns is 2*16002 - 1 = 32003
     A = [[1, 5, 9], [0, 2, 1], [0, 1, 16002]]
     assert fraction_rank(A) == 3 and fraction_rank(A, P) == 2
-    assert _sparse_rank(sparse(A)) == 3
-    assert _sparse_rank(sparse(A), P) == 2
+    assert len(_sparse_pivots(sparse(A))) == 3
+    assert len(_sparse_pivots(sparse(A), P)) == 2
     # the same minor as two linear forms: independent over QQ only
     for field, dim in ((QQ, 2), (GF, 1)):
         ring = RingCtx(2, field)
         gens = [Polynomial.from_dict(ring, {(1, 0): field.of(2), (0, 1): field.of(1)}),
                 Polynomial.from_dict(ring, {(1, 0): field.of(1), (0, 1): field.of(16002)})]
-        assert graded_dimension(PolyIdeal.make(ring, gens), 1) == dim
+        assert hilbert_function_rank_oracle(PolyIdeal.make(ring, gens), 1) == 2 - dim
 
 
 def dense_graded_dimension(gens, nv, d, p):
@@ -103,4 +105,5 @@ def test_graded_dimension_matches_dense_oracle(field, seed):
         Polynomial.from_dict(ring, {m: field.of(c) for m, c in g.items()}) for g in gens])
     p = field.p if field is GF else None
     for d in range(6):
-        assert graded_dimension(I, d) == dense_graded_dimension(gens, nv, d, p)
+        assert hilbert_function_rank_oracle(I, d) == \
+            len(monomials_of_degree(nv, d)) - dense_graded_dimension(gens, nv, d, p)

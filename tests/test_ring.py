@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -253,6 +254,32 @@ def test_linear_change_rejects_singular():
     M = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(SingularMatrixError):
         apply_linear_change([f], M)
+
+
+def test_linear_change_decides_invertibility_in_its_field():
+    # det = 32003: a unit over QQ, zero over GF(32003)
+    M = [[1, 0], [0, 32003]]
+    ring = RingCtx(2)
+    (moved,) = apply_linear_change([P(ring, {(0, 1): 1})], M)
+    assert moved == P(ring, {(0, 1): 32003})
+    ring = RingCtx(2, PrimeField(32003))
+    with pytest.raises(SingularMatrixError):
+        apply_linear_change([P(ring, {(0, 1): 1})], M)
+
+
+def test_seeded_invertible_matrix_is_pinned():
+    # every sample and every resampling decision, in both fields; bound 1
+    # draws many rank-deficient samples
+    h = hashlib.sha256()
+    for field in (QQ, PrimeField(32003)):
+        for bound in (1, 1000):
+            for n in range(2, 5):
+                for seed in range(50):
+                    M = seeded_invertible_matrix(n, seed, bound, field)
+                    h.update(repr([[str(v) for v in row] for row in M]).encode())
+                    h.update(b";")
+    assert h.hexdigest() == \
+        "37bd72847d8e36c1dc6e526352bf93b23f239c612a4aed57576873960e9d2bb9"
 
 
 def test_linear_change_is_ring_homomorphism():
