@@ -13,27 +13,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import NotBorelFixedError, UnitIdealError
-from .ring import (Mono, grevlex_desc_key, mono_degree, mono_divides,
+from .ring import (MAX_PACKED_DEGREE, Mono, Packing, mono_degree, mono_divides,
                    mono_max_index)
+
+#: entries kept by each memo here: one borel_tailing pass fills about 200 for
+#: the Borel check and 300 for _hf, and a long-running process must not grow
+MEMO_SIZE = 1024
+
+_packing = lru_cache(maxsize=MEMO_SIZE)(Packing)
 
 
 def _gen_sort_key(m: Mono):
     # ascending degree, then descending grevlex inside a degree: the order
     # monomial generator sets are conventionally displayed in
-    return (mono_degree(m), tuple(reversed(m)))
+    return (sum(m), m[::-1])
 
 
-def _minimal_set(monos) -> tuple:
-    """Drop every monomial divisible by another one in the set."""
-    # grevlex-ascending, so every divisor comes before its multiples
-    monos = sorted(set(monos), key=grevlex_desc_key, reverse=True)
+def _minimal_set(num_vars: int, monos) -> tuple:
+    """The monomials of the set that no other one divides, in _gen_sort_key
+    order.  Monomials of one degree never divide each other, so each degree,
+    ascending, is tested only against the monomials kept from lower degrees,
+    by the Groebner kernel's packed test: a | b iff (E(b) - E(a)) & guard == 0
+    on ring.Packing's E words (mono_divides past MAX_PACKED_DEGREE)."""
+    by_degree: dict = {}
+    for m in set(monos):
+        by_degree.setdefault(sum(m), []).append(m)
+    packed = bool(by_degree) and max(by_degree) <= MAX_PACKED_DEGREE
+    if packed:
+        packing = _packing(num_vars)
+        fields, guard = packing.fields, packing.guard
     kept: list = []
-    for m in monos:
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept, key=_gen_sort_key))
+    lower: list = []    # the kept monomials of lower degree, packed if packed
+    for d in sorted(by_degree):
+        batch = []
+        for m in sorted(by_degree[d], key=_gen_sort_key):
+            if packed:
+                w = sum(map(mul, m, fields))
+                divided = any(not (w - k) & guard for k in lower)
+            else:
+                w = m
+                divided = any(mono_divides(k, m) for k in lower)
+            if not divided:
+                kept.append(m)
+                batch.append(w)
+        lower += batch
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -55,7 +82,7 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, num_vars: int, monos) -> "MonomialIdeal":
-        return cls(num_vars, _minimal_set(monos))
+        return cls(num_vars, _minimal_set(num_vars, monos))
 
     @property
     def is_zero(self) -> bool:
@@ -120,12 +147,7 @@ class MonomialIdeal:
 # Borel-fixed property
 # ---------------------------------------------------------------------------
 
-#: entries kept by the Borel-check memo: one borel_tailing pass asks about
-#: 196 distinct ideals, and a long-running process must not grow without bound
-BOREL_CHECK_CACHE = 1024
-
-
-@lru_cache(maxsize=BOREL_CHECK_CACHE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _is_borel_fixed(num_vars: int, gens: tuple) -> bool:
     """Whether every adjacent move x_i -> x_{i-1} of every generator stays in
     J.  This is the whole Borel test: if each minimal generator m passes,
@@ -286,7 +308,7 @@ def _pure_power_profile(gens):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _hf(num_vars: int, gens: tuple, t: int) -> int:
     if t < 0:
         return 0

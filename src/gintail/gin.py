@@ -24,6 +24,7 @@ sees and raises GenericityError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import borel
@@ -70,6 +71,12 @@ class GinCertificate:
     def saturation_defect(self) -> bool:
         """Some minimal generator of the Gin involves the last variable."""
         return any(g[-1] > 0 for g in self.gin.min_gens)
+
+    @cached_property
+    def _sections(self) -> dict:
+        """Section Gins by dimension j, filled by generic_section_gin; not a
+        field, so equality, hashing and repr see the certificate alone."""
+        return {}
 
 
 def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
@@ -160,13 +167,17 @@ def certificate_for_borel_ideal(J: MonomialIdeal, field=QQ) -> GinCertificate:
 def generic_section_gin(cert: GinCertificate, j: int) -> MonomialIdeal:
     """Gin of the ideal of X cut by a general linear subspace of dimension j,
     read off combinatorially: restrict x_{j+1},..,x_n to zero, then saturate
-    in x_j.  For j = n this is X itself and the Gin is returned unchanged."""
+    in x_j.  For j = n this is X itself and the Gin is returned unchanged.
+    Each section is built once per certificate and kept in its tower."""
     n = cert.n
     if not 0 <= j <= n:
         raise ValueError(f"section dimension {j} out of range 0..{n}")
-    J = cert.gin
-    if j == n:
-        return J
-    for _ in range(n - j):
-        J = J.restrict_last_to_zero()
-    return J.saturate_last()
+    tower = cert._sections
+    if j not in tower:
+        J = cert.gin
+        if j < n:
+            for _ in range(n - j):
+                J = J.restrict_last_to_zero()
+            J = J.saturate_last()
+        tower[j] = J
+    return tower[j]

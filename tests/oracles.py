@@ -41,6 +41,18 @@ def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def naive_minimal_set(monos):
+    """Minimal monomial set by testing every monomial against every kept one,
+    in grevlex-ascending order so each divisor comes before its multiples;
+    listed by ascending degree, then descending grevlex."""
+    monos = sorted(set(monos), key=lambda m: (-sum(m),) + m[::-1], reverse=True)
+    kept = []
+    for m in monos:
+        if not any(divides(k, m) for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept, key=lambda m: (sum(m), m[::-1])))
+
+
 def all_swaps_is_borel_fixed(nv, gens):
     """Borel test by every swap x_i -> x_j (j < i) of every generator of the
     monomial ideal (gens), with membership by divisibility."""

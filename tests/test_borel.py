@@ -1,15 +1,16 @@
 import random
+import time
 
 import pytest
 
-from gintail.borel import (BOREL_CHECK_CACHE, MonomialIdeal, _is_borel_fixed,
+from gintail.borel import (MEMO_SIZE, MonomialIdeal, _hf, _is_borel_fixed,
                            borel_closure, ek_betti, hilbert_function,
                            is_borel_fixed, stratum)
 from gintail.errors import NotBorelFixedError, UnitIdealError
-from gintail.ring import mono_divides, mono_max_index
+from gintail.ring import MAX_PACKED_DEGREE, mono_divides, mono_max_index
 from oracles import (all_swaps_borel_closure, all_swaps_is_borel_fixed,
                      bounded_saturation_members, dense_standard_count,
-                     ek_alternating_hf, monomials_of_degree)
+                     ek_alternating_hf, monomials_of_degree, naive_minimal_set)
 
 QUINTIC_GIN = MonomialIdeal.make(4, [
     (2, 0, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0), (1, 2, 1, 0), (0, 3, 1, 0)])
@@ -49,6 +50,34 @@ def test_minimalize_removed_generators_stay_members():
         J = MonomialIdeal.make(nv, monos)
         for m in monos:
             assert any(mono_divides(g, m) for g in J.min_gens)
+
+
+def test_minimal_set_matches_all_pairs_oracle():
+    # degree-bucketed packed minimalization against the all-pairs one, order
+    # included: duplicates, mixed degrees, the empty set, and sets past the
+    # packed degree limit, which take the tuple path
+    rng = random.Random(21)
+    sets = [(nv, []) for nv in range(1, 9)]
+    sets.append((2, [(40000, 0), (1, 1), (0, 7), (39999, 1), (2, 0), (40000, 0)]))
+    sets.append((3, [(MAX_PACKED_DEGREE + 1, 0, 0), (0, 2, 1), (0, 3, 1), (1, 0, 0)]))
+    for _ in range(3000):
+        nv = rng.randint(1, 8)
+        top = rng.choice((1, 2, 4))
+        monos = [tuple(rng.randint(0, top) for _ in range(nv))
+                 for _ in range(rng.randint(1, 14))]
+        monos = [m for m in monos if sum(m) > 0]
+        monos += rng.sample(monos, min(len(monos), rng.randint(0, 3)))
+        sets.append((nv, monos))
+    for nv, monos in sets:
+        assert MonomialIdeal.make(nv, monos).min_gens == naive_minimal_set(monos), monos
+
+
+def test_borel_closure_of_a_high_power_is_fast():
+    # every degree-10 monomial in 7 variables, none dividing another
+    start = time.perf_counter()
+    J = borel_closure(7, [(0,) * 6 + (10,)])
+    assert time.perf_counter() - start < 2
+    assert len(J.min_gens) == 8008
 
 
 def test_unit_ideal_rejected():
@@ -106,14 +135,23 @@ def test_adjacent_moves_agree_with_all_swaps():
 
 
 def test_borel_check_memo_is_bounded():
-    for k in range(1, BOREL_CHECK_CACHE + 200):
+    for k in range(1, MEMO_SIZE + 200):
         assert is_borel_fixed(MonomialIdeal.make(2, [(k, 0)]))
     info = _is_borel_fixed.cache_info()
-    assert info.maxsize == BOREL_CHECK_CACHE
-    assert info.currsize <= BOREL_CHECK_CACHE
+    assert info.maxsize == MEMO_SIZE
+    assert info.currsize <= MEMO_SIZE
     # evicted entries are recomputed, not misread
     assert is_borel_fixed(MonomialIdeal.make(2, [(1, 0)]))
     assert not is_borel_fixed(MonomialIdeal.make(2, [(0, 1)]))
+
+
+def test_hf_memo_is_bounded():
+    assert _hf.cache_info().maxsize == MEMO_SIZE
+    for k in range(1, MEMO_SIZE + 200):
+        assert hilbert_function(MonomialIdeal.make(2, [(k, 0)]), 1) == 2 - (k == 1)
+    assert _hf.cache_info().currsize <= MEMO_SIZE
+    # evicted entries are recomputed, not misread
+    assert hilbert_function(MonomialIdeal.make(2, [(1, 0)]), 3) == 1
 
 
 # --- restriction and saturation ----------------------------------------------

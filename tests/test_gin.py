@@ -1,13 +1,16 @@
 import dataclasses
+import random
 
 import pytest
 
-from gintail.borel import MonomialIdeal, ek_betti, hilbert_function, is_borel_fixed
+from gintail.borel import (MonomialIdeal, borel_closure, ek_betti,
+                           hilbert_function, is_borel_fixed)
+from gintail.fixtures import CORPUS
 from gintail.gin import (GinCertificate, certificate_for_borel_ideal,
                          compute_gin, generic_section_gin)
 from gintail.groebner import (hilbert_function_rank_oracle,
                               saturate_by_general_linear_form)
-from gintail.errors import NotBorelFixedError
+from gintail.errors import NotBorelFixedError, UnitIdealError
 from gintail.ring import (Polynomial, PolyIdeal, QQ, RingCtx,
                           apply_linear_change, seeded_invertible_matrix)
 from oracles import fraction_rank
@@ -139,6 +142,93 @@ def test_section_at_top_dimension_is_identity(quintic_cert):
     assert generic_section_gin(quintic_cert, 3) == quintic_cert.gin
     with pytest.raises(ValueError):
         generic_section_gin(quintic_cert, 4)
+
+
+def _section_by_formula(cert, j):
+    """Restrict the last variable to zero n - j times, then saturate in the
+    new last one; None when the section is empty (the unit ideal)."""
+    J = cert.gin
+    if j == cert.n:
+        return J
+    for _ in range(cert.n - j):
+        J = J.restrict_last_to_zero()
+    try:
+        return J.saturate_last()
+    except UnitIdealError:
+        return None
+
+
+def _seeded_borel_certificates(count, seed):
+    """Borel closures of 1-3 monomials of degree 1-3 in 2-7 variables."""
+    rng = random.Random(seed)
+    certs = []
+    for _ in range(count):
+        nv = rng.randint(2, 7)
+        monos = []
+        for _ in range(rng.randint(1, 3)):
+            expo = [0] * nv
+            for _ in range(rng.randint(1, 3)):
+                expo[rng.randrange(nv)] += 1
+            monos.append(tuple(expo))
+        certs.append(certificate_for_borel_ideal(borel_closure(nv, monos)))
+    return certs
+
+
+def test_section_tower_matches_formula(monkeypatch):
+    # every certificate the corpus builds (its sections already read by the
+    # fixtures' own checks) and seeded Borel closures, saturated or not
+    certs = []
+    post_init = GinCertificate.__post_init__
+
+    def spy(self):
+        post_init(self)
+        certs.append(self)
+
+    monkeypatch.setattr(GinCertificate, "__post_init__", spy)
+    for check in CORPUS.values():
+        assert check().passed
+    monkeypatch.undo()
+    assert len(certs) >= 8
+    certs += _seeded_borel_certificates(300, 21)
+    nonempty = 0
+    for cert in certs:
+        for j in range(cert.n + 1):
+            want = _section_by_formula(cert, j)
+            if want is None:
+                with pytest.raises(UnitIdealError):
+                    generic_section_gin(cert, j)
+            else:
+                assert generic_section_gin(cert, j) == want
+                nonempty += 1
+    assert nonempty > 600
+
+
+def test_section_tower_builds_each_section_once(monkeypatch):
+    cert = certificate_for_borel_ideal(borel_closure(6, [(0, 1, 2, 0, 0, 0)]))
+    js = [j for j in range(cert.n + 1) if _section_by_formula(cert, j) is not None]
+    assert len(js) == 4
+    first = [generic_section_gin(cert, j) for j in js]
+    made = []
+    make = MonomialIdeal.make.__func__
+
+    def counting_make(cls, num_vars, monos):
+        made.append(num_vars)
+        return make(cls, num_vars, monos)
+
+    monkeypatch.setattr(MonomialIdeal, "make", classmethod(counting_make))
+    again = [generic_section_gin(cert, j) for j in js]
+    assert not made
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_section_tower_is_not_part_of_the_certificate():
+    cert = certificate_for_borel_ideal(borel_closure(5, [(0, 2, 1, 0, 0)]))
+    before = (hash(cert), repr(cert))
+    for j in range(2, cert.n + 1):
+        generic_section_gin(cert, j)
+    assert cert == dataclasses.replace(cert)
+    assert (hash(cert), repr(cert)) == before
+    assert "_sections" not in {f.name for f in dataclasses.fields(cert)}
 
 
 def _polynomial_level_section(I: PolyIdeal, seed: int) -> PolyIdeal:
