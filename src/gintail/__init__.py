@@ -14,9 +14,9 @@ from .gin import (GinCertificate, certificate_for_borel_ideal, compute_gin,
 from .groebner import (GroebnerBasis, buchberger, hilbert_function_rank_oracle,
                        ideals_equal, initial_ideal, is_member, reduce,
                        saturate_by_general_linear_form, spoly, spoly_certificate)
-from .invariants import (HilbertPolynomial, SchemeProfile, depth_pd, h1_oracle,
-                         h1_twist, hilbert_polynomial, marginal_betti,
-                         nd1_check, regularity, scheme_profile)
+from .invariants import (HilbertPolynomial, SchemeProfile, depth_pd,
+                         hilbert_polynomial, marginal_betti, nd1_check,
+                         regularity, scheme_profile)
 from .ring import (Monomial, Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                    apply_linear_change, compare_grevlex)
 from .tailing import (TailingReport, XiMatrix, betti_from_normality,

@@ -2,17 +2,19 @@
 
 A monomial ideal is stored by its minimal generating set.  For Borel-fixed
 ideals (closed under the variable swaps x_i*m in J => x_j*m in J for j <= i,
-the characteristic-0 criterion, tested on the adjacent swaps j = i - 1 of
-the minimal generators) the Eliahou-Kervaire resolution gives every graded
-Betti number of R/J in closed form, and restriction / saturation in the last
-variable implement general hyperplane sections at the monomial level.
+the characteristic-0 criterion, tested by whether the adjacent moves
+j = i - 1 of the minimal generators leave the minimal set unchanged) the
+Eliahou-Kervaire decomposition gives every graded Betti number of R/J and
+its Hilbert function in closed form, and restriction / saturation in the
+last variable implement general hyperplane sections at the monomial level.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from operator import mul
 
 from .errors import NotBorelFixedError, UnitIdealError
@@ -67,7 +69,9 @@ def _minimal_set(num_vars: int, monos) -> tuple:
 class MonomialIdeal:
     """A monomial ideal by its minimal monomial generating set.
 
-    The empty generator tuple is the zero ideal; the unit ideal is rejected.
+    min_gens must be minimal (MonomialIdeal.make minimalizes; the direct
+    constructor trusts its caller), and the Borel check relies on it.  The
+    empty generator tuple is the zero ideal; the unit ideal is rejected.
     """
 
     num_vars: int
@@ -122,21 +126,6 @@ class MonomialIdeal:
                 "(the scheme is empty there)")
         return MonomialIdeal.make(self.num_vars, stripped)
 
-    def colon_by_var(self, i: int) -> "MonomialIdeal":
-        """J : x_i, generator-wise (exact for monomial ideals)."""
-        out = []
-        for g in self.min_gens:
-            if g[i] > 0:
-                out.append(g[:i] + (g[i] - 1,) + g[i + 1:])
-            else:
-                out.append(g)
-        return MonomialIdeal.make(self.num_vars, out)
-
-    def plus_var(self, i: int) -> "MonomialIdeal":
-        return MonomialIdeal.make(
-            self.num_vars,
-            self.min_gens + (tuple(1 if j == i else 0 for j in range(self.num_vars)),))
-
     def __repr__(self):
         from .ring import mono_str
         body = ", ".join(mono_str(g) for g in self.min_gens) if self.min_gens else "0"
@@ -150,19 +139,16 @@ class MonomialIdeal:
 @lru_cache(maxsize=MEMO_SIZE)
 def _is_borel_fixed(num_vars: int, gens: tuple) -> bool:
     """Whether every adjacent move x_i -> x_{i-1} of every generator stays in
-    J.  This is the whole Borel test: if each minimal generator m passes,
-    so does every monomial u = m*w of J, because the move lands in m or in w;
-    and any move x_i -> x_j with j < i is a chain of adjacent moves."""
-    J = MonomialIdeal(num_vars, gens)
-    for g in gens:
-        for i in range(1, num_vars):
-            if g[i]:
-                moved = list(g)
-                moved[i] -= 1
-                moved[i - 1] += 1
-                if not J.contains(tuple(moved)):
-                    return False
-    return True
+    J, tested as: the moves leave the minimal set unchanged.  A move outside
+    J is divided by no generator, so it, or a smaller move outside J that
+    divides it, joins the minimal set of gens + moves.  This is the whole
+    Borel test: if each minimal generator m passes, so does every monomial
+    u = m*w of J, because the move lands in m or in w; and any move
+    x_i -> x_j with j < i is a chain of adjacent moves.  gens must be a
+    minimal generating set, as MonomialIdeal.min_gens is."""
+    moves = tuple(g[:i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1:]
+                  for g in gens for i in range(1, num_vars) if g[i])
+    return set(_minimal_set(num_vars, gens + moves)) == set(gens)
 
 
 def is_borel_fixed(J: MonomialIdeal) -> bool:
@@ -293,57 +279,47 @@ def ek_betti(J: MonomialIdeal, codim_marker: int | None = None) -> BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert functions of monomial quotients
+# Hilbert functions: the Eliahou-Kervaire sum
 # ---------------------------------------------------------------------------
 
-def _pure_power_profile(gens):
-    """If every generator is a pure power x_i^a (distinct i after
-    minimalization), return the exponent list; else None."""
-    out = []
-    for g in gens:
-        nz = [(i, e) for i, e in enumerate(g) if e]
-        if len(nz) != 1:
-            return None
-        out.append(nz[0][1])
-    return out
+def binom_poly(a: int, k: int) -> int:
+    """C(a, k) for any integer a (generalized falling-factorial binomial)."""
+    if k < 0:
+        return 0
+    num = 1
+    for i in range(k):
+        num *= a - i
+    return num // factorial(k)
+
+
+def ek_shapes(num_vars: int, gens) -> Counter:
+    """Counts of (deg u, k_u = N - max(u)) over gens: all ek_sum reads."""
+    return Counter((mono_degree(u), num_vars - mono_max_index(u)) for u in gens)
+
+
+def ek_sum(num_vars: int, shapes: Counter, t: int) -> int:
+    """P_S(t) = C(t+N-1, N-1) - sum_{u in S} C(t - deg u + k_u - 1, k_u - 1)
+    over a set S of generators of a Borel-fixed J, given by ek_shapes.
+
+    Every monomial of J is uniquely u*v with u a minimal generator and v a
+    monomial in x_max(u)..x_{N-1} (Eliahou-Kervaire), so over the generators
+    of degree <= t this is HF(R/J, t) for t >= 0, and over all of them it is
+    the Hilbert polynomial."""
+    return binom_poly(t + num_vars - 1, num_vars - 1) - sum(
+        c * binom_poly(t - d + k - 1, k - 1) for (d, k), c in shapes.items())
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _hf(num_vars: int, gens: tuple, t: int) -> int:
     if t < 0:
         return 0
-    if not gens:
-        return comb(t + num_vars - 1, num_vars - 1)
-    powers = _pure_power_profile(gens)
-    if powers is not None:
-        # artinian-in-some-variables base case: convolve truncated series
-        free = num_vars - len(powers)
-        dp = [1] + [0] * t
-        for a in powers:
-            ndp = [0] * (t + 1)
-            for s in range(t + 1):
-                if dp[s]:
-                    for u in range(min(a - 1, t - s) + 1):
-                        ndp[s + u] += dp[s]
-            dp = ndp
-        if free == 0:
-            return dp[t]
-        return sum(dp[s] * comb(t - s + free - 1, free - 1) for s in range(t + 1))
-    counts = [0] * num_vars
-    for g in gens:
-        if len([e for e in g if e]) > 1:
-            for i, e in enumerate(g):
-                if e:
-                    counts[i] += 1
-    pivot = max(range(num_vars), key=lambda i: counts[i])
-    J = MonomialIdeal(num_vars, gens)
-    plus = J.plus_var(pivot)
-    colon = J.colon_by_var(pivot)
-    return _hf(num_vars, plus.min_gens, t) + _hf(num_vars, colon.min_gens, t - 1)
+    low = ek_shapes(num_vars, (u for u in gens if mono_degree(u) <= t))
+    return ek_sum(num_vars, low, t)
 
 
 def hilbert_function(J: MonomialIdeal, t: int) -> int:
-    """HF(R/J, t): the number of degree-t standard monomials, by the
-    pivot-splitting recursion HF(J) = HF(J + (x)) + HF(J : x) shifted."""
+    """HF(R/J, t) for Borel-fixed J: the Eliahou-Kervaire sum over the
+    minimal generators of degree <= t.  Non-Borel input is rejected, as the
+    sum does not count its standard monomials."""
+    require_borel(J)
     return _hf(J.num_vars, J.min_gens, t)
-

@@ -17,7 +17,8 @@ from .borel import MonomialIdeal, ek_betti, hilbert_function
 from .errors import GintailError
 from .gin import certificate_for_borel_ideal, compute_gin
 from .groebner import hilbert_function_rank_oracle
-from .invariants import (h1_oracle, h1_twist, marginal_betti, scheme_profile)
+from .invariants import (h1_restriction_jump, h1_stratum_count, marginal_betti,
+                         scheme_profile)
 from .ring import Polynomial, PolyIdeal, QQ, RingCtx
 from .tailing import build_tailing_report, vector_report
 
@@ -157,8 +158,8 @@ def check_quintic_curve(seed: int = 42, trials: int = 2) -> FixtureResult:
     res.expect("nd1", dict(profile.nd1), {2: True, 3: True})
     from .borel import stratum
     res.expect("|M_2(4)|", len(stratum(cert.gin, 4, 2)), 2)
-    res.expect("h1_twist(3)", h1_twist(cert, 3), 2)
-    res.expect("h1_oracle(3)", h1_oracle(cert, 3), 2)
+    res.expect("h1_twist(3)", h1_stratum_count(cert.gin, 3), 2)
+    res.expect("h1_oracle(3)", h1_restriction_jump(cert.gin, 3), 2)
     res.expect("marginal_betti(3)", marginal_betti(cert, 3), 2)
     hf = [hilbert_function(cert.gin, t) for t in range(7)]
     res.expect("HF(R/gin)", hf, [1, 4, 9, 16, 21, 26, 31])

@@ -1,11 +1,11 @@
 """Scheme-level invariants read off a certified Gin.
 
 Dimension, degree and the Hilbert polynomial come from the Eliahou-Kervaire
-decomposition of the Borel-fixed Gin, a closed sum over its minimal
-generators; depth and projective dimension from the Eliahou-Kervaire
-support; the ND(1) verdicts from the generic-section Gins; and 1-normality
-(more generally (d-1)-normality of a (d+1)-regular scheme) by two
-independent routes that must agree:
+sum over the minimal generators of the Borel-fixed Gin (borel.ek_sum, which
+also gives its Hilbert function); depth and projective dimension from the
+Eliahou-Kervaire support; the ND(1) verdicts from the generic-section Gins;
+and 1-normality (more generally (d-1)-normality of a (d+1)-regular scheme)
+by two independent routes that must agree:
 
   * counting the degree-(d+1) minimal generators whose top variable is
     x_{n-1}, and
@@ -15,24 +15,14 @@ independent routes that must agree:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
-from .borel import MonomialIdeal, ek_betti, hilbert_function, require_borel, stratum
+from .borel import (MonomialIdeal, binom_poly, ek_betti, ek_shapes, ek_sum,
+                    hilbert_function, require_borel, stratum)
 from .errors import InternalCheckError, RegularityError, UnitIdealError
 from .gin import GinCertificate, generic_section_gin
-from .ring import mono_degree, mono_max_index
-
-
-def binom_poly(a: int, k: int) -> int:
-    """C(a, k) for any integer a (generalized falling-factorial binomial)."""
-    if k < 0:
-        return 0
-    num = 1
-    for i in range(k):
-        num *= a - i
-    return num // factorial(k)
+from .ring import mono_degree
 
 
 @dataclass(frozen=True)
@@ -92,10 +82,8 @@ def depth_pd(gin: MonomialIdeal) -> tuple:
 
 
 def hilbert_polynomial(gin: MonomialIdeal) -> HilbertPolynomial:
-    """Hilbert polynomial of R/J for a Borel-fixed J in N variables.
-
-    By the Eliahou-Kervaire decomposition every monomial of J is uniquely
-    u*v with u a minimal generator and v a monomial in x_max(u)..x_{N-1}, so
+    """Hilbert polynomial of R/J for a Borel-fixed J in N variables:
+    borel.ek_sum over all minimal generators,
 
         P(t) = C(t+N-1, N-1) - sum_u C(t - deg u + k_u - 1, k_u - 1),
 
@@ -110,11 +98,9 @@ def hilbert_polynomial(gin: MonomialIdeal) -> HilbertPolynomial:
         raise ValueError(
             "the Hilbert polynomial is zero: empty schemes are rejected")
     require_borel(gin)
-    groups = Counter((mono_degree(g), nv - mono_max_index(g)) for g in gin.min_gens)
     # values[s] = P(-s); P has degree below N, so s < N gives every chi_j
-    values = [binom_poly(nv - 1 - s, nv - 1)
-              - sum(c * binom_poly(k - 1 - d - s, k - 1) for (d, k), c in groups.items())
-              for s in range(nv)]
+    shapes = ek_shapes(nv, gin.min_gens)
+    values = [ek_sum(nv, shapes, -s) for s in range(nv)]
     chis = [sum((-1) ** s * comb(j, s) * values[s] for s in range(j + 1))
             for j in range(nv)]
     while not chis[-1]:
@@ -208,27 +194,16 @@ def h1_restriction_jump(J: MonomialIdeal, d: int) -> int:
     return hilbert_function(restricted, d) - sat_hf
 
 
-def h1_twist(cert: GinCertificate, d: int) -> int:
-    """h1(I_X(d-1)) for a (d+1)-regular X via generator strata of the Gin."""
-    return h1_stratum_count(cert.gin, d)
-
-
-def h1_oracle(cert: GinCertificate, d: int) -> int:
-    """h1(I_X(d-1)) via the restriction/saturation dimension jump; independent
-    of h1_twist's counting and must agree with it."""
-    return h1_restriction_jump(cert.gin, d)
-
-
 def marginal_betti(cert: GinCertificate, d: int) -> int:
     """The Betti number at maximal homological index n and row d of R/I_X
     itself (equal to its Gin counterpart for saturated, (d+1)-regular input),
-    cross-checked against h1_twist."""
+    cross-checked against the generator-stratum count h1_stratum_count."""
     gin = cert.gin
     _require_regularity(gin, d)
     n = cert.n
     value = ek_betti(gin).entry(n, d)
-    twist = h1_twist(cert, d)
-    if value != twist:
+    count = h1_stratum_count(gin, d)
+    if value != count:
         raise InternalCheckError(
-            f"marginal Betti {value} != h1 stratum count {twist}; library bug")
+            f"marginal Betti {value} != h1 stratum count {count}; library bug")
     return value

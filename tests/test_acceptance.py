@@ -11,8 +11,9 @@ from gintail.fixtures import (ci_three_quadrics, five_lines_ideal,
                               load_bundled_ideal, random_nd1_borel_ideals)
 from gintail.gin import certificate_for_borel_ideal, compute_gin
 from gintail.groebner import hilbert_function_rank_oracle
-from gintail.invariants import (h1_oracle, h1_twist, hilbert_polynomial,
-                                marginal_betti, regularity, scheme_profile)
+from gintail.invariants import (h1_restriction_jump, h1_stratum_count,
+                                hilbert_polynomial, marginal_betti, regularity,
+                                scheme_profile)
 from gintail.tailing import (betti_from_normality, build_tailing_report,
                              degree_genus_from_tailing, hilbert_from_tailing,
                              normality_from_betti, sectional_normality,
@@ -47,8 +48,8 @@ def test_criterion_1_quintic(quintic_ideal):
     assert table.entry(3, 3) == 2
     assert regularity(cert.gin) == 4
     assert len(stratum(cert.gin, 4, 2)) == 2
-    assert h1_twist(cert, 3) == 2
-    assert h1_oracle(cert, 3) == 2
+    assert h1_stratum_count(cert.gin, 3) == 2
+    assert h1_restriction_jump(cert.gin, 3) == 2
     assert marginal_betti(cert, 3) == 2
 
 

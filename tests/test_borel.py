@@ -134,6 +134,19 @@ def test_adjacent_moves_agree_with_all_swaps():
     assert 500 < borel < 1500
 
 
+def test_borel_check_is_fast_on_many_generators():
+    # 1,716 generators of degree 7: the check tests the moves on the
+    # degree-bucketed minimal-set kernel, not each move against every generator
+    J = borel_closure(7, [(0,) * 6 + (7,)])
+    assert len(J.min_gens) == 1716
+    _is_borel_fixed.cache_clear()
+    start = time.perf_counter()
+    assert is_borel_fixed(J)
+    assert time.perf_counter() - start < 1.0
+    gens = [g for g in J.min_gens if g != (7,) + (0,) * 6]
+    assert not is_borel_fixed(MonomialIdeal.make(7, gens))
+
+
 def test_borel_check_memo_is_bounded():
     for k in range(1, MEMO_SIZE + 200):
         assert is_borel_fixed(MonomialIdeal.make(2, [(k, 0)]))
@@ -320,15 +333,64 @@ def test_hf_quintic_gin_values():
 
 
 def test_hf_matches_dense_oracle_random():
+    # hilbert_function serves Borel-fixed ideals only: a random monomial set
+    # that is not one must be refused, and its Borel closure is counted
     rng = random.Random(17)
+    refused = 0
     for _ in range(25):
         nv = rng.randint(2, 4)
         monos = [tuple(rng.randint(0, 3) for _ in range(nv)) for _ in range(4)]
         monos = [m for m in monos if sum(m)]
         J = MonomialIdeal.make(nv, monos)
+        closure = borel_closure(nv, monos)
+        if is_borel_fixed(J):
+            assert J == closure
+        else:
+            refused += 1
+            with pytest.raises(NotBorelFixedError):
+                hilbert_function(J, 0)
         for t in range(6):
-            assert hilbert_function(J, t) == dense_standard_count(
-                J.min_gens, nv, t)
+            assert hilbert_function(closure, t) == dense_standard_count(
+                closure.min_gens, nv, t)
+    assert refused >= 10
+
+
+def test_hf_sum_matches_dense_count_and_betti_route():
+    # the Eliahou-Kervaire sum against two routes that do not use it: the
+    # dense standard-monomial count and the alternating sum of the
+    # Eliahou-Kervaire Betti numbers
+    rng = random.Random(29)
+    cases = [MonomialIdeal.make(nv, []) for nv in range(1, 9)]
+    cases += [borel_closure(nv, [(0,) * (nv - 1) + (d,)])
+              for nv, d in ((1, 3), (2, 2), (3, 3), (5, 2))]
+    # past the packed degree limit: the Borel check takes the tuple path
+    cases.append(borel_closure(2, [(MAX_PACKED_DEGREE + 7, 1)]))
+    for _ in range(160):
+        nv = rng.randint(1, 8)
+        monos = []
+        for _ in range(rng.randint(1, 3)):
+            expo = [0] * nv
+            for _ in range(rng.randint(1, 3 if nv < 6 else 2)):
+                expo[rng.randrange(nv)] += 1
+            monos.append(tuple(expo))
+        cases.append(borel_closure(nv, monos))
+    kinds = set()
+    for J in cases:
+        nv = J.num_vars
+        reg = J.max_gen_degree()
+        kinds.add("zero" if J.is_zero else
+                  "empty" if J.contains((0,) * (nv - 1) + (reg,)) else
+                  "unsaturated" if J.max_gen_index() == nv - 1 else "saturated")
+        table = ek_betti(J)
+        degrees = range(-1, reg + 4)
+        if reg > MAX_PACKED_DEGREE:
+            # the dense count costs O(t) per degree here: both ends only
+            degrees = [*range(-1, 4), *range(reg - 3, reg + 4)]
+        for t in degrees:
+            want = dense_standard_count(J.min_gens, nv, t) if t >= 0 else 0
+            assert hilbert_function(J, t) == want, (J, t)
+            assert ek_alternating_hf(table.entries, nv, t) == want, (J, t)
+    assert kinds == {"zero", "empty", "unsaturated", "saturated"}
 
 
 def test_hf_negative_degree_is_zero():

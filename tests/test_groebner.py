@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from gintail.borel import MonomialIdeal, hilbert_function
+from gintail.borel import MonomialIdeal, hilbert_function, is_borel_fixed
+from gintail.errors import NotBorelFixedError
 from gintail.gin import compute_gin
 from gintail import groebner
 from gintail.fixtures import (ci_three_quadrics, ci_two_quadrics,
@@ -18,9 +19,9 @@ from gintail.groebner import (ELIM_FIRST, GREVLEX, _buchberger_raw, buchberger,
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, mono_lcm,
                           seeded_invertible_matrix, seeded_linear_form)
-from oracles import (monomials_of_degree, naive_elim_first_less,
-                     naive_grevlex_less, naive_largest, naive_normal_form,
-                     random_poly, series_quotient_coeffs)
+from oracles import (dense_standard_count, monomials_of_degree,
+                     naive_elim_first_less, naive_grevlex_less, naive_largest,
+                     naive_normal_form, random_poly, series_quotient_coeffs)
 
 R3 = RingCtx(3)
 R4 = RingCtx(4)
@@ -204,9 +205,19 @@ def test_spoly_certificate_on_fixtures(quintic_ideal, two_planes_ideal):
         assert spoly_certificate(buchberger(I))
 
 
+def initial_ideal_hf(ini, t):
+    """HF(R/ini, t): hilbert_function for a Borel-fixed ini; any other
+    initial ideal must be refused by it and is read by the dense count."""
+    if is_borel_fixed(ini):
+        return hilbert_function(ini, t)
+    with pytest.raises(NotBorelFixedError):
+        hilbert_function(ini, t)
+    return dense_standard_count(ini.min_gens, ini.num_vars, t)
+
+
 def test_quintic_initial_ideal_hilbert_function(quintic_ideal):
     ini = initial_ideal(buchberger(quintic_ideal))
-    values = [hilbert_function(ini, t) for t in range(7)]
+    values = [initial_ideal_hf(ini, t) for t in range(7)]
     assert values == [1, 4, 9, 16, 21, 26, 31]
     oracle = [hilbert_function_rank_oracle(quintic_ideal, t) for t in range(7)]
     assert oracle == values
@@ -242,7 +253,7 @@ def test_initial_ideal_hf_equality_random():
         I = PolyIdeal.make(ring, gens)
         ini = initial_ideal(buchberger(I))
         for d in range(9):
-            assert hilbert_function(ini, d) == hilbert_function_rank_oracle(I, d)
+            assert initial_ideal_hf(ini, d) == hilbert_function_rank_oracle(I, d)
 
 
 def test_degree_past_packed_limit_is_refused():

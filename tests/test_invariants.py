@@ -8,10 +8,11 @@ from gintail.borel import MonomialIdeal, borel_closure, ek_betti, hilbert_functi
 from gintail.errors import NotBorelFixedError, RegularityError
 from gintail.fixtures import random_nd1_borel_ideals
 from gintail.gin import certificate_for_borel_ideal
-from gintail.invariants import (depth_pd, h1_oracle, h1_twist,
-                                hilbert_polynomial, marginal_betti, nd1_check,
-                                regularity, scheme_profile)
-from oracles import betti_regularity
+from gintail.invariants import (depth_pd, h1_restriction_jump,
+                                h1_stratum_count, hilbert_polynomial,
+                                marginal_betti, nd1_check, regularity,
+                                scheme_profile)
+from oracles import betti_regularity, ek_alternating_hf
 
 NONREDUCED = MonomialIdeal.make(4, [
     (3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0), (2, 0, 1, 0)])
@@ -51,12 +52,15 @@ def test_empty_scheme_rejected():
 def test_hilbert_polynomial_matches_hf_beyond_reg(five_lines_cert):
     hp = hilbert_polynomial(five_lines_cert.gin)
     reg = regularity(five_lines_cert.gin)
+    table = ek_betti(five_lines_cert.gin)
     for t in range(reg, reg + 6):
-        assert hp.evaluate(t) == hilbert_function(five_lines_cert.gin, t)
+        assert hp.evaluate(t) == hilbert_function(five_lines_cert.gin, t) == \
+            ek_alternating_hf(table.entries, five_lines_cert.gin.num_vars, t)
 
 
 def test_hilbert_polynomial_matches_hf_on_random_borel_closures():
-    # the closed Eliahou-Kervaire sum against the pivot-splitting recursion
+    # the Hilbert polynomial and function, two readings of one
+    # Eliahou-Kervaire sum, against the alternating sum of the Betti numbers
     rng = random.Random(31)
     kinds = Counter()
     for _ in range(150):
@@ -70,16 +74,19 @@ def test_hilbert_polynomial_matches_hf_on_random_borel_closures():
         J = borel_closure(nv, monos)
         reg = regularity(J)
         points = range(reg, reg + nv + 2)
+        table = ek_betti(J)
+        betti_route = [ek_alternating_hf(table.entries, nv, t) for t in points]
+        assert [hilbert_function(J, t) for t in points] == betti_route
         if J.contains((0,) * (nv - 1) + (reg,)):
             kinds["empty"] += 1
             with pytest.raises(ValueError, match="empty schemes"):
                 hilbert_polynomial(J)
-            assert all(hilbert_function(J, t) == 0 for t in points)
+            assert not any(betti_route)
             continue
         kinds["zero" if J.is_zero else
               "unsaturated" if J.max_gen_index() == nv - 1 else "saturated"] += 1
         hp = hilbert_polynomial(J)
-        assert [hp.evaluate(t) for t in points] == [hilbert_function(J, t) for t in points]
+        assert [hp.evaluate(t) for t in points] == betti_route
     assert min(kinds[k] for k in ("empty", "zero", "unsaturated", "saturated")) >= 5, kinds
 
 
@@ -148,32 +155,31 @@ def test_kp1_vanishing_and_its_failure(two_planes_cert):
 # --- 1-normality of twists ---------------------------------------------------
 
 def test_h1_routes_agree_on_quintic(quintic_cert):
-    assert h1_twist(quintic_cert, 3) == 2
-    assert h1_oracle(quintic_cert, 3) == 2
+    assert h1_stratum_count(quintic_cert.gin, 3) == 2
+    assert h1_restriction_jump(quintic_cert.gin, 3) == 2
     assert marginal_betti(quintic_cert, 3) == 2
     assert ek_betti(quintic_cert.gin).entry(3, 3) == 2
 
 
 def test_h1_requires_regularity(quintic_cert):
     with pytest.raises(RegularityError):
-        h1_twist(quintic_cert, 2)
+        h1_stratum_count(quintic_cert.gin, 2)
     with pytest.raises(RegularityError):
-        h1_oracle(quintic_cert, 2)
+        h1_restriction_jump(quintic_cert.gin, 2)
 
 
 def test_h1_twisted_cubic_linearly_normal(twisted_cubic_cert):
     # 2-regular and linearly normal: h1 of the ideal sheaf at twist 0 vanishes
-    assert h1_twist(twisted_cubic_cert, 1) == 0
-    assert h1_oracle(twisted_cubic_cert, 1) == 0
+    assert h1_stratum_count(twisted_cubic_cert.gin, 1) == 0
+    assert h1_restriction_jump(twisted_cubic_cert.gin, 1) == 0
 
 
 def test_h1_three_lines_fixture(three_lines_cert):
     # linearly normal, but the general hyperplane section is not
-    assert h1_twist(three_lines_cert, 2) == 0
-    assert h1_oracle(three_lines_cert, 2) == 0
+    assert h1_stratum_count(three_lines_cert.gin, 2) == 0
+    assert h1_restriction_jump(three_lines_cert.gin, 2) == 0
     assert marginal_betti(three_lines_cert, 2) == 0
     from gintail.gin import generic_section_gin
-    from gintail.invariants import h1_restriction_jump, h1_stratum_count
     section = generic_section_gin(three_lines_cert, 2)
     assert h1_stratum_count(section, 2) == 1
     assert h1_restriction_jump(section, 2) == 1
@@ -183,7 +189,8 @@ def test_h1_routes_agree_randomized():
     for cert, profile in random_nd1_borel_ideals(25, seed=17):
         d = profile.reg - 1 if profile.reg >= 1 else 1
         for dd in range(max(d, 1), profile.reg + 2):
-            assert h1_twist(cert, dd) == h1_oracle(cert, dd)
+            assert h1_stratum_count(cert.gin, dd) == \
+                h1_restriction_jump(cert.gin, dd)
 
 
 def test_marginal_betti_equals_table_entry():

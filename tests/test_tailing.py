@@ -246,7 +246,7 @@ def test_structure_randomized():
 # --- end-to-end reports --------------------------------------------------------
 
 def test_main_theorem_end_to_end_randomized():
-    from gintail.invariants import h1_twist
+    from gintail.invariants import h1_stratum_count
     for cert, profile in random_nd1_borel_ideals(30, seed=31):
         rep = build_tailing_report(cert, profile)
         assert rep.consistent
@@ -254,7 +254,7 @@ def test_main_theorem_end_to_end_randomized():
         assert hilbert_from_tailing(list(rep.b), rep.n, rep.e).chis == \
             hilbert_polynomial(cert.gin).chis
         # marginal cohomology reading vs the generator-stratum route
-        assert rep.cohomology.h1 == h1_twist(cert, 2)
+        assert rep.cohomology.h1 == h1_stratum_count(cert.gin, 2)
         # degree from the tailing formula vs the Hilbert-polynomial route
         assert rep.degree_genus.degree == profile.degree
 
