@@ -27,7 +27,7 @@ from .errors import (GenericityError, GintailError, HypothesisError,
                      InhomogeneousError, InternalCheckError, NotBorelFixedError,
                      ParseError, RegularityError, SaturationRetryError,
                      UnitIdealError)
-from .gin import compute_gin
+from .gin import FIRST_TRIAL_BOUND, MAX_TRIALS, compute_gin
 from .groebner import buchberger
 from .invariants import scheme_profile
 from .ring import (MAX_PACKED_DEGREE, Polynomial, PolyIdeal, PrimeField, QQ,
@@ -573,9 +573,10 @@ _FLAGS = {
     "format": ("--format", {"choices": ("json", "table"), "default": "table"}),
     "out": ("--out", {"help": "write the report to this path"}),
     "seed": ("--seed", {"type": int, "help": "default 42"}),
-    "trials": ("--trials", {"type": int, "help": "default 2"}),
+    "trials": ("--trials", {"type": int, "help": f"2..{MAX_TRIALS}, default 2"}),
     "bound": ("--bound", {"type": int,
-                          "help": "coefficient bound for random changes, default 1000"}),
+                          "help": "coefficient bound for random changes, default 1000; "
+                                  f"over QQ trial 1 uses min(bound, {FIRST_TRIAL_BOUND})"}),
     "force": ("--force", {"action": "store_true", "default": None,
                           "help": "lift the ND(1) and saturation gates, marked forced"}),
     "b": ("--b", {"help": "comma-separated tailing Betti vector"}),

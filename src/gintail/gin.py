@@ -2,10 +2,20 @@
 
 Zariski-open genericity cannot be decided algorithmically, so the certificate
 is probabilistic: several independent seeded coordinate changes must yield
-the same initial ideal, which must then pass the Borel-fixedness check.  Over
-the rationals with coefficient bound 1000 an accidental agreement on a
-non-generic ideal is not a practical concern at this scale, but the
+the same initial ideal, which must then pass the Borel-fixedness check.
+Trials 2..k draw their changes with entries up to the caller's bound (1000
+by default); over the rationals an accidental agreement of such a trial
+with a non-generic ideal is not a practical concern at this scale, but the
 certificate records that it is a surrogate, not a proof.
+
+Over the rationals trial 1 draws its change with entries only up to
+FIRST_TRIAL_BOUND, because it pays for nearly all of the coefficient growth
+and serves mainly as the target below.  Any initial ideal of I has I's
+Hilbert function, so a non-generic trial 1 still makes a valid target; it
+then disagrees with the full-bound trials, or is not Borel fixed, and is
+re-run at the full bound, aimed at trial 2's ideal, before any error is
+raised.  Over GF(p) there is no growth to save and every trial uses the
+caller's bound.
 
 Every trial moves only a minimal generating set of the input
 (groebner.minimal_generators), computed once, and stops at a minimal
@@ -34,15 +44,22 @@ from .groebner import (HF_CHECK_LIMIT, _mix_seed, hilbert_function_rank_oracle,
                        minimal_generators, seeded_initial_ideal)
 from .ring import PolyIdeal, QQ, RingCtx
 
+#: entry bound of trial 1's coordinate change over QQ (see the module text)
+FIRST_TRIAL_BOUND = 10
+#: most trials compute_gin accepts; each one is a full Groebner run
+MAX_TRIALS = 100
+
 
 @dataclass(frozen=True)
 class GinCertificate:
     """A generic initial ideal together with how it was certified.
 
     method "trials": `agreements` independent coordinate changes produced the
-    same Borel-fixed initial ideal.  method "borel-fixed": the input was
-    already a Borel-fixed monomial ideal, which is its own Gin, so no trials
-    were run.
+    same Borel-fixed initial ideal.  Over QQ the first change is drawn with
+    entries up to FIRST_TRIAL_BOUND and the others with the caller's bound;
+    if the first does not certify, it is redrawn at the caller's bound.
+    method "borel-fixed": the input was already a Borel-fixed monomial ideal,
+    which is its own Gin, so no trials were run.
     """
 
     gin: MonomialIdeal
@@ -93,23 +110,24 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a genericity certificate")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS} trials are allowed, got {trials}")
     ring = I.ring
     nv = ring.num_vars
     seeds = tuple(_mix_seed(seed, k) for k in range(trials))
     # every trial moves only the minimal generators; trial 1 fixes the
-    # Hilbert function that lets trials 2..k skip pairs
+    # Hilbert function that lets trials 2..k skip pairs, so over QQ it is
+    # drawn small and re-run at the full bound only if it does not certify
+    first_bound = bound if ring.field.p is not None else min(bound, FIRST_TRIAL_BOUND)
     gens = minimal_generators(I)
-    first = seeded_initial_ideal(gens, seeds[0], bound)
+    first = seeded_initial_ideal(gens, seeds[0], first_bound)
     others = [seeded_initial_ideal(gens, s, bound, first) for s in seeds[1:]]
-    if any(r != first for r in others):
-        raise GenericityError(
-            f"initial ideals disagree across trials (seeds {seeds}); "
-            "retry with a new master seed or a larger coefficient bound",
-            seeds=seeds)
-    if not is_borel_fixed(first):
-        raise GenericityError(
-            f"agreed initial ideal is not Borel fixed (seeds {seeds}); "
-            "the changes were not generic", seeds=seeds)
+    problem = _trial_problem(first, others, seeds)
+    if problem and first_bound < bound:
+        first = seeded_initial_ideal(gens, seeds[0], bound, others[0])
+        problem = _trial_problem(first, others, seeds)
+    if problem:
+        raise GenericityError(problem, seeds=seeds)
 
     warnings = ["genericity certificate is probabilistic (trial agreement)"]
     if any(g[nv - 1] > 0 for g in first.min_gens):
@@ -140,6 +158,17 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
         borel_verified=True, field_mode=ring.field.name,
         certified=ring.field.certified, method="trials",
         hf_checked=hf_checked, warnings=tuple(warnings))
+
+
+def _trial_problem(first: MonomialIdeal, others: list, seeds: tuple) -> str | None:
+    """Why trial 1's ideal is not certified by the other trials, or None."""
+    if any(r != first for r in others):
+        return (f"initial ideals disagree across trials (seeds {seeds}); "
+                "retry with a new master seed or a larger coefficient bound")
+    if not is_borel_fixed(first):
+        return (f"agreed initial ideal is not Borel fixed (seeds {seeds}); "
+                "the changes were not generic")
+    return None
 
 
 def certificate_for_borel_ideal(J: MonomialIdeal, field=QQ) -> GinCertificate:

@@ -286,6 +286,12 @@ def test_exit_codes(tmp_path):
     assert run_cli("tailing", str(bad), "--b", "1,2", "--n", "3", "--e", "2") == 2
 
 
+def test_trials_above_the_maximum_are_an_input_error(capsys):
+    assert run_cli("gin", _fixture_path("twisted_cubic"),
+                   "--trials", "100000000000") == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_gin_reports_saturation_defect(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("gin", _fixture_path("unsaturated_pair"), "--seed", "8",

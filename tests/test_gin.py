@@ -5,13 +5,16 @@ import pytest
 
 from gintail.borel import (MonomialIdeal, borel_closure, ek_betti,
                            hilbert_function, is_borel_fixed)
-from gintail.fixtures import CORPUS
-from gintail.gin import (GinCertificate, certificate_for_borel_ideal,
-                         compute_gin, generic_section_gin)
+from gintail import gin
+from gintail.cli import parse_ideal
+from gintail.fixtures import CORPUS, bundled_ideal_text, load_bundled_ideal
+from gintail.gin import (FIRST_TRIAL_BOUND, MAX_TRIALS, GinCertificate,
+                         certificate_for_borel_ideal, compute_gin,
+                         generic_section_gin)
 from gintail.groebner import (hilbert_function_rank_oracle,
                               saturate_by_general_linear_form)
-from gintail.errors import NotBorelFixedError, UnitIdealError
-from gintail.ring import (Polynomial, PolyIdeal, QQ, RingCtx,
+from gintail.errors import GenericityError, NotBorelFixedError, UnitIdealError
+from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, seeded_invertible_matrix)
 from oracles import fraction_rank
 
@@ -72,6 +75,100 @@ def test_adding_trials_keeps_earlier_seeds(quintic_ideal):
 def test_trials_minimum_enforced(quintic_ideal):
     with pytest.raises(ValueError):
         compute_gin(quintic_ideal, seed=1, trials=1)
+
+
+# --- trial bounds and the first-trial fallback --------------------------------
+
+def _spy_trials(monkeypatch, result=None):
+    """Record (seed, bound, target, ideal) of every trial compute_gin starts;
+    result(call_index, seed, bound), when given, replaces the trial's ideal."""
+    calls = []
+    real = gin.seeded_initial_ideal
+
+    def spy(I, seed, bound=1000, target=None):
+        ideal = (result(len(calls), seed, bound) if result
+                 else real(I, seed, bound, target))
+        calls.append((seed, bound, target, ideal))
+        return ideal
+
+    monkeypatch.setattr(gin, "seeded_initial_ideal", spy)
+    return calls
+
+
+def _fallbacks(calls) -> int:
+    """Re-runs of trial 1: a targeted trial on the seed of the last untargeted
+    one, which compute_gin starts only when trial 1 did not certify."""
+    count, first = 0, None
+    for seed, _, target, _ in calls:
+        if target is None:
+            first = seed
+        elif seed == first:
+            count += 1
+    return count
+
+
+def test_trials_maximum_refused_before_any_trial(monkeypatch, quintic_ideal):
+    calls = _spy_trials(monkeypatch)
+    for trials in (MAX_TRIALS + 1, 100_000_000_000):
+        with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} trials"):
+            compute_gin(quintic_ideal, seed=1, trials=trials)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field, bound, first_bound", [
+    (QQ, 1000, FIRST_TRIAL_BOUND),
+    (PrimeField(32003), 1000, 1000),
+    (QQ, 1, 1),
+], ids=["QQ", "GF32003", "QQ-bound1"])
+def test_only_the_first_rational_trial_is_drawn_small(monkeypatch, field, bound,
+                                                       first_bound):
+    # at bound 1 seed 3 is one of the seeds where all three changes are generic
+    I = parse_ideal(bundled_ideal_text("twisted_cubic"), field_override=field)
+    want = compute_gin(load_bundled_ideal("twisted_cubic"), seed=3).gin
+    calls = _spy_trials(monkeypatch)
+    cert = compute_gin(I, seed=3, trials=3, bound=bound)
+    assert [c[1] for c in calls] == [first_bound, bound, bound]
+    assert cert.gin == want
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("unsaturated_pair", 2), ("three_lines_embedded_point", 0)])
+def test_forced_fallback_gives_the_full_bound_certificate(monkeypatch, name, seed):
+    sat = saturate_by_general_linear_form(load_bundled_ideal(name), seed=0)
+    monkeypatch.setattr(gin, "FIRST_TRIAL_BOUND", 1000)
+    full = compute_gin(sat, seed=seed)
+    monkeypatch.setattr(gin, "FIRST_TRIAL_BOUND", 1)
+    calls = _spy_trials(monkeypatch)
+    cert = compute_gin(sat, seed=seed)
+    assert _fallbacks(calls) == 1
+    # trial 1 is redrawn at the full bound, aimed at trial 2's ideal
+    (first, small, _, _), (_, _, _, second), rerun = calls[0], calls[1], calls[2]
+    assert small == 1 and rerun[:3] == (first, 1000, second)
+    assert cert == full
+
+
+def test_errors_are_raised_after_the_full_bound_rerun(monkeypatch, quintic_ideal):
+    # trial 2 alone returns another ideal: still a disagreement after the rerun
+    other = MonomialIdeal.make(4, [(1, 0, 0, 0)])
+    calls = _spy_trials(monkeypatch, lambda k, seed, bound: (
+        other if k == 1 else MonomialIdeal.make(4, QUINTIC_GIN)))
+    with pytest.raises(GenericityError, match="disagree across trials"):
+        compute_gin(quintic_ideal, seed=1)
+    assert [c[1] for c in calls] == [FIRST_TRIAL_BOUND, 1000, 1000]
+    # every trial agrees on an ideal that is not Borel fixed
+    not_borel = MonomialIdeal.make(4, [(0, 1, 0, 0)])
+    calls = _spy_trials(monkeypatch, lambda k, seed, bound: not_borel)
+    with pytest.raises(GenericityError, match="not Borel fixed"):
+        compute_gin(quintic_ideal, seed=1)
+    assert [c[1] for c in calls] == [FIRST_TRIAL_BOUND, 1000, 1000]
+
+
+def test_corpus_needs_no_first_trial_fallback(monkeypatch):
+    # pinned at the chosen FIRST_TRIAL_BOUND; at bound 3 the whole test suite
+    # falls back four times, each time still certified
+    calls = _spy_trials(monkeypatch)
+    assert all(check().passed for check in CORPUS.values())
+    assert calls and _fallbacks(calls) == 0
 
 
 def test_borel_fixed_ideal_is_its_own_gin():
