@@ -106,6 +106,13 @@ class MonomialIdeal:
         """Largest variable index occurring in any minimal generator."""
         return max((mono_max_index(g) for g in self.min_gens), default=-1)
 
+    @property
+    def saturation_defect(self) -> bool:
+        """Some minimal generator involves the last variable, so J differs
+        from its saturation in it (saturate_last); for a Borel-fixed J, from
+        its saturation."""
+        return any(g[-1] for g in self.min_gens)
+
     def restrict_last_to_zero(self) -> "MonomialIdeal":
         """(J, x_n)/(x_n): keep generators without the last variable, in one
         variable fewer.  Dropping an all-zero coordinate keeps a minimal set

@@ -423,7 +423,7 @@ class _Run:
 
 def _gb_section(run) -> dict:
     basis = buchberger(run.ideal)
-    return {"order": basis.order, "reduced": basis.reduced,
+    return {"order": "grevlex", "reduced": basis.reduced,
             "size": len(basis.elements),
             "elements": [str(g) for g in basis.elements]}
 

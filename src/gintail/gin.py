@@ -87,7 +87,7 @@ class GinCertificate:
     @property
     def saturation_defect(self) -> bool:
         """Some minimal generator of the Gin involves the last variable."""
-        return any(g[-1] > 0 for g in self.gin.min_gens)
+        return self.gin.saturation_defect
 
     @cached_property
     def _sections(self) -> dict:
@@ -130,7 +130,7 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
         raise GenericityError(problem, seeds=seeds)
 
     warnings = ["genericity certificate is probabilistic (trial agreement)"]
-    if any(g[nv - 1] > 0 for g in first.min_gens):
+    if first.saturation_defect:
         top = max(sum(g) for g in first.min_gens if g[nv - 1] > 0)
         warnings.append(
             f"saturation defect: generators involve x{nv - 1} up to degree {top}; "
@@ -183,7 +183,7 @@ def certificate_for_borel_ideal(J: MonomialIdeal, field=QQ) -> GinCertificate:
             "direct certification requires a Borel-fixed monomial ideal")
     nv = J.num_vars
     warnings = []
-    if any(g[nv - 1] > 0 for g in J.min_gens):
+    if J.saturation_defect:
         warnings.append(
             f"saturation defect: generators involve x{nv - 1}; "
             "ideal is not saturated")

@@ -1,14 +1,15 @@
 """Buchberger Groebner-basis engine.
 
-Everything downstream needs only grevlex bases, plus one block elimination
-order (an auxiliary variable t ranked above the whole x-block) used to
-saturate by a general linear form.  Pairs wait in a heap keyed by the normal
-strategy (lcm degree, then the order on the lcm, then the pair's indices), so
-each pair is ranked once, when it is made; Buchberger's coprime-lcm and chain
-criteria are applied as pairs leave the heap.  A genericity trial reads only
-leading monomials, so it stops at a minimal basis (reduced=False); given a
-target, the initial ideal of the same ideal in other coordinates, it also
-drops the pairs that the target's Hilbert function proves reduce to zero.
+Everything downstream needs only grevlex bases: the Gin trials, and the
+saturation by a general linear form L, which moves L to the last variable and
+uses in(I : x_last) = in(I) : x_last (Bayer and Stillman, 1987).  Pairs wait
+in a heap keyed by the normal strategy (the lcm, lowest degree first, then
+the pair's indices), so each pair is ranked once, when it is made;
+Buchberger's coprime-lcm and chain criteria are applied as pairs leave the
+heap.  A genericity trial reads only leading monomials, so it stops at a
+minimal basis (reduced=False); given a target, the initial ideal of the same
+ideal in other coordinates, it also drops the pairs that the target's Hilbert
+function proves reduce to zero.
 
 Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
@@ -22,9 +23,11 @@ is a dict {D: c} keyed by the order key D, so a product of monomials is a
 sum, the leading term is max(d), and the division loop finds each leading
 term through an int max-heap.  One table per run maps each D seen to its
 word E, against which a divisibility test is one subtraction and one mask
-with the guard bits.  The packed D is the one definition of each order here.
-A product past ring.MAX_PACKED_DEGREE = 2^15 - 1 sets a guard bit and is
-refused with a ValueError.  Identical inputs give bit-identical bases.
+with the guard bits.  The packed D is the one definition of grevlex here.
+Packing.pack refuses a degree past ring.MAX_PACKED_DEGREE = 2^15 - 1 with a
+ValueError, and grevlex is degree-compatible, so no product formed in a
+division or an S-polynomial passes the degree of a packed term or lcm.
+Identical inputs give bit-identical bases.
 
 The dual route, exact linear algebra, builds degree-d Macaulay rows and
 eliminates them with ring._sparse_pivots: the rank gives the Hilbert
@@ -39,24 +42,22 @@ from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 from .borel import MonomialIdeal
-from .errors import InternalCheckError, SaturationRetryError
-from .ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE, Packing,
-                   Polynomial, PolyIdeal, RingCtx, _sparse_pivots,
-                   apply_linear_change, from_int_terms, int_terms, mono_lcm,
-                   mono_mul, packed_overflow, seeded_invertible_matrix,
-                   seeded_linear_form)
+from .errors import SaturationRetryError
+from .ring import (MAX_PACKED_DEGREE, Packing, Polynomial, PolyIdeal, RingCtx,
+                   _sparse_pivots, apply_linear_change, from_int_terms,
+                   int_terms, mono_lcm, mono_mul, packed_overflow,
+                   seeded_invertible_matrix, seeded_linear_form)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A Groebner basis, sorted ascending by leading term.  Reduced: monic,
-    with no term divisible by another element's lead.  Otherwise minimal:
-    the leading monomials are still the minimal generators of the initial
-    ideal."""
+    """A grevlex Groebner basis, sorted ascending by leading term.  Reduced:
+    monic, with no term divisible by another element's lead.  Otherwise
+    minimal: the leading monomials are still the minimal generators of the
+    initial ideal."""
 
     ring: RingCtx
     elements: tuple
-    order: str = GREVLEX
     reduced: bool = True
 
 
@@ -104,8 +105,8 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
                  exact: bool = False):
     """Core division loop on packed integer working polynomials.
 
-    Each step reduces the order-maximal term of the working polynomial.  It is
-    found through a max-heap of the D keys (pushed negated): a monomial is
+    Each step reduces the grevlex-largest term of the working polynomial.  It
+    is found through a max-heap of the D keys (pushed negated): a monomial is
     pushed when it enters the polynomial, and an entry whose monomial has
     since cancelled is skipped when popped (once a monomial is reduced every
     later term is smaller, so it never returns).  Divisors, as _as_divisor
@@ -159,10 +160,7 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
                 p[mm] = -b * gc if p_mod is None else -b * gc % p_mod
                 heappush(heap, -mm)
                 if mm not in table:
-                    ee = table[gm] + q_e
-                    if ee & guard:
-                        raise packed_overflow(pk.degree(ee))
-                    table[mm] = ee
+                    table[mm] = table[gm] + q_e
             else:
                 s -= b * gc
                 if p_mod is not None:
@@ -184,7 +182,7 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
     return remainder, scale
 
 
-def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict, pk,
+def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict,
                 p_mod: int | None) -> dict:
     """S-polynomial of two divisors (see _as_divisor) whose leading
     monomials have the packed lcm (lcm, lcm_e)."""
@@ -194,17 +192,13 @@ def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict, pk,
         a, b = lcj // g, lci // g
     else:
         a, b = 1, lci * pow(lcj, -1, p_mod) % p_mod
-    guard = pk.guard
     out: dict = {}
     for (lm, lm_e, _, terms), f in ((gi, a), (gj, -b)):
         q, q_e = lcm - lm, lcm_e - lm_e
         for m, c in terms:
             mm = m + q
             if mm not in table:
-                ee = table[m] + q_e
-                if ee & guard:
-                    raise packed_overflow(pk.degree(ee))
-                table[mm] = ee
+                table[mm] = table[m] + q_e
             s = out.get(mm, 0) + f * c
             if p_mod is not None:
                 s %= p_mod
@@ -219,7 +213,7 @@ def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict, pk,
 # public division / normal form
 # ---------------------------------------------------------------------------
 
-def reduce(f: Polynomial, G, order: str = GREVLEX) -> Polynomial:
+def reduce(f: Polynomial, G) -> Polynomial:
     """Normal form of f modulo the polynomial list G: no term of the result is
     divisible by any leading monomial of G, and f minus the result lies in the
     ideal generated by G.  Divisors are tried in list order (deterministic);
@@ -227,7 +221,7 @@ def reduce(f: Polynomial, G, order: str = GREVLEX) -> Polynomial:
     ring = f.ring
     for g in G:
         ring.check_same(g.ring)
-    pk = Packing(ring.num_vars, order)
+    pk = Packing(ring.num_vars)
     table: dict = {}
     divisors = [_as_divisor(_pack_work(int_terms(g)[0], pk, table), table)
                 for g in G if not g.is_zero]
@@ -239,16 +233,16 @@ def reduce(f: Polynomial, G, order: str = GREVLEX) -> Polynomial:
     return from_int_terms(ring, _unpack_work(rem, pk, table), scale * den)
 
 
-def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
+def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, normalized so both leading
     terms cancel exactly."""
     p_mod = f.ring.field.p
-    pk = Packing(f.ring.num_vars, order)
+    pk = Packing(f.ring.num_vars)
     table: dict = {}
     df, dg = (_as_divisor(_pack_work(int_terms(h)[0], pk, table), table)
               for h in (f, g))
     lcm, lcm_e = pk.pack(mono_lcm(pk.unpack(df[1]), pk.unpack(dg[1])))
-    s = _spoly_work(df, dg, lcm, lcm_e, table, pk, p_mod)
+    s = _spoly_work(df, dg, lcm, lcm_e, table, p_mod)
     # with f', g' the integer forms shifted up to the lcm, _spoly_work returns
     # lcg/h * f' - lcf/h * g' (h = gcd(lcf, lcg)) over QQ and
     # f' - lcf/lcg * g' over GF(p)
@@ -261,23 +255,22 @@ def spoly(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _buchberger_raw(ring: RingCtx, polys, order: str, reduced: bool = True,
+def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
                     target=None) -> GroebnerBasis:
-    """Groebner basis of an arbitrary (possibly inhomogeneous) generator list.
+    """Groebner basis of a list of homogeneous polynomials.
 
     With reduced=False the run stops at a minimal basis: its leading
     monomials are the minimal generators of the initial ideal, but tails are
     not interreduced and leading coefficients are not normalized.
 
-    target, for homogeneous input only, is the initial ideal of the same
-    ideal in other coordinates (a MonomialIdeal), so it has the same Hilbert
-    function.  Once every target generator of degree <= d is divisible by a
-    current leading monomial, the leads span the whole degree-d piece of the
-    initial ideal, so every remaining pair of degree d reduces to zero and is
-    dropped unreduced.  The basis comes out exactly as it would without the
+    target is the initial ideal of the same ideal in other coordinates (a
+    MonomialIdeal), so it has the same Hilbert function.  Once every target
+    generator of degree <= d is divisible by a current leading monomial, the
+    leads span the whole degree-d piece of the initial ideal, so every
+    remaining pair of degree d reduces to zero and is dropped unreduced.  The basis comes out exactly as it would without the
     target: a dropped pair is one that would have added nothing.
     """
-    pk = Packing(ring.num_vars, order)
+    pk = Packing(ring.num_vars)
     guard = pk.guard
     p_mod = ring.field.p
     table: dict = {}
@@ -299,17 +292,16 @@ def _buchberger_raw(ring: RingCtx, polys, order: str, reduced: bool = True,
     def cover(lead_e):
         uncovered[:] = [t for t in uncovered if (t[1] - lead_e) & guard]
 
-    # pair heap in the normal strategy: lowest lcm degree, then smallest lcm
-    # in the order, then the indices, so the selection order is total (for
-    # grevlex, D alone already ranks the degree first); pending holds the
-    # same pairs, for the chain criterion
+    # pair heap in the normal strategy: smallest lcm (its D ranks the degree
+    # first), then the indices, so the selection order is total; pending
+    # holds the same pairs, for the chain criterion
     pairs: list = []
     pending: set = set()
 
     def add_pairs(j):
         for i in range(j):
             lcm, lcm_e = pk.pack(mono_lcm(lms[i], lms[j]))
-            heappush(pairs, (pk.degree(lcm_e), lcm, i, j, lcm_e))
+            heappush(pairs, (lcm, i, j, lcm_e))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -319,9 +311,9 @@ def _buchberger_raw(ring: RingCtx, polys, order: str, reduced: bool = True,
     while pairs:
         if target is not None and not uncovered:
             break       # every remaining pair reduces to zero
-        deg, lcm, i, j, lcm_e = heappop(pairs)
+        lcm, i, j, lcm_e = heappop(pairs)
         pending.discard((i, j))
-        if target is not None and uncovered[0][0] > deg:
+        if target is not None and uncovered[0][0] > pk.degree(lcm_e):
             continue    # the leads already span this degree
         if lcm == G[i][0] + G[j][0]:
             continue    # coprime leading monomials: lcm = product
@@ -336,7 +328,7 @@ def _buchberger_raw(ring: RingCtx, polys, order: str, reduced: bool = True,
                 break
         if chained:
             continue
-        s = _spoly_work(G[i], G[j], lcm, lcm_e, table, pk, p_mod)
+        s = _spoly_work(G[i], G[j], lcm, lcm_e, table, p_mod)
         r, _ = _reduce_work(s, G, table, pk, p_mod)
         if r:
             if p_mod is None:
@@ -356,7 +348,7 @@ def _buchberger_raw(ring: RingCtx, polys, order: str, reduced: bool = True,
     if not reduced:
         return GroebnerBasis(ring, tuple(
             from_int_terms(ring, _unpack_work(dict(g[3]), pk, table)) for g in kept),
-            order=order, reduced=False)
+            reduced=False)
     # interreduce tails, then normalize leading coefficients to 1
     out = []
     for idx in range(len(kept)):
@@ -365,32 +357,24 @@ def _buchberger_raw(ring: RingCtx, polys, order: str, reduced: bool = True,
         if p_mod is None:
             r = _strip_int(r)
         out.append(from_int_terms(ring, _unpack_work(r, pk, table)).monic())
-    return GroebnerBasis(ring, tuple(out), order=order, reduced=True)
+    return GroebnerBasis(ring, tuple(out), reduced=True)
 
 
-def buchberger(I: PolyIdeal, order: str = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of a homogeneous ideal.  Idempotent: feeding the
-    result back in returns the same basis."""
-    return _buchberger_raw(I.ring, I.gens, order)
+def buchberger(I: PolyIdeal) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of a homogeneous ideal.  Idempotent:
+    feeding the result back in returns the same basis."""
+    return _buchberger_raw(I.ring, I.gens)
 
 
 def initial_ideal(G: GroebnerBasis) -> MonomialIdeal:
     """Monomial ideal of leading terms.  For a reduced or minimal basis the
     leading monomials are exactly the minimal generators."""
     return MonomialIdeal.make(G.ring.num_vars,
-                              [_lead(g, G.order) for g in G.elements])
-
-
-def _lead(f: Polynomial, order: str):
-    """Leading monomial of f in the order (its first term in grevlex)."""
-    if order == GREVLEX:
-        return f.lead_monomial()
-    pk = Packing(f.ring.num_vars, order)
-    return max((m for m, _ in f.terms), key=lambda m: pk.pack(m)[0])
+                              [g.lead_monomial() for g in G.elements])
 
 
 def is_member(f: Polynomial, G: GroebnerBasis) -> bool:
-    return reduce(f, G.elements, G.order).is_zero
+    return reduce(f, G.elements).is_zero
 
 
 def ideals_equal(I: PolyIdeal, J: PolyIdeal) -> bool:
@@ -407,7 +391,7 @@ def spoly_certificate(G: GroebnerBasis) -> bool:
     els = G.elements
     for j in range(len(els)):
         for i in range(j):
-            if not reduce(spoly(els[i], els[j], G.order), list(els), G.order).is_zero:
+            if not reduce(spoly(els[i], els[j]), list(els)).is_zero:
                 return False
     return True
 
@@ -507,6 +491,15 @@ def minimal_generators(I: PolyIdeal) -> PolyIdeal:
 # saturation by a general linear form
 # ---------------------------------------------------------------------------
 
+def _moved(I: PolyIdeal, M) -> tuple:
+    """I's generators after the change M, refusing first a degree the packed
+    kernel cannot hold, whose every power the change would expand in full."""
+    top = max(g.degree() for g in I.gens)
+    if top > MAX_PACKED_DEGREE:
+        raise packed_overflow(top)
+    return apply_linear_change(I.gens, M)
+
+
 def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
                          target: MonomialIdeal | None = None) -> MonomialIdeal:
     """Grevlex initial ideal after one seeded random coordinate change; one
@@ -515,14 +508,8 @@ def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
     The run stops at a minimal basis, since only its leads are read.  target,
     an initial ideal of I in other coordinates (an earlier trial's), lets it
     skip the pairs that provably reduce to zero; the result is the same."""
-    # refuse a degree the packed kernel cannot hold before the change, which
-    # would first expand every power of it in full
-    top = max(g.degree() for g in I.gens)
-    if top > MAX_PACKED_DEGREE:
-        raise packed_overflow(top)
     M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
-    moved = apply_linear_change(I.gens, M)
-    return initial_ideal(_buchberger_raw(I.ring, moved, GREVLEX, reduced=False,
+    return initial_ideal(_buchberger_raw(I.ring, _moved(I, M), reduced=False,
                                          target=target))
 
 
@@ -536,6 +523,29 @@ def _mix_seed(master: int, idx: int) -> int:
     return z ^ (z >> 31)
 
 
+def _to_last_variable(L: Polynomial) -> tuple:
+    """Integral changes (forward, back) for L = sum_i c_i x_i.  With x_k the
+    last variable in L, swapped into last place by perm, forward sends
+    x_perm(j) -> c_k x_j (j < N-1) and x_k -> x_(N-1) - sum_(j<N-1) c_perm(j)
+    x_j, so L -> c_k x_(N-1); back sends x_j -> x_perm(j) and x_(N-1) -> L.
+    They compose to c_k times the identity: no inverse matrix is needed."""
+    n = L.ring.num_vars
+    c = [L.ring.field.zero] * n
+    for m, a in L.terms:
+        c[m.index(1)] = a
+    k = max(i for i in range(n) if c[i])
+    perm = list(range(n))
+    perm[k], perm[-1] = perm[-1], perm[k]
+    forward = [[0] * n for _ in range(n)]
+    back = [[0] * n for _ in range(n - 1)] + [c]
+    for j in range(n - 1):
+        forward[perm[j]][j] = c[k]
+        forward[k][j] = -c[perm[j]]
+        back[j][perm[j]] = 1
+    forward[k][-1] = 1
+    return forward, back
+
+
 def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
                                     bound: int = 1000) -> PolyIdeal:
     """I : L^infinity for a seeded random linear form L; for general L this is
@@ -543,44 +553,35 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
     general linear form misses every associated prime except possibly the
     irrelevant one.
 
-    Computed by the auxiliary-variable trick: adjoin t ranked above all x_i,
-    add the generator 1 - t*L, take a reduced basis for the block order, and
-    keep the t-free elements.  That basis carries redundant elements (two
-    quadrics come back with a cubic in their ideal), so the result is the
-    minimal_generators of the t-free part.  It is verified a posteriori: the
-    initial ideal of the output after a random coordinate change must have no
-    minimal generator involving the last variable (unsaturated ideals are
-    detected exactly by such generators).  Two probes run on the minimal
-    generators, the second aimed at the first's initial ideal (see
-    seeded_initial_ideal).  A failed check raises SaturationRetryError so the
-    caller can retry with a fresh seed.
+    L is moved to the last variable (_to_last_variable).  For grevlex,
+    in(J : x_last) = in(J) : x_last (Bayer and Stillman), so each element of
+    a minimal basis of the moved ideal, divided by its largest power of
+    x_last (that of its lead), gives a basis of the saturation.  Its
+    minimal_generators are mapped back and content-stripped (monic over
+    GF(p)).  Two probes check the result: its initial ideal after a random
+    change, the second aimed at the first's, must have no minimal generator
+    involving the last variable (see seeded_initial_ideal).  A failed check
+    raises SaturationRetryError so the caller can retry with a fresh seed.
     """
     ring = I.ring
-    n = ring.num_vars
-    ext = RingCtx(n + 1, ring.field)
-    L = seeded_linear_form(ring, _mix_seed(seed, 0), bound)
+    forward, back = _to_last_variable(
+        seeded_linear_form(ring, _mix_seed(seed, 0), bound))
+    divided = []
+    for g in _buchberger_raw(ring, _moved(I, forward), reduced=False).elements:
+        a = g.lead_monomial()[-1]
+        divided.append(Polynomial.from_dict(
+            ring, {m[:-1] + (m[-1] - a,): c for m, c in g.terms}))
+    if any(g.degree() == 0 for g in divided):
+        return PolyIdeal.make(ring, [ring.constant(1)])
+    sat = minimal_generators(PolyIdeal.make(ring, divided))
+    # over QQ the numerators of a monic polynomial are coprime
+    result = PolyIdeal.make(ring, [from_int_terms(ring, int_terms(g.monic())[0])
+                                   for g in apply_linear_change(sat.gens, back)])
 
-    def embed(f: Polynomial) -> Polynomial:
-        return Polynomial.from_dict(ext, {(0,) + m: c for m, c in f.terms})
-
-    cut = ext.constant(1) - ext.variable(0) * embed(L)
-    basis = _buchberger_raw(ext, [embed(g) for g in I.gens] + [cut], ELIM_FIRST)
-    kept = []
-    for g in basis.elements:
-        if all(m[0] == 0 for m, _ in g.terms):
-            kept.append(Polynomial.from_dict(ring, {m[1:]: c for m, c in g.terms}))
-        elif _lead(g, ELIM_FIRST)[0] == 0:
-            raise InternalCheckError("t-free leading term on a poly involving t")
-    if not kept:
-        raise InternalCheckError("saturation produced no generators")
-    result = minimal_generators(PolyIdeal.make(ring, kept))
-
-    if any(g.degree() == 0 for g in result.gens):
-        return result  # unit ideal: nothing left to verify
     ini = None      # the first probe is the second one's target
     for probe in (1, 2):
         ini = seeded_initial_ideal(result, _mix_seed(seed, probe), bound, ini)
-        if any(g[n - 1] > 0 for g in ini.min_gens):
+        if ini.saturation_defect:
             raise SaturationRetryError(
                 f"saturation check failed for seed {seed}; retry with a new seed")
     return result

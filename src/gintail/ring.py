@@ -10,7 +10,7 @@ mode) or elements of an odd prime field (a fast, advisory mode).
 The exact Groebner kernel does not use the tuples: a Packing turns each
 monomial into two ints that are linear in the exponents (Bachmann and
 Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  The order key D
-makes multiplication `+` and comparison in the monomial order `<`; the word
+makes multiplication `+` and comparison in grevlex `<`; the word
 E, 16-bit fields with a clear guard bit on top of each, makes a divisibility
 test one subtraction and one mask.  Packed monomials have total degree at
 most MAX_PACKED_DEGREE = 2^15 - 1; anything larger is refused with a
@@ -226,11 +226,6 @@ def compare_grevlex(a: Mono, b: Mono) -> int:
 # packed monomials
 # ---------------------------------------------------------------------------
 
-GREVLEX = "grevlex"
-#: block order: the first variable beats any monomial in the rest, grevlex
-#: inside the rest (the auxiliary variable of the saturation)
-ELIM_FIRST = "elim-first"
-
 _FIELD = 16                      # bits per field of E and digit of D
 MAX_PACKED_DEGREE = 2**15 - 1    # keeps every field's top (guard) bit clear
 
@@ -242,14 +237,12 @@ def packed_overflow(degree: int) -> ValueError:
 
 
 class Packing:
-    """The packed form of monomials in num_vars variables for one order,
-    GREVLEX or ELIM_FIRST.
+    """The packed form of monomials in num_vars variables.
 
     With B = 2^16 and N = num_vars, a monomial x^a packs to
-      D = deg(a)*B^N - sum_{i>=1} a_i*B^i        (grevlex)
-      D = a_0*B^(N+1) + the grevlex D            (ELIM_FIRST)
+      D = deg(a)*B^N - sum_{i>=1} a_i*B^i
     whose digits, 0 or -a_i, are balanced: with every a_i < 2^15, D is
-    injective, D(ab) = D(a) + D(b), and D(a) < D(b) iff a < b in the order;
+    injective, D(ab) = D(a) + D(b), and D(a) < D(b) iff a < b in grevlex;
     and to E = sum_i a_i*2^(16i) + deg(a)*2^(16N), one field per variable
     plus one for the degree.  When every field is below 2^15, a | b iff
     (E(b) - E(a)) & guard == 0, since a field that would go negative borrows
@@ -259,15 +252,12 @@ class Packing:
 
     __slots__ = ("num_vars", "weights", "fields", "guard")
 
-    def __init__(self, num_vars: int, order: str = GREVLEX):
+    def __init__(self, num_vars: int):
         top = 1 << (_FIELD * num_vars)
-        weights = [top] + [top - (1 << (_FIELD * i)) for i in range(1, num_vars)]
-        if order == ELIM_FIRST:
-            weights[0] += top << _FIELD
-        elif order != GREVLEX:
-            raise ValueError(f"unknown order {order!r}")
         self.num_vars = num_vars
-        self.weights = tuple(weights)       # D = sum_i a_i * weights[i]
+        # D = sum_i a_i * weights[i]
+        self.weights = (top,) + tuple(top - (1 << (_FIELD * i))
+                                      for i in range(1, num_vars))
         self.fields = tuple((1 << (_FIELD * i)) + top for i in range(num_vars))
         # the top bit of every field of E
         self.guard = sum(1 << (_FIELD * i + _FIELD - 1) for i in range(num_vars + 1))

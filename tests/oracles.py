@@ -191,14 +191,6 @@ def random_poly(ring, rng, terms, max_exp=2):
         for _ in range(terms)})
 
 
-def naive_elim_first_less(a, b):
-    """Block order with the first variable above the rest: a larger exponent
-    of x0 wins; on ties, grevlex on the remaining variables."""
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return naive_grevlex_less(a[1:], b[1:])
-
-
 def naive_linear_change(f, M):
     """Substitute x_i -> sum_j M[i][j] * x_j in f by Polynomial products,
     one variable factor at a time, in the field of f."""

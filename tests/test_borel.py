@@ -228,6 +228,22 @@ def test_saturate_last_matches_brute_force_colon():
             assert got == expected
 
 
+def test_saturation_defect_is_a_change_under_saturate_last():
+    # the defect holds exactly when saturating in the last variable moves J
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(40):
+        J = random_borel(rng, nv_max=4)
+        try:
+            moved = J.saturate_last() != J
+        except UnitIdealError:
+            moved = True
+        assert J.saturation_defect == moved
+        seen.add(moved)
+    assert seen == {False, True}
+    assert not MonomialIdeal.make(3, []).saturation_defect
+
+
 def test_restrict_and_saturate_preserve_borel():
     rng = random.Random(7)
     for _ in range(30):

@@ -1,16 +1,17 @@
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from gintail.borel import MonomialIdeal, hilbert_function, is_borel_fixed
-from gintail.errors import NotBorelFixedError
+from gintail.borel import (MonomialIdeal, borel_closure, hilbert_function,
+                           is_borel_fixed)
+from gintail.errors import NotBorelFixedError, UnitIdealError
 from gintail.gin import compute_gin
 from gintail import groebner
 from gintail.fixtures import (ci_three_quadrics, ci_two_quadrics,
                               five_lines_ideal, load_bundled_ideal,
                               random_quadrics)
-from gintail.groebner import (ELIM_FIRST, GREVLEX, _buchberger_raw, buchberger,
+from gintail.groebner import (_buchberger_raw, _mix_seed, buchberger,
                               hilbert_function_rank_oracle,
                               ideals_equal, initial_ideal, is_member,
                               minimal_generators, reduce,
@@ -19,8 +20,8 @@ from gintail.groebner import (ELIM_FIRST, GREVLEX, _buchberger_raw, buchberger,
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, mono_lcm,
                           seeded_invertible_matrix, seeded_linear_form)
-from oracles import (dense_standard_count, monomials_of_degree,
-                     naive_elim_first_less, naive_grevlex_less, naive_largest,
+from oracles import (bounded_saturation_members, dense_standard_count,
+                     monomials_of_degree, naive_grevlex_less, naive_largest,
                      naive_normal_form, random_poly, series_quotient_coeffs)
 
 R3 = RingCtx(3)
@@ -97,14 +98,14 @@ def test_reduce_contract_on_non_basis_lists():
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
                                  ids=["QQ", "GF32003"])
-ORDERS = pytest.mark.parametrize("order,less", [
-    (GREVLEX, naive_grevlex_less), (ELIM_FIRST, naive_elim_first_less)],
-    ids=["grevlex", "elim-first"])
+# the literal definition of the one order the packed kernel implements;
+# kept as a parameter so the test ids still name it
+ORDER = pytest.mark.parametrize("less", [naive_grevlex_less], ids=["grevlex"])
 
 
 @FIELDS
-@ORDERS
-def test_reduce_matches_naive_division(field, order, less):
+@ORDER
+def test_reduce_matches_naive_division(field, less):
     # divisor lists that are not Groebner bases: the normal form depends on
     # the division strategy, so the same term and divisor choices must be made
     ring = RingCtx(4, field)
@@ -113,12 +114,12 @@ def test_reduce_matches_naive_division(field, order, less):
         G = [random_poly(ring, rng, rng.randint(1, 4))
              for _ in range(rng.randint(1, 3))]
         f = random_poly(ring, rng, 8, max_exp=3)
-        assert reduce(f, G, order).term_dict() == naive_normal_form(f, G, less)
+        assert reduce(f, G).term_dict() == naive_normal_form(f, G, less)
 
 
 @FIELDS
-@ORDERS
-def test_spoly_cancels_both_leading_terms(field, order, less):
+@ORDER
+def test_spoly_cancels_both_leading_terms(field, less):
     ring = RingCtx(3, field)
     rng = random.Random(23)
     for _ in range(8):
@@ -131,25 +132,7 @@ def test_spoly_cancels_both_leading_terms(field, order, less):
         def part(h, lm):
             quotient = tuple(x - y for x, y in zip(lcm, lm))
             return P(ring, {quotient: 1}) * h.scale(field.one / h.term_dict()[lm])
-        assert spoly(f, g, order) == part(f, lmf) - part(g, lmg)
-
-
-@FIELDS
-def test_elimination_basis_of_cut_passes_spoly_certificate(field):
-    # the saturation input: x-block generators plus 1 - t*L, t ranked first
-    ring = RingCtx(3, field)
-    ext = RingCtx(4, field)
-    L = seeded_linear_form(ring, 5, 20)
-
-    def embed(f):
-        return Polynomial.from_dict(ext, {(0,) + m: c for m, c in f.terms})
-
-    gens = [P(ring, {(2, 0, 0): 1, (0, 1, 1): -3}), P(ring, {(1, 1, 0): 2}),
-            P(ring, {(1, 0, 1): 1, (0, 0, 2): 5})]
-    cut = ext.constant(1) - ext.variable(0) * embed(L)
-    basis = _buchberger_raw(ext, [embed(g) for g in gens] + [cut], ELIM_FIRST)
-    assert basis.order == ELIM_FIRST
-    assert spoly_certificate(basis)
+        assert spoly(f, g) == part(f, lmf) - part(g, lmg)
 
 
 def test_membership_oracle_random_combinations(quintic_ideal):
@@ -260,14 +243,14 @@ def test_degree_past_packed_limit_is_refused():
     R2 = RingCtx(2)
     with pytest.raises(ValueError, match="packed"):
         buchberger(PolyIdeal.make(R2, [P(R2, {(32768, 0): 1})]))
-    # inputs that fit, with a product past the limit midway through a
-    # division: the elimination order is not degree-compatible, so
-    # t^20000 reduced by t - x^20000 reaches t^19999 * x^20000
-    cut = P(R2, {(1, 0): 1, (0, 20000): -1})
+    # inputs that fit, with an S-pair whose lcm does not: grevlex is
+    # degree-compatible, so a division never passes its input's degree, and
+    # the lcm is where the limit is met
+    f, g = P(R2, {(20000, 0): 1}), P(R2, {(0, 20000): 1})
     with pytest.raises(ValueError, match="packed"):
-        reduce(P(R2, {(20000, 0): 1}), [cut], ELIM_FIRST)
+        spoly(f, g)
     with pytest.raises(ValueError, match="packed"):
-        spoly(P(R2, {(20000, 0): 1}), cut, ELIM_FIRST)
+        buchberger(PolyIdeal.make(R2, [f, g]))
 
 
 def test_qq_and_prime_field_gins_agree_on_quadric_intersections():
@@ -314,7 +297,7 @@ def over(I: PolyIdeal, field) -> PolyIdeal:
 def trial_basis(I: PolyIdeal, seed: int, target=None):
     """The minimal basis one genericity trial computes."""
     M = seeded_invertible_matrix(I.ring.num_vars, seed, 1000, I.ring.field)
-    return _buchberger_raw(I.ring, apply_linear_change(I.gens, M), GREVLEX,
+    return _buchberger_raw(I.ring, apply_linear_change(I.gens, M),
                            reduced=False, target=target)
 
 
@@ -334,8 +317,8 @@ def test_minimal_trial_basis_has_the_reduced_leads(quintic_ideal, field):
     I = over(quintic_ideal, field)
     M = seeded_invertible_matrix(4, 5, 1000, field)
     moved = apply_linear_change(I.gens, M)
-    full = _buchberger_raw(I.ring, moved, GREVLEX)
-    minimal = _buchberger_raw(I.ring, moved, GREVLEX, reduced=False)
+    full = _buchberger_raw(I.ring, moved)
+    minimal = _buchberger_raw(I.ring, moved, reduced=False)
     assert full.reduced and not minimal.reduced
     assert [g.lead_monomial() for g in minimal.elements] == \
         [g.lead_monomial() for g in full.elements]
@@ -356,8 +339,8 @@ def test_non_generic_target_keeps_the_trial_exact(quintic_ideal, field):
         assert seeded_initial_ideal(I, seed, target=J0) == plain
     # and the other way round: non-generic coordinates aimed at the Gin
     gin = seeded_initial_ideal(I, 4)
-    original = _buchberger_raw(I.ring, I.gens, GREVLEX, reduced=False)
-    assert _buchberger_raw(I.ring, I.gens, GREVLEX, reduced=False,
+    original = _buchberger_raw(I.ring, I.gens, reduced=False)
+    assert _buchberger_raw(I.ring, I.gens, reduced=False,
                            target=gin) == original
     assert initial_ideal(original) == J0
 
@@ -474,8 +457,8 @@ def test_saturate_already_saturated(quintic_ideal):
 
 @pytest.mark.parametrize("count,nv", [(2, 5), (3, 4)])
 def test_saturate_returns_minimal_generators(count, nv):
-    # the elimination basis also holds a cubic (two quadrics) or two cubics
-    # and a quartic (three in 4 variables) of the quadrics' ideal; only the
+    # the moved basis also holds a cubic (two quadrics) or two cubics and a
+    # quartic (three in 4 variables) of the quadrics' ideal; only the
     # quadrics come back
     I = random_quadrics(count, nv, 3)
     S = saturate_by_general_linear_form(I, seed=4)
@@ -521,7 +504,7 @@ def test_saturate_idempotent():
 
 def test_saturate_agrees_with_monomial_route():
     # for a Borel-fixed monomial ideal, stripping last-variable factors
-    # computes the full saturation; the elimination route must agree
+    # computes the full saturation; the linear-form route must agree
     J = MonomialIdeal.make(3, [(2, 1, 0), (2, 0, 1), (3, 0, 0)])
     from gintail.borel import is_borel_fixed
     assert is_borel_fixed(J)
@@ -530,3 +513,119 @@ def test_saturate_agrees_with_monomial_route():
     expected = [P(R3, {m: 1}) for m in J.saturate_last().min_gens]
     assert ideals_equal(S, PolyIdeal.make(R3, expected))
     assert J.saturate_last().min_gens == ((2, 0, 0),)
+
+
+def linear_form_seed(ring, bound, last_is_zero):
+    """The first seed whose saturation form has (or lacks) a zero
+    coefficient on the last variable."""
+    for seed in range(100_000):
+        L = seeded_linear_form(ring, _mix_seed(seed, 0), bound)
+        if (ring.var_mono(ring.num_vars - 1) not in L.term_dict()) == last_is_zero:
+            return seed
+    raise AssertionError("no such seed")
+
+
+@FIELDS
+@pytest.mark.parametrize("last_is_zero", [False, True], ids=["last", "swap"])
+def test_moving_the_form_to_the_last_variable(field, last_is_zero):
+    # forward sends L to c_k times the last variable, and back undoes it up
+    # to c_k^deg, in both branches and for a form in one variable
+    ring = RingCtx(4, field)
+    rng = random.Random(31)
+    seed = linear_form_seed(ring, 1000, last_is_zero)
+    forms = [seeded_linear_form(ring, _mix_seed(seed, 0), 1000),
+             ring.variable(0).scale(-7)]
+    for L in forms:
+        forward, back = groebner._to_last_variable(L)
+        k = max(m.index(1) for m, _ in L.terms)
+        ck = L.term_dict()[ring.var_mono(k)]
+        assert apply_linear_change([L], forward) == (
+            ring.variable(3).scale(ck),)
+        scale = field.one
+        for degree in (1, 2, 3):
+            scale = scale * ck
+            f = random_homogeneous(ring, rng, degree, terms=5)
+            moved = apply_linear_change([f], forward)
+            assert apply_linear_change(moved, back) == (f.scale(scale),)
+
+
+@FIELDS
+@pytest.mark.parametrize("count,nv", [(2, 5), (3, 4)])
+def test_saturate_drops_a_multiple_by_every_variable(field, count, nv):
+    # (x_k * q_j for all k, j) = m * (q) saturates to the complete
+    # intersection (q); over QQ the generators come back primitive
+    Q = over(random_quadrics(count, nv, 8), field)
+    ring = Q.ring
+    I = PolyIdeal.make(ring, [ring.variable(k) * q for q in Q.gens
+                              for k in range(nv)])
+    S = saturate_by_general_linear_form(I, seed=3)
+    assert ideals_equal(S, Q)
+    assert [g.degree() for g in S.gens] == [2] * count
+    for g in S.gens:
+        if field == QQ:
+            assert all(c.denominator == 1 for _, c in g.terms)
+            assert gcd(*(c.numerator for _, c in g.terms)) == 1
+            assert g.lead_coeff() > 0
+        else:
+            assert g.lead_coeff() == field.one
+
+
+@FIELDS
+def test_saturate_with_a_form_missing_the_last_variable(field):
+    # L has no x3 term, so x2 trades places with x3 before L is solved for
+    ring = RingCtx(4, field)
+    seed = linear_form_seed(ring, 1000, last_is_zero=True)
+    x = [ring.variable(i) for i in range(4)]
+    Q = PolyIdeal.make(ring, [x[0] * x[3] - x[1] * x[2],
+                              x[0] * x[2] + x[1] * x[1] - x[3] * x[3]])
+    I = PolyIdeal.make(ring, [v * q for q in Q.gens for v in x])
+    assert ideals_equal(saturate_by_general_linear_form(I, seed=seed), Q)
+
+
+@FIELDS
+def test_saturate_to_the_unit_ideal(field):
+    # three quadrics in three variables cut out nothing in P^2
+    Q = over(random_quadrics(3, 3, 5), field)
+    ring = Q.ring
+    S = saturate_by_general_linear_form(Q, seed=4)
+    assert S.gens == (ring.constant(1),)
+    assert ideals_equal(S, PolyIdeal.make(ring, [ring.constant(1)]))
+
+
+@FIELDS
+def test_saturate_monomial_input_matches_saturate_last(field):
+    # for a Borel-fixed J the saturation is the colon by the last variable:
+    # both the monomial route and the brute-force colon must agree, degree
+    # by degree, with the polynomial route
+    rng = random.Random(57)
+    ideals = [borel_closure(3, [(0, 0, 2)])]    # m^2: saturates to (1)
+    for _ in range(8):
+        nv = rng.randint(2, 4)
+        monos = [tuple(rng.randint(0, 2) for _ in range(nv))
+                 for _ in range(rng.randint(1, 3))]
+        ideals.append(borel_closure(nv, [m for m in monos if any(m)]))
+    units = changed = 0
+    for trial, J in enumerate(ideals):
+        if J.is_zero:
+            continue
+        nv = J.num_vars
+        ring = RingCtx(nv, field)
+        I = PolyIdeal.make(ring, [Polynomial.from_dict(ring, {m: field.one})
+                                  for m in J.min_gens])
+        S = saturate_by_general_linear_form(I, seed=trial)
+        try:
+            expected = J.saturate_last()
+        except UnitIdealError:
+            units += 1
+            assert S.gens == (ring.constant(1),)
+            continue
+        changed += J.saturation_defect
+        G = buchberger(S)
+        top = J.max_gen_degree()
+        for d in range(top + 2):
+            members = {m for m in monomials_of_degree(nv, d)
+                       if is_member(Polynomial.from_dict(ring, {m: field.one}), G)}
+            assert members == bounded_saturation_members(J.min_gens, nv, d, top)
+            assert members == {m for m in monomials_of_degree(nv, d)
+                               if expected.contains(m)}
+    assert units and changed

@@ -9,14 +9,14 @@ from hypothesis import given, strategies as st
 
 from gintail.errors import (InhomogeneousError, RingMismatchError,
                             SingularMatrixError)
-from gintail.ring import (ELIM_FIRST, GREVLEX, MAX_PACKED_DEGREE,
-                          MAX_PRIME_MODULUS, Packing, Polynomial, PolyIdeal,
-                          PrimeField, QQ, RingCtx, _is_prime,
+from gintail.ring import (MAX_PACKED_DEGREE, MAX_PRIME_MODULUS, Packing,
+                          Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
+                          _is_prime,
                           apply_linear_change, compare_grevlex,
                           from_int_terms, int_terms, mono_divides, mono_mul,
                           seeded_invertible_matrix, seeded_linear_form)
-from oracles import (matrix_inv, naive_elim_first_less, naive_grevlex_less,
-                     naive_linear_change, random_poly, trial_division_is_prime)
+from oracles import (matrix_inv, naive_grevlex_less, naive_linear_change,
+                     random_poly, trial_division_is_prime)
 
 R4 = RingCtx(4)
 
@@ -141,13 +141,13 @@ mono_pairs = st.tuples(st.integers(1, 10), st.sampled_from([3, 3276])).flatmap(
     lambda shape: st.tuples(monos(*shape), monos(*shape)))
 
 
-@given(mono_pairs, st.sampled_from([GREVLEX, ELIM_FIRST]))
-def test_packed_monomials_match_tuple_definitions(pair, order):
+@given(mono_pairs)
+def test_packed_monomials_match_tuple_definitions(pair):
     a, b = pair
-    less = naive_grevlex_less if order == GREVLEX else naive_elim_first_less
-    pk = Packing(len(a), order)
+    pk = Packing(len(a))
     (da, ea), (db, eb) = pk.pack(a), pk.pack(b)
-    assert (da < db, da == db, da > db) == (less(a, b), a == b, less(b, a))
+    assert (da < db, da == db, da > db) == (
+        naive_grevlex_less(a, b), a == b, naive_grevlex_less(b, a))
     assert pk.unpack(ea) == a and pk.degree(ea) == sum(a)
     assert (not (eb - ea) & pk.guard) == mono_divides(a, b)
     assert (not (ea - eb) & pk.guard) == mono_divides(b, a)
@@ -167,8 +167,6 @@ def test_packing_refuses_degree_past_limit():
     for m in ((MAX_PACKED_DEGREE + 1, 0, 0), (2**16, 0, 0), (0, 2**15, 2**15)):
         with pytest.raises(ValueError, match="packed"):
             pk.pack(m)
-    with pytest.raises(ValueError, match="unknown order"):
-        Packing(3, "lex")
 
 
 # --- linear changes ----------------------------------------------------------
