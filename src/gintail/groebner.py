@@ -32,7 +32,10 @@ Identical inputs give bit-identical bases.
 The dual route, exact linear algebra, builds degree-d Macaulay rows and
 eliminates them with ring._sparse_pivots: the rank gives the Hilbert
 function that cross-checks initial ideals, and tag columns on the rows of a
-degree's generators pick a minimal generating set.
+degree's generators pick a minimal generating set.  Rows that only restate
+a Koszul syzygy are never built (F5's principal-syzygy criterion, on the
+leads of an echelon of each degree's generators): they lie in the span of
+the others, so the rank and the pivot columns do not change.
 """
 
 from __future__ import annotations
@@ -425,19 +428,54 @@ def _monomials_of_degree(n: int, d: int):
 
 
 def _macaulay_rows(gens, n: int, d: int) -> list:
-    """The degree-d Macaulay rows of gens: every monomial multiple m*g with
-    deg(m*g) = d, as a sparse row over the integer working form of g, whose
-    columns are the degree-d monomials in _monomials_of_degree order.  A
-    generator of degree d gives exactly one row."""
+    """Degree-d Macaulay rows spanning the degree-d piece of the ideal of
+    gens: monomial multiples m*g with deg(m*g) = d, as sparse rows over the
+    integer working form of g, whose columns are the degree-d monomials in
+    _monomials_of_degree order (ascending lex).  A generator of degree d
+    gives one row; these rows come last, in input order.
+
+    Rows that only restate a Koszul syzygy are never built.  The generators
+    of each lower degree are eliminated (_sparse_pivots): pivot k picks a
+    generator g_k, whose pivot row e_k is a multiple of g_k plus a
+    combination of e_1..e_(k-1), led by lt(e_k), the monomial of its pivot
+    column.  A generator that no pivot picks lies in their span and gives no
+    rows.  The row m*g_k is skipped when m is divisible by lt(e_j) for an
+    earlier e_j, of lower degree or of the same degree with j < k.  The span
+    does not change:
+    - F5's principal-syzygy criterion: with e_j = c*lt(e_j) + tail(e_j) and
+      m = u*lt(e_j), c*m*e_i = u*e_i*e_j - u*tail(e_j)*e_i, a sum of
+      multiples of e_j (in the span by induction on i) and of multiples of
+      e_i by u*t with t > lt(e_j) (by descending induction on m; lex is
+      multiplicative).  So the multiples of the e's not skipped span all.
+    - For a fixed m, those in one degree are m*e_1..m*e_k for some k (a
+      lead that skips m*e_k skips every later one), which span what
+      m*g_1..m*g_k span.
+    So the rank and the pivot columns are those of all multiples of gens,
+    over any field, and the rows keep the generators' own coefficients
+    rather than the echelon's larger ones.
+    """
     index = {m: i for i, m in enumerate(_monomials_of_degree(n, d))}
-    rows = []
+    p = gens[0].ring.field.p
+    lower: dict = {}
     for g in gens:
-        dg = g.degree()
-        if dg > d:
-            continue
-        work = int_terms(g)[0]
-        for mult in _monomials_of_degree(n, d - dg):
-            rows.append({index[mono_mul(m, mult)]: c for m, c in work.items()})
+        if g.degree() < d:
+            lower.setdefault(g.degree(), []).append(int_terms(g)[0])
+    rows = []
+    leads = []
+    for dg in sorted(lower):
+        monos = _monomials_of_degree(n, dg)
+        col = {m: k for k, m in enumerate(monos)}
+        group = lower[dg]
+        picks = _sparse_pivots([{col[m]: c for m, c in w.items()} for w in group], p)
+        mults = _monomials_of_degree(n, d - dg)
+        for k, i in picks.items():
+            for mult in mults:
+                if any(all(a >= b for a, b in zip(mult, lt)) for lt in leads):
+                    continue
+                rows.append({index[mono_mul(m, mult)]: c for m, c in group[i].items()})
+            leads.append(monos[k])
+    rows += [{index[m]: c for m, c in int_terms(g)[0].items()}
+             for g in gens if g.degree() == d]
     return rows
 
 
@@ -482,7 +520,7 @@ def minimal_generators(I: PolyIdeal) -> PolyIdeal:
         top = cols + len(batch) - 1
         for t, row in enumerate(rows[len(rows) - len(batch):]):
             row[top - t] = 1
-        pivots = set(_sparse_pivots(rows, ring.field.p))
+        pivots = _sparse_pivots(rows, ring.field.p)
         kept += [k for t, k in enumerate(batch) if top - t not in pivots]
     return PolyIdeal.make(ring, [I.gens[k] for k in sorted(kept)])
 

@@ -488,42 +488,52 @@ def from_int_terms(ring: RingCtx, d: dict, den: int = 1) -> Polynomial:
     return Polynomial.from_dict(ring, {m: Fp(c * inv, p) for m, c in d.items()})
 
 
-def _sparse_pivots(rows, p: int | None = None) -> list:
+def _sparse_pivots(rows, p: int | None = None) -> dict:
     """Pivot columns, ascending, of the row echelon form of a matrix given as
     sparse rows {column: coefficient}, with columns taken in increasing
     order: column c is a pivot exactly when some vector of the row space has
     its leading (smallest) nonzero entry in column c.  The rank is their
     number; the rows themselves are not modified.
 
+    Each pivot column maps to the index of the input row that became its
+    pivot row.  That row is rewritten only by earlier pivot rows, so for
+    every k the input rows picked by the first k pivots span the same space
+    as the first k pivot rows: their pivot columns are the first k.
+
     Over QQ (p None) the entries are integers and the rank is exact: a row is
     eliminated fraction-free, as (lc/g)*row - (c/g)*pivot with g = gcd(lc, c).
     Over GF(p) the same loop runs mod p.  Rows are bucketed by their leading
-    (smallest) column; columns are taken in increasing order, the bucket row
-    with the smallest |leading coefficient| becomes the pivot, and only the
-    other rows of that bucket are rewritten and re-bucketed.  Small pivots and
-    untouched rows keep integer entries from growing exponentially, as they do
-    when every row below a pivot is rescaled at every step.
+    (smallest) column; columns are taken in increasing order, one bucket row
+    becomes the pivot, and only the other rows of that bucket are rewritten
+    and re-bucketed.  Over QQ the pivot is the row with the smallest |leading
+    coefficient| (then the fewest entries): small pivots and untouched rows
+    keep integer entries from growing exponentially, as they do when every
+    row below a pivot is rescaled at every step.  Mod p every coefficient
+    costs the same, so the pivot is the row with the fewest entries, which
+    adds the fewest entries to the rows it rewrites.
     """
     buckets: dict = {}
-    for row in rows:
+    for i, row in enumerate(rows):
         if p is None:
             row = {k: v for k, v in row.items() if v}
         else:
             row = {k: v % p for k, v in row.items() if v % p}
         if row:
-            buckets.setdefault(min(row), []).append(row)
+            buckets.setdefault(min(row), []).append((i, row))
     cols = list(buckets)
     heapify(cols)
-    pivots = []
+    pivots = {}
     while cols:
         col = heappop(cols)
         bucket = buckets.pop(col)
-        pivots.append(col)
-        pivot = min(bucket, key=lambda r: abs(r[col]))
+        if p is None:
+            pivots[col], pivot = min(bucket, key=lambda e: (abs(e[1][col]), len(e[1])))
+        else:
+            pivots[col], pivot = min(bucket, key=lambda e: len(e[1]))
         lc = pivot[col]
         if p is not None:
             inv = pow(lc, -1, p)
-        for row in bucket:
+        for i, row in bucket:
             if row is pivot:
                 continue
             if p is None:
@@ -545,9 +555,9 @@ def _sparse_pivots(rows, p: int | None = None) -> list:
             if row:
                 lead = min(row)
                 if lead in buckets:
-                    buckets[lead].append(row)
+                    buckets[lead].append((i, row))
                 else:
-                    buckets[lead] = [row]
+                    buckets[lead] = [(i, row)]
                     heappush(cols, lead)
     return pivots
 
