@@ -12,13 +12,12 @@ from .errors import (GenericityError, GintailError, HypothesisError,
 from .gin import (GinCertificate, certificate_for_borel_ideal, compute_gin,
                   generic_section_gin)
 from .groebner import (GroebnerBasis, buchberger, hilbert_function_rank_oracle,
-                       ideals_equal, initial_ideal, is_member, reduce,
-                       saturate_by_general_linear_form, spoly, spoly_certificate)
+                       initial_ideal, saturate_by_general_linear_form)
 from .invariants import (HilbertPolynomial, SchemeProfile, depth_pd,
                          hilbert_polynomial, marginal_betti, nd1_check,
                          regularity, scheme_profile)
 from .ring import (Monomial, Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
-                   apply_linear_change, compare_grevlex)
+                   apply_linear_change)
 from .tailing import (TailingReport, XiMatrix, betti_from_normality,
                       build_tailing_report, cohomology_from_tailing,
                       degree_genus_from_tailing, hilbert_from_tailing,

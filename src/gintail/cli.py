@@ -360,9 +360,13 @@ def _write_report(report: dict, fmt: str, out_path: str | None) -> None:
     if out_path:
         d = os.path.dirname(os.path.abspath(out_path))
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".gintail-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     else:
         sys.stdout.write(text)
 
@@ -376,8 +380,8 @@ def _parse_field_flag(text: str | None):
         return None
     if text == "q":
         return QQ
-    if text.startswith("fp:"):
-        return PrimeField(int(text[3:]))
+    if text.startswith("fp:") and _is_number(text[3:]):
+        return PrimeField(_read_int(text[3:], None))
     raise ParseError("--field must be q or fp:<odd prime>")
 
 
@@ -504,6 +508,21 @@ def cmd_tailing(args) -> int:
     return cmd_ideal(args)
 
 
+def _read_vector(flag: str, text: str | None):
+    """A --b or --h vector: comma-separated entries, each an optional '-'
+    followed by ASCII digits."""
+    if not text:
+        return None
+    out = []
+    for entry in text.split(","):
+        digits = entry[1:] if entry.startswith("-") else entry
+        if not _is_number(digits):
+            raise ParseError(f"--{flag} entry {entry!r} is not an integer; give "
+                             "comma-separated integers such as 40,4")
+        out.append(_read_int(entry, None))
+    return out
+
+
 def _vector_tailing(args) -> int:
     if args.ideal:
         raise ParseError("give either an ideal file or literal vectors, not both")
@@ -515,8 +534,7 @@ def _vector_tailing(args) -> int:
         raise ParseError("published-vector mode needs --n and --e")
     if args.pd is not None and not args.e <= args.pd <= args.n + 1:
         raise ParseError(f"--pd must lie in e..n+1 = {args.e}..{args.n + 1}")
-    b, h = ([int(v) for v in text.split(",") if v.strip()] if text else None
-            for text in (args.b, args.h))
+    b, h = _read_vector("b", args.b), _read_vector("h", args.h)
     rep = vector_report(n=args.n, e=args.e, b=b, h=h, pd=args.pd)
     report = _base_report("tailing")
     report["input"] = {"mode": "vectors", "n": args.n, "e": args.e,

@@ -16,7 +16,10 @@ coprime integer coefficients, reduction cross-multiplies instead of dividing,
 and intermediate results are content-stripped, which is what keeps exact
 arithmetic feasible at this scale.  Over GF(p) the same loop runs on ints
 mod p.  Polynomials enter and leave this integer working form through
-ring.int_terms and ring.from_int_terms.
+ring.int_terms and ring.from_int_terms.  The division is internal to
+Buchberger's reductions and the interreduction of the reduced basis, which
+only need each remainder up to a nonzero scalar, so there is no public
+normal form.
 
 Inside the kernel a monomial is packed (ring.Packing): a working polynomial
 is a dict {D: c} keyed by the order key D, so a product of monomials is a
@@ -104,9 +107,9 @@ def _as_divisor(d: dict, table: dict):
     return (lm, table[lm], d[lm], tuple(d.items()))
 
 
-def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
-                 exact: bool = False):
-    """Core division loop on packed integer working polynomials.
+def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None) -> dict:
+    """Core division loop on packed integer working polynomials; returns the
+    remainder, which over QQ is right only up to a nonzero integer factor.
 
     Each step reduces the grevlex-largest term of the working polynomial.  It
     is found through a max-heap of the D keys (pushed negated): a monomial is
@@ -115,16 +118,14 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
     later term is smaller, so it never returns).  Divisors, as _as_divisor
     builds them, are tried in list order, the leading term first.  Over QQ
     the reduction is fraction-free: to cancel the lead it scales the whole
-    remainder-in-progress by lc(g)/gcd instead of dividing, and returns the
-    accumulated scale so exact callers can undo it.  In non-exact mode the
-    working polynomial is content-stripped as it goes.
+    remainder-in-progress by lc(g)/gcd instead of dividing, and every 8 steps
+    it divides out the content of the working polynomial and remainder.
     """
     guard = pk.guard
     p = dict(p)
     heap = [-m for m in p]
     heapify(heap)
     remainder: dict = {}
-    scale = 1
     steps = 0
     while p:
         m = -heappop(heap)
@@ -149,7 +150,6 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
             if a < 0:
                 a, b = -a, -b
             if a != 1:
-                scale *= a
                 for mm in p:
                     p[mm] *= a
                 for mm in remainder:
@@ -173,7 +173,7 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
                 else:
                     del p[mm]
         steps += 1
-        if not exact and p_mod is None and steps % 8 == 0 and p:
+        if p_mod is None and steps % 8 == 0 and p:
             g = 0
             for cc in p.values():
                 g = gcd(g, cc)
@@ -182,7 +182,7 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None,
             if g > 1:
                 p = {m: c // g for m, c in p.items()}
                 remainder = {m: c // g for m, c in remainder.items()}
-    return remainder, scale
+    return remainder
 
 
 def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict,
@@ -210,48 +210,6 @@ def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict,
             else:
                 out.pop(mm, None)
     return out
-
-
-# ---------------------------------------------------------------------------
-# public division / normal form
-# ---------------------------------------------------------------------------
-
-def reduce(f: Polynomial, G) -> Polynomial:
-    """Normal form of f modulo the polynomial list G: no term of the result is
-    divisible by any leading monomial of G, and f minus the result lies in the
-    ideal generated by G.  Divisors are tried in list order (deterministic);
-    empty G returns f unchanged."""
-    ring = f.ring
-    for g in G:
-        ring.check_same(g.ring)
-    pk = Packing(ring.num_vars)
-    table: dict = {}
-    divisors = [_as_divisor(_pack_work(int_terms(g)[0], pk, table), table)
-                for g in G if not g.is_zero]
-    if not divisors:
-        return f
-    work, den = int_terms(f)
-    rem, scale = _reduce_work(_pack_work(work, pk, table), divisors, table, pk,
-                              ring.field.p, exact=True)
-    return from_int_terms(ring, _unpack_work(rem, pk, table), scale * den)
-
-
-def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, normalized so both leading
-    terms cancel exactly."""
-    p_mod = f.ring.field.p
-    pk = Packing(f.ring.num_vars)
-    table: dict = {}
-    df, dg = (_as_divisor(_pack_work(int_terms(h)[0], pk, table), table)
-              for h in (f, g))
-    lcm, lcm_e = pk.pack(mono_lcm(pk.unpack(df[1]), pk.unpack(dg[1])))
-    s = _spoly_work(df, dg, lcm, lcm_e, table, p_mod)
-    # with f', g' the integer forms shifted up to the lcm, _spoly_work returns
-    # lcg/h * f' - lcf/h * g' (h = gcd(lcf, lcg)) over QQ and
-    # f' - lcf/lcg * g' over GF(p)
-    lcf, lcg = df[2], dg[2]
-    den = lcf * lcg // gcd(lcf, lcg) if p_mod is None else lcf
-    return from_int_terms(f.ring, _unpack_work(s, pk, table), den)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +290,7 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
         if chained:
             continue
         s = _spoly_work(G[i], G[j], lcm, lcm_e, table, p_mod)
-        r, _ = _reduce_work(s, G, table, pk, p_mod)
+        r = _reduce_work(s, G, table, pk, p_mod)
         if r:
             if p_mod is None:
                 r = _strip_int(r)
@@ -356,7 +314,7 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     out = []
     for idx in range(len(kept)):
         others = kept[:idx] + kept[idx + 1:]
-        r, _ = _reduce_work(dict(kept[idx][3]), others, table, pk, p_mod)
+        r = _reduce_work(dict(kept[idx][3]), others, table, pk, p_mod)
         if p_mod is None:
             r = _strip_int(r)
         out.append(from_int_terms(ring, _unpack_work(r, pk, table)).monic())
@@ -374,29 +332,6 @@ def initial_ideal(G: GroebnerBasis) -> MonomialIdeal:
     leading monomials are exactly the minimal generators."""
     return MonomialIdeal.make(G.ring.num_vars,
                               [g.lead_monomial() for g in G.elements])
-
-
-def is_member(f: Polynomial, G: GroebnerBasis) -> bool:
-    return reduce(f, G.elements).is_zero
-
-
-def ideals_equal(I: PolyIdeal, J: PolyIdeal) -> bool:
-    """Membership-equality in both directions via reduced bases."""
-    GI = buchberger(I)
-    GJ = buchberger(J)
-    return (all(is_member(g, GI) for g in J.gens)
-            and all(is_member(g, GJ) for g in I.gens))
-
-
-def spoly_certificate(G: GroebnerBasis) -> bool:
-    """Re-check the full Buchberger criterion on a finished basis: every
-    S-polynomial reduces to zero."""
-    els = G.elements
-    for j in range(len(els)):
-        for i in range(j):
-            if not reduce(spoly(els[i], els[j]), list(els)).is_zero:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

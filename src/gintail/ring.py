@@ -213,15 +213,6 @@ def grevlex_desc_key(m: Mono):
     return (-sum(m),) + m[::-1]
 
 
-def compare_grevlex(a: Mono, b: Mono) -> int:
-    """-1, 0, or 1 as a <, ==, > b in grevlex."""
-    if len(a) != len(b):
-        raise RingMismatchError(
-            f"monomials live in different rings ({len(a)} vs {len(b)} variables)")
-    ka, kb = grevlex_desc_key(a), grevlex_desc_key(b)
-    return (ka < kb) - (ka > kb)
-
-
 # ---------------------------------------------------------------------------
 # packed monomials
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: brute-force
 enumeration, literal definitions, and series expansions, so that agreement
-with the fast paths is evidence and not circularity.
+with the fast paths is evidence and not circularity.  The library keeps no
+normal form or S-polynomial of its own: the tests divide by naive_normal_form
+and form S-polynomials with naive_spoly, both on Polynomial arithmetic.
 """
 
 import itertools
@@ -215,6 +217,20 @@ def naive_largest(monos, less):
         if best is None or less(best, m):
             best = m
     return best
+
+
+def naive_spoly(f, g, less):
+    """S-polynomial lcm/lt(f) * f - lcm/lt(g) * g of two nonzero polynomials
+    by Polynomial products, each leading term found by a full scan under the
+    order less(a, b), so both leading terms cancel exactly."""
+    ring = f.ring
+    lms = [naive_largest(h.term_dict(), less) for h in (f, g)]
+    lcm = tuple(map(max, *lms))
+    f_part, g_part = (
+        Polynomial.from_dict(ring, {tuple(x - y for x, y in zip(lcm, lm)):
+                                    ring.field.one / h.term_dict()[lm]}) * h
+        for h, lm in zip((f, g), lms))
+    return f_part - g_part
 
 
 def naive_normal_form(f, G, less):

@@ -311,6 +311,26 @@ def test_field_override_flag(tmp_path):
     assert rep["generators"] == ["x0^2", "x0*x1^3", "x1^4", "x0*x1^2*x2", "x1^3*x2"]
 
 
+@pytest.mark.parametrize("field", ["fp:32_003", "fp: 32003", "fp:+32003 ",
+                                   "fp:-7", "fp:", "fp:3²", "q "])
+def test_field_flag_needs_the_file_grammar(capsys, field):
+    # the file's `field fp <p>` line takes ASCII digits only, and so does the
+    # flag: int() would accept the underscore, sign and spaces
+    assert run_cli("gin", _fixture_path("twisted_cubic"), "--field", field) == 2
+    assert "--field must be q or fp:<odd prime>" in capsys.readouterr().err
+
+
+def test_out_failure_leaves_no_temp_file(tmp_path, capsys):
+    # the report is written to a temp file beside the target and renamed;
+    # a rename onto a directory fails, and the temp file goes with it
+    target = tmp_path / "existing_dir"
+    target.mkdir()
+    assert run_cli("gin", _fixture_path("twisted_cubic"), "--out", str(target)) == 2
+    assert "input error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing_dir"]
+    assert not list(target.iterdir())
+
+
 def test_corpus_unknown_fixture_is_input_error():
     assert run_cli("corpus", "--only", "no_such_fixture") == 2
 
@@ -393,6 +413,24 @@ def test_vector_mode_pd_must_lie_in_e_to_n_plus_1(capsys, pd, code):
     assert run_cli("tailing", "--b", "5,1", "--n", "3", "--e", "2", "--pd", pd) == code
     if code:
         assert "--pd must lie in e..n+1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,vector", [
+    ("--b", "40,,4"), ("--b", "4_0,4,"), ("--b", "40, 4"), ("--b", "+40,4"),
+    ("--h", "4,4,"), ("--h", ",4,4"), ("--h", "4,-"), ("--h", "4,４"),
+])
+def test_vector_entries_must_be_integers(capsys, flag, vector):
+    # every comma-separated entry is an optional '-' then ASCII digits; an
+    # empty or malformed entry is refused rather than dropped
+    assert run_cli("tailing", flag + "=" + vector, "--n", "9", "--e", "8") == 2
+    assert f"{flag} entry" in capsys.readouterr().err
+
+
+def test_vector_entries_may_be_negative(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("tailing", "--b=-40,4", "--n", "9", "--e", "8",
+                   "--format", "json", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["input"]["b"] == [-40, 4]
 
 
 def test_degree_past_packed_limit_is_input_error(tmp_path, capsys):
