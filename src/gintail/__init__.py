@@ -3,8 +3,8 @@ ideals of low-regularity projective subschemes: Buchberger bases, Borel-fixed
 combinatorics, Eliahou-Kervaire Betti tables, ND(1) section analysis, and the
 tailing-Betti / sectional-1-normality transform."""
 
-from .borel import (BettiTable, GeneratorStratum, MonomialIdeal, borel_closure,
-                    ek_betti, hilbert_function, is_borel_fixed, stratum)
+from .borel import (BettiTable, MonomialIdeal, borel_closure, ek_betti,
+                    hilbert_function, is_borel_fixed, stratum)
 from .errors import (GenericityError, GintailError, HypothesisError,
                      InhomogeneousError, InternalCheckError, NotBorelFixedError,
                      ParseError, RegularityError, RingMismatchError,

@@ -92,9 +92,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.min_gens
 
-    def contains(self, m: Mono) -> bool:
-        return any(mono_divides(g, m) for g in self.min_gens)
-
     def gens_of_degree(self, d: int) -> tuple:
         return tuple(g for g in self.min_gens if mono_degree(g) == d)
 
@@ -192,22 +189,9 @@ def borel_closure(num_vars: int, monos) -> MonomialIdeal:
 # generator strata M_i(d, J)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorStratum:
+def stratum(J: MonomialIdeal, d: int, i: int) -> frozenset:
     """Minimal generators of degree d whose largest variable index is exactly i."""
-
-    d: int
-    i: int
-    members: frozenset
-
-    def __len__(self):
-        return len(self.members)
-
-
-def stratum(J: MonomialIdeal, d: int, i: int) -> GeneratorStratum:
-    members = frozenset(
-        g for g in J.gens_of_degree(d) if mono_max_index(g) == i)
-    return GeneratorStratum(d, i, members)
+    return frozenset(g for g in J.gens_of_degree(d) if mono_max_index(g) == i)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ class GenericityError(GintailError):
 
 
 class SaturationRetryError(GintailError):
-    """Post-hoc check found the saturation result still unsaturated; the
-    random linear form was non-generic.  Retry with a new seed."""
+    """The random linear form L of a saturation lies in an associated prime
+    other than the irrelevant ideal m, so I : L^infinity is larger than the
+    saturation.  Retry with a new seed."""
 
 
 class HypothesisError(GintailError):

@@ -476,7 +476,7 @@ def _moved(I: PolyIdeal, M) -> tuple:
 def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
                          target: MonomialIdeal | None = None) -> MonomialIdeal:
     """Grevlex initial ideal after one seeded random coordinate change; one
-    genericity trial of compute_gin and one probe of the saturation check.
+    genericity trial of compute_gin.
 
     The run stops at a minimal basis, since only its leads are read.  target,
     an initial ideal of I in other coordinates (an earlier trial's), lets it
@@ -519,28 +519,50 @@ def _to_last_variable(L: Polynomial) -> tuple:
     return forward, back
 
 
+def _colon_has_finite_length(leads) -> bool:
+    """Whether in(I) : x_last^infinity / in(I) has finite length, for leads
+    the minimal generators of in(I): whether each lead u stripped of x_last,
+    times a power of each x_i (i < last), lies in in(I), that is, some lead v
+    without x_last has v_j <= u_j for every j other than i."""
+    last = len(leads[0]) - 1
+    base = [v[:last] for v in leads if not v[last]]
+    return all(
+        any(all(a <= b for j, (a, b) in enumerate(zip(v, u)) if j != i) for v in base)
+        for u in (w[:last] for w in leads if w[last]) for i in range(last))
+
+
 def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
                                     bound: int = 1000) -> PolyIdeal:
     """I : L^infinity for a seeded random linear form L; for general L this is
-    the saturation with respect to the irrelevant maximal ideal, because a
-    general linear form misses every associated prime except possibly the
-    irrelevant one.
+    the saturation I^sat with respect to the irrelevant maximal ideal m,
+    because a general linear form misses every associated prime but m.
 
     L is moved to the last variable (_to_last_variable).  For grevlex,
     in(J : x_last) = in(J) : x_last (Bayer and Stillman), so each element of
     a minimal basis of the moved ideal, divided by its largest power of
     x_last (that of its lead), gives a basis of the saturation.  Its
     minimal_generators are mapped back and content-stripped (monic over
-    GF(p)).  Two probes check the result: its initial ideal after a random
-    change, the second aimed at the first's, must have no minimal generator
-    involving the last variable (see seeded_initial_ideal).  A failed check
-    raises SaturationRetryError so the caller can retry with a fresh seed.
+    GF(p)).
+
+    The result J is checked exactly, from the leads alone.  J is saturated
+    (J : m is inside J : L = J) and contains I^sat, so J = I^sat iff R/J and
+    R/I have the same Hilbert polynomial, iff in(J)/in(I) has finite length,
+    where in(J) = in(I) : x_last^infinity in the moved coordinates
+    (_colon_has_finite_length).  This holds over any field, and fails
+    exactly when L lies in an associated prime P != m of I (then J =
+    I^sat : L^infinity is larger than I^sat); SaturationRetryError then asks
+    the caller to retry with a fresh seed.
     """
     ring = I.ring
     forward, back = _to_last_variable(
         seeded_linear_form(ring, _mix_seed(seed, 0), bound))
+    basis = _buchberger_raw(ring, _moved(I, forward), reduced=False).elements
+    if not _colon_has_finite_length([g.lead_monomial() for g in basis]):
+        raise SaturationRetryError(
+            f"the linear form of seed {seed} lies in an associated prime "
+            "other than the irrelevant ideal; retry with a new seed")
     divided = []
-    for g in _buchberger_raw(ring, _moved(I, forward), reduced=False).elements:
+    for g in basis:
         a = g.lead_monomial()[-1]
         divided.append(Polynomial.from_dict(
             ring, {m[:-1] + (m[-1] - a,): c for m, c in g.terms}))
@@ -548,13 +570,5 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
         return PolyIdeal.make(ring, [ring.constant(1)])
     sat = minimal_generators(PolyIdeal.make(ring, divided))
     # over QQ the numerators of a monic polynomial are coprime
-    result = PolyIdeal.make(ring, [from_int_terms(ring, int_terms(g.monic())[0])
-                                   for g in apply_linear_change(sat.gens, back)])
-
-    ini = None      # the first probe is the second one's target
-    for probe in (1, 2):
-        ini = seeded_initial_ideal(result, _mix_seed(seed, probe), bound, ini)
-        if ini.saturation_defect:
-            raise SaturationRetryError(
-                f"saturation check failed for seed {seed}; retry with a new seed")
-    return result
+    return PolyIdeal.make(ring, [from_int_terms(ring, int_terms(g.monic())[0])
+                                 for g in apply_linear_change(sat.gens, back)])

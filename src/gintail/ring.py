@@ -347,9 +347,6 @@ class Polynomial:
         items.sort(key=lambda t: grevlex_desc_key(t[0]))
         return cls(ring, items)
 
-    def term_dict(self) -> dict:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -311,7 +311,7 @@ def structure_check(cert: GinCertificate, profile: SchemeProfile,
     e = profile.codim
     failures = []
 
-    top = stratum(J, 3, n - 1).members
+    top = stratum(J, 3, n - 1)
     r = len(top)
     t_list = []
     for m in top:

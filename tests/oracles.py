@@ -43,6 +43,12 @@ def divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def in_monomial_ideal(m, J):
+    """Whether the monomial m lies in the monomial ideal J: some minimal
+    generator divides it."""
+    return any(divides(g, m) for g in J.min_gens)
+
+
 def naive_minimal_set(monos):
     """Minimal monomial set by testing every monomial against every kept one,
     in grevlex-ascending order so each divisor comes before its multiples;
@@ -224,11 +230,11 @@ def naive_spoly(f, g, less):
     by Polynomial products, each leading term found by a full scan under the
     order less(a, b), so both leading terms cancel exactly."""
     ring = f.ring
-    lms = [naive_largest(h.term_dict(), less) for h in (f, g)]
+    lms = [naive_largest(dict(h.terms), less) for h in (f, g)]
     lcm = tuple(map(max, *lms))
     f_part, g_part = (
         Polynomial.from_dict(ring, {tuple(x - y for x, y in zip(lcm, lm)):
-                                    ring.field.one / h.term_dict()[lm]}) * h
+                                    ring.field.one / dict(h.terms)[lm]}) * h
         for h, lm in zip((f, g), lms))
     return f_part - g_part
 

@@ -5,7 +5,8 @@ import pytest
 
 from gintail.borel import (MonomialIdeal, borel_closure, hilbert_function,
                            is_borel_fixed)
-from gintail.errors import NotBorelFixedError, UnitIdealError
+from gintail.errors import (NotBorelFixedError, SaturationRetryError,
+                            UnitIdealError)
 from gintail.gin import compute_gin
 from gintail import groebner
 from gintail.fixtures import (ci_three_quadrics, ci_two_quadrics,
@@ -20,7 +21,7 @@ from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, seeded_invertible_matrix,
                           seeded_linear_form)
 from oracles import (bounded_saturation_members, dense_standard_count,
-                     monomials_of_degree, naive_grevlex_less,
+                     in_monomial_ideal, monomials_of_degree, naive_grevlex_less,
                      naive_normal_form, naive_spoly, series_quotient_coeffs)
 
 R3 = RingCtx(3)
@@ -449,7 +450,7 @@ def linear_form_seed(ring, bound, last_is_zero):
     coefficient on the last variable."""
     for seed in range(100_000):
         L = seeded_linear_form(ring, _mix_seed(seed, 0), bound)
-        if (ring.var_mono(ring.num_vars - 1) not in L.term_dict()) == last_is_zero:
+        if (ring.var_mono(ring.num_vars - 1) not in dict(L.terms)) == last_is_zero:
             return seed
     raise AssertionError("no such seed")
 
@@ -467,7 +468,7 @@ def test_moving_the_form_to_the_last_variable(field, last_is_zero):
     for L in forms:
         forward, back = groebner._to_last_variable(L)
         k = max(m.index(1) for m, _ in L.terms)
-        ck = L.term_dict()[ring.var_mono(k)]
+        ck = dict(L.terms)[ring.var_mono(k)]
         assert apply_linear_change([L], forward) == (
             ring.variable(3).scale(ck),)
         scale = field.one
@@ -478,16 +479,19 @@ def test_moving_the_form_to_the_last_variable(field, last_is_zero):
             assert apply_linear_change(moved, back) == (f.scale(scale),)
 
 
+def times_every_variable(Q: PolyIdeal) -> PolyIdeal:
+    ring = Q.ring
+    return PolyIdeal.make(ring, [ring.variable(k) * q for q in Q.gens
+                                 for k in range(ring.num_vars)])
+
+
 @FIELDS
 @pytest.mark.parametrize("count,nv", [(2, 5), (3, 4)])
 def test_saturate_drops_a_multiple_by_every_variable(field, count, nv):
     # (x_k * q_j for all k, j) = m * (q) saturates to the complete
     # intersection (q); over QQ the generators come back primitive
     Q = over(random_quadrics(count, nv, 8), field)
-    ring = Q.ring
-    I = PolyIdeal.make(ring, [ring.variable(k) * q for q in Q.gens
-                              for k in range(nv)])
-    S = saturate_by_general_linear_form(I, seed=3)
+    S = saturate_by_general_linear_form(times_every_variable(Q), seed=3)
     assert same_ideal(S, Q)
     assert [g.degree() for g in S.gens] == [2] * count
     for g in S.gens:
@@ -507,8 +511,8 @@ def test_saturate_with_a_form_missing_the_last_variable(field):
     x = [ring.variable(i) for i in range(4)]
     Q = PolyIdeal.make(ring, [x[0] * x[3] - x[1] * x[2],
                               x[0] * x[2] + x[1] * x[1] - x[3] * x[3]])
-    I = PolyIdeal.make(ring, [v * q for q in Q.gens for v in x])
-    assert same_ideal(saturate_by_general_linear_form(I, seed=seed), Q)
+    assert same_ideal(saturate_by_general_linear_form(times_every_variable(Q),
+                                                      seed=seed), Q)
 
 
 @FIELDS
@@ -557,5 +561,118 @@ def test_saturate_monomial_input_matches_saturate_last(field):
                                           G.elements)}
             assert members == bounded_saturation_members(J.min_gens, nv, d, top)
             assert members == {m for m in monomials_of_degree(nv, d)
-                               if expected.contains(m)}
+                               if in_monomial_ideal(m, expected)}
     assert units and changed
+
+
+# --- the saturation's own check ------------------------------------------------
+# With bound=1 the seeded form L often lies in an associated prime other than
+# the irrelevant ideal; the call must raise exactly then, and otherwise return
+# the saturation.
+
+def saturation_form(ring, seed):
+    """The coefficients of L on each variable, for saturate(..., bound=1)."""
+    terms = dict(seeded_linear_form(ring, _mix_seed(seed, 0), 1).terms)
+    return [terms.get(ring.var_mono(k), 0) for k in range(ring.num_vars)]
+
+
+def saturates_or_raises(I, seed):
+    """The saturation for bound=1, or None when it raised."""
+    try:
+        return saturate_by_general_linear_form(I, seed=seed, bound=1)
+    except SaturationRetryError:
+        return None
+
+
+def test_saturate_three_lines_raises_exactly_on_an_associated_prime():
+    # I is saturated; its associated primes are the three lines and the
+    # embedded point (0:0:0:1) on all of them, so L lies in one of them iff
+    # its x3 coefficient is 0
+    I = load_bundled_ideal("three_lines_embedded_point")
+    gin = MonomialIdeal.make(4, [(2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
+                                 (0, 3, 0, 0)])
+    raised = []
+    for seed in range(8):
+        S = saturates_or_raises(I, seed)
+        assert (S is None) == (saturation_form(I.ring, seed)[3] == 0)
+        if S is None:
+            raised.append(seed)
+        else:
+            assert compute_gin(S).gin == gin
+    assert raised == [4]
+
+
+def test_saturate_a_point_and_a_line_raises_exactly_on_their_primes():
+    # (x0*x1, x0*x2) = (x0) cap (x1, x2) is saturated
+    ring = R3
+    x = [ring.variable(k) for k in range(3)]
+    I = PolyIdeal.make(ring, [x[0] * x[1], x[0] * x[2]])
+    kinds = set()
+    for seed in range(40):
+        c = saturation_form(ring, seed)
+        S = saturates_or_raises(I, seed)
+        kinds.add(S is None)
+        assert (S is None) == (c[0] == 0 or c[1] == c[2] == 0)
+        if S is not None:
+            assert same_ideal(S, I)
+    assert kinds == {True, False}
+
+
+def test_saturate_a_hyperplane_raises_exactly_on_its_form():
+    ring = R3
+    I = PolyIdeal.make(ring, [ring.variable(0)])
+    raised = []
+    for seed in range(40):
+        c = saturation_form(ring, seed)
+        S = saturates_or_raises(I, seed)
+        assert (S is None) == (c[1] == c[2] == 0)
+        if S is None:
+            raised.append(seed)
+        else:
+            assert S == I
+    assert raised == [6, 21, 29, 38]
+
+
+def test_saturate_a_primary_to_the_maximal_ideal_to_the_unit_ideal():
+    # m is its only associated prime, so no form raises
+    ring = R3
+    I = PolyIdeal.make(ring, [P(ring, {m: 1}) for m in
+                              ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2))])
+    for seed in range(8):
+        assert saturates_or_raises(I, seed).gens == (ring.constant(1),)
+
+
+@FIELDS
+@pytest.mark.parametrize("name", ["unsaturated_pair", "three_lines_embedded_point",
+                                  "quadrics_times_variables"])
+def test_gin_of_the_saturation_is_the_colon_of_the_gin(name, field):
+    # a second route: in generic coordinates Gin(I^sat) = Gin(I) : x_last^inf;
+    # the three lines with their embedded point are already saturated
+    if name == "quadrics_times_variables":
+        I = over(times_every_variable(random_quadrics(2, 4, 8)), field)
+    else:
+        I = over(load_bundled_ideal(name), field)
+    S = saturate_by_general_linear_form(I, seed=5)
+    gin = compute_gin(I, seed=6).gin
+    assert gin.saturation_defect == (name != "three_lines_embedded_point")
+    assert compute_gin(S, seed=7).gin == gin.saturate_last()
+
+
+def test_saturate_runs_one_basis_and_two_changes(monkeypatch):
+    calls = []
+
+    def spy(name):
+        counted = getattr(groebner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return counted(*args, **kwargs)
+        monkeypatch.setattr(groebner, name, counting)
+
+    for name in ("_buchberger_raw", "apply_linear_change", "seeded_initial_ideal"):
+        spy(name)
+    I = times_every_variable(random_quadrics(2, 4, 8))
+    S = saturate_by_general_linear_form(I, seed=3)
+    assert sorted(calls) == ["_buchberger_raw", "apply_linear_change",
+                             "apply_linear_change"]
+    assert same_ideal(S, random_quadrics(2, 4, 8))

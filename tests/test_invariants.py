@@ -12,7 +12,7 @@ from gintail.invariants import (depth_pd, h1_restriction_jump,
                                 h1_stratum_count, hilbert_polynomial,
                                 marginal_betti, nd1_check, regularity,
                                 scheme_profile)
-from oracles import betti_regularity, ek_alternating_hf
+from oracles import betti_regularity, ek_alternating_hf, in_monomial_ideal
 
 NONREDUCED = MonomialIdeal.make(4, [
     (3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0), (2, 0, 1, 0)])
@@ -77,7 +77,7 @@ def test_hilbert_polynomial_matches_hf_on_random_borel_closures():
         table = ek_betti(J)
         betti_route = [ek_alternating_hf(table.entries, nv, t) for t in points]
         assert [hilbert_function(J, t) for t in points] == betti_route
-        if J.contains((0,) * (nv - 1) + (reg,)):
+        if in_monomial_ideal((0,) * (nv - 1) + (reg,), J):
             kinds["empty"] += 1
             with pytest.raises(ValueError, match="empty schemes"):
                 hilbert_polynomial(J)

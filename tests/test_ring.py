@@ -228,7 +228,7 @@ def test_linear_change_of_x0_to_the_1600_is_fast():
     assert time.perf_counter() - start < 5
     assert len(moved.terms) == 1601
     for k in (0, 1, 800, 1599, 1600):
-        assert moved.term_dict()[(k, 1600 - k)] == comb(1600, k) * 3**k * (-2)**(1600 - k)
+        assert dict(moved.terms)[(k, 1600 - k)] == comb(1600, k) * 3**k * (-2)**(1600 - k)
 
 
 def test_samplers_reject_bound_below_one():
