@@ -1,10 +1,11 @@
 """Combinatorics of monomial ideals, with the Borel-fixed case as the star.
 
-A monomial ideal is stored by its minimal generating set.  For Borel-fixed
-ideals (closed under the variable swaps x_i*m in J => x_j*m in J for j <= i,
-the characteristic-0 criterion, tested by whether the adjacent moves
-j = i - 1 of the minimal generators leave the minimal set unchanged) the
-Eliahou-Kervaire decomposition gives every graded Betti number of R/J and
+A monomial ideal is stored by its minimal generating set, found by the packed
+divisibility test, so a monomial past ring.MAX_PACKED_DEGREE is refused.  For
+Borel-fixed ideals (closed under the variable swaps x_i*m in J => x_j*m in J
+for j <= i, the characteristic-0 criterion, tested by whether the adjacent
+moves j = i - 1 of the minimal generators leave the minimal set unchanged)
+the Eliahou-Kervaire decomposition gives every graded Betti number of R/J and
 its Hilbert function in closed form, and restriction / saturation in the
 last variable implement general hyperplane sections at the monomial level.
 """
@@ -18,8 +19,8 @@ from math import comb, factorial
 from operator import mul
 
 from .errors import NotBorelFixedError, UnitIdealError
-from .ring import (MAX_PACKED_DEGREE, Mono, Packing, mono_degree, mono_divides,
-                   mono_max_index)
+from .ring import (MAX_PACKED_DEGREE, Mono, Packing, mono_degree,
+                   mono_max_index, packed_overflow)
 
 #: entries kept by each memo here: one borel_tailing pass fills about 200 for
 #: the Borel check and 300 for _hf, and a long-running process must not grow
@@ -39,26 +40,22 @@ def _minimal_set(num_vars: int, monos) -> tuple:
     order.  Monomials of one degree never divide each other, so each degree,
     ascending, is tested only against the monomials kept from lower degrees,
     by the Groebner kernel's packed test: a | b iff (E(b) - E(a)) & guard == 0
-    on ring.Packing's E words (mono_divides past MAX_PACKED_DEGREE)."""
+    on ring.Packing's E words, refusing a degree past MAX_PACKED_DEGREE."""
     by_degree: dict = {}
     for m in set(monos):
         by_degree.setdefault(sum(m), []).append(m)
-    packed = bool(by_degree) and max(by_degree) <= MAX_PACKED_DEGREE
-    if packed:
-        packing = _packing(num_vars)
-        fields, guard = packing.fields, packing.guard
+    degrees = sorted(by_degree)
+    if degrees and degrees[-1] > MAX_PACKED_DEGREE:
+        raise packed_overflow(degrees[-1])
+    packing = _packing(num_vars)
+    fields, guard = packing.fields, packing.guard
     kept: list = []
-    lower: list = []    # the kept monomials of lower degree, packed if packed
-    for d in sorted(by_degree):
+    lower: list = []    # the E words of the kept monomials of lower degree
+    for d in degrees:
         batch = []
         for m in sorted(by_degree[d], key=_gen_sort_key):
-            if packed:
-                w = sum(map(mul, m, fields))
-                divided = any(not (w - k) & guard for k in lower)
-            else:
-                w = m
-                divided = any(mono_divides(k, m) for k in lower)
-            if not divided:
+            w = sum(map(mul, m, fields))
+            if not any(not (w - k) & guard for k in lower):
                 kept.append(m)
                 batch.append(w)
         lower += batch
@@ -168,8 +165,12 @@ def require_borel(J: MonomialIdeal):
 def borel_closure(num_vars: int, monos) -> MonomialIdeal:
     """Smallest Borel-fixed ideal containing the given monomials: close the
     generator set under adjacent moves x_i -> x_{i-1}, which chain into every
-    move x_i -> x_j (j < i), then minimalize."""
+    move x_i -> x_j (j < i), then minimalize.  Moves keep degrees, so a
+    degree past MAX_PACKED_DEGREE is refused before the closure runs."""
     seen = set(tuple(m) for m in monos)
+    top = max(map(sum, seen), default=0)
+    if top > MAX_PACKED_DEGREE:
+        raise packed_overflow(top)
     queue = list(seen)
     while queue:
         m = queue.pop()

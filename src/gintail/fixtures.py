@@ -19,7 +19,7 @@ from .gin import certificate_for_borel_ideal, compute_gin
 from .groebner import hilbert_function_rank_oracle
 from .invariants import (h1_restriction_jump, h1_stratum_count, marginal_betti,
                          scheme_profile)
-from .ring import Polynomial, PolyIdeal, QQ, RingCtx
+from .ring import Polynomial, PolyIdeal, RingCtx
 from .tailing import build_tailing_report, vector_report
 
 
@@ -48,7 +48,7 @@ def five_lines_ideal(seed: int = 2024, bound: int = 9) -> PolyIdeal:
         coeffs = [rng.randint(-bound, bound) for _ in range(4)]
         if any(coeffs):
             forms.append(Polynomial.from_dict(
-                ring, {ring.var_mono(i): QQ.of(c) for i, c in enumerate(coeffs) if c}))
+                ring, {ring.var_mono(i): c for i, c in enumerate(coeffs)}))
     pattern = [(0, 1, 2), (0, 1, 3), (0, 3, 4), (3, 4, 5), (0, 1, 6)]
     return PolyIdeal.make(ring, [forms[a] * forms[b] * forms[c]
                                  for a, b, c in pattern])
@@ -69,7 +69,7 @@ def random_quadrics(count: int, num_vars: int, seed: int,
             expo = [0] * num_vars
             for i in pair:
                 expo[i] += 1
-            d[tuple(expo)] = QQ.of(rng.randint(-bound, bound))
+            d[tuple(expo)] = rng.randint(-bound, bound)
         gens.append(Polynomial.from_dict(ring, d))
     return PolyIdeal.make(ring, gens)
 

@@ -42,7 +42,7 @@ from .borel import MonomialIdeal, is_borel_fixed
 from .errors import GenericityError, NotBorelFixedError
 from .groebner import (HF_CHECK_LIMIT, _mix_seed, hilbert_function_rank_oracle,
                        minimal_generators, seeded_initial_ideal)
-from .ring import PolyIdeal, QQ, RingCtx
+from .ring import PolyIdeal, RingCtx
 
 #: entry bound of trial 1's coordinate change over QQ (see the module text)
 FIRST_TRIAL_BOUND = 10
@@ -171,7 +171,7 @@ def _trial_problem(first: MonomialIdeal, others: list, seeds: tuple) -> str | No
     return None
 
 
-def certificate_for_borel_ideal(J: MonomialIdeal, field=QQ) -> GinCertificate:
+def certificate_for_borel_ideal(J: MonomialIdeal) -> GinCertificate:
     """Certificate for an already Borel-fixed monomial ideal.
 
     A Borel-fixed ideal is its own generic initial ideal, so the exact route
@@ -188,7 +188,7 @@ def certificate_for_borel_ideal(J: MonomialIdeal, field=QQ) -> GinCertificate:
             f"saturation defect: generators involve x{nv - 1}; "
             "ideal is not saturated")
     return GinCertificate(
-        gin=J, ring=RingCtx(nv, field), trial_seeds=(), agreements=0,
+        gin=J, ring=RingCtx(nv), trial_seeds=(), agreements=0,
         borel_verified=True, field_mode="monomial", certified=True,
         method="borel-fixed", hf_checked=True, warnings=tuple(warnings))
 

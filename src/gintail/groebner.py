@@ -27,9 +27,9 @@ sum, the leading term is max(d), and the division loop finds each leading
 term through an int max-heap.  One table per run maps each D seen to its
 word E, against which a divisibility test is one subtraction and one mask
 with the guard bits.  The packed D is the one definition of grevlex here.
-Packing.pack refuses a degree past ring.MAX_PACKED_DEGREE = 2^15 - 1 with a
-ValueError, and grevlex is degree-compatible, so no product formed in a
-division or an S-polynomial passes the degree of a packed term or lcm.
+Terms past ring.MAX_PACKED_DEGREE = 2^15 - 1 are refused when a polynomial is
+built, Packing.pack refuses an lcm past it, and grevlex is degree-compatible,
+so no product formed in a division or an S-polynomial passes the limit.
 Identical inputs give bit-identical bases.
 
 The dual route, exact linear algebra, builds degree-d Macaulay rows and
@@ -49,10 +49,9 @@ from math import comb, gcd
 
 from .borel import MonomialIdeal
 from .errors import SaturationRetryError
-from .ring import (MAX_PACKED_DEGREE, Packing, Polynomial, PolyIdeal, RingCtx,
-                   _sparse_pivots, apply_linear_change, from_int_terms,
-                   int_terms, mono_lcm, mono_mul, packed_overflow,
-                   seeded_invertible_matrix, seeded_linear_form)
+from .ring import (Packing, Polynomial, PolyIdeal, RingCtx, _sparse_pivots,
+                   apply_linear_change, from_int_terms, int_terms, mono_lcm,
+                   mono_mul, seeded_invertible_matrix, seeded_linear_form)
 
 
 @dataclass(frozen=True)
@@ -464,15 +463,6 @@ def minimal_generators(I: PolyIdeal) -> PolyIdeal:
 # saturation by a general linear form
 # ---------------------------------------------------------------------------
 
-def _moved(I: PolyIdeal, M) -> tuple:
-    """I's generators after the change M, refusing first a degree the packed
-    kernel cannot hold, whose every power the change would expand in full."""
-    top = max(g.degree() for g in I.gens)
-    if top > MAX_PACKED_DEGREE:
-        raise packed_overflow(top)
-    return apply_linear_change(I.gens, M)
-
-
 def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
                          target: MonomialIdeal | None = None) -> MonomialIdeal:
     """Grevlex initial ideal after one seeded random coordinate change; one
@@ -480,10 +470,11 @@ def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
 
     The run stops at a minimal basis, since only its leads are read.  target,
     an initial ideal of I in other coordinates (an earlier trial's), lets it
-    skip the pairs that provably reduce to zero; the result is the same."""
+    skip the pairs that provably reduce to zero; the result is the same.
+    A change keeps degrees, so the moved generators fit the packed limit."""
     M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
-    return initial_ideal(_buchberger_raw(I.ring, _moved(I, M), reduced=False,
-                                         target=target))
+    return initial_ideal(_buchberger_raw(I.ring, apply_linear_change(I.gens, M),
+                                         reduced=False, target=target))
 
 
 def _mix_seed(master: int, idx: int) -> int:
@@ -556,16 +547,19 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
     ring = I.ring
     forward, back = _to_last_variable(
         seeded_linear_form(ring, _mix_seed(seed, 0), bound))
-    basis = _buchberger_raw(ring, _moved(I, forward), reduced=False).elements
+    basis = _buchberger_raw(ring, apply_linear_change(I.gens, forward),
+                            reduced=False).elements
     if not _colon_has_finite_length([g.lead_monomial() for g in basis]):
         raise SaturationRetryError(
             f"the linear form of seed {seed} lies in an associated prime "
             "other than the irrelevant ideal; retry with a new seed")
     divided = []
     for g in basis:
+        # g is homogeneous, so its lead carries the least power x_last^a of
+        # its terms, and dividing every term by x_last^a keeps their order
         a = g.lead_monomial()[-1]
-        divided.append(Polynomial.from_dict(
-            ring, {m[:-1] + (m[-1] - a,): c for m, c in g.terms}))
+        divided.append(Polynomial(ring, tuple(
+            (m[:-1] + (m[-1] - a,), c) for m, c in g.terms)))
     if any(g.degree() == 0 for g in divided):
         return PolyIdeal.make(ring, [ring.constant(1)])
     sat = minimal_generators(PolyIdeal.make(ring, divided))

@@ -22,7 +22,7 @@ from .borel import (MonomialIdeal, binom_poly, ek_betti, ek_shapes, ek_sum,
                     hilbert_function, require_borel, stratum)
 from .errors import InternalCheckError, RegularityError, UnitIdealError
 from .gin import GinCertificate, generic_section_gin
-from .ring import mono_degree
+from .ring import mono_max_index
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def hilbert_polynomial(gin: MonomialIdeal) -> HilbertPolynomial:
     nv = gin.num_vars
     # the scheme is empty exactly when J is m-primary, i.e. some minimal
     # generator is a pure power of x_i for every i (any monomial ideal)
-    powers = {i for g in gin.min_gens for i, e in enumerate(g)
-              if e == mono_degree(g)}
+    powers = {mono_max_index(g) for g in gin.min_gens if max(g) == sum(g)}
     if len(powers) == nv:
         raise ValueError(
             "the Hilbert polynomial is zero: empty schemes are rejected")

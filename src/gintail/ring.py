@@ -13,8 +13,9 @@ Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  The order key D
 makes multiplication `+` and comparison in grevlex `<`; the word
 E, 16-bit fields with a clear guard bit on top of each, makes a divisibility
 test one subtraction and one mask.  Packed monomials have total degree at
-most MAX_PACKED_DEGREE = 2^15 - 1; anything larger is refused with a
-ValueError (exit 2 from the CLI), never wrapped into a wrong answer.
+most MAX_PACKED_DEGREE = 2^15 - 1.  A larger term is refused with a ValueError
+(exit 2 from the CLI) where a polynomial is built, and Packing.pack refuses
+an lcm of two leads past it; nothing is wrapped into a wrong answer.
 
 The library's one Gaussian elimination, _sparse_pivots, also lives here, on
 sparse integer rows: exact and fraction-free over QQ, mod p over GF(p).  It
@@ -36,10 +37,6 @@ from .errors import InhomogeneousError, RingMismatchError, SingularMatrixError
 
 Mono = tuple  # exponent vector, one nonnegative int per variable
 Monomial = Mono
-
-# Exponents are checked against this bound instead of silently wrapping;
-# everything in this artifact stays in single digits.
-MAX_EXPONENT = 2**31 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +186,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(add, a, b))
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True iff a | b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -307,10 +299,10 @@ class RingCtx:
         return tuple(1 if j == i else 0 for j in range(self.num_vars))
 
     def variable(self, i: int) -> "Polynomial":
-        return Polynomial.from_dict(self, {self.var_mono(i): self.field.one})
+        return Polynomial._sorted(self, {self.var_mono(i): self.field.one})
 
     def constant(self, c) -> "Polynomial":
-        return Polynomial.from_dict(self, {self.unit_mono(): self.field.of(c)})
+        return Polynomial.from_dict(self, {self.unit_mono(): c})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -337,14 +329,26 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, ring: RingCtx, d: dict) -> "Polynomial":
-        items = [(m, c) for m, c in d.items() if c]
-        for m, _ in items:
+        """The polynomial with terms {monomial: coefficient}, each coefficient
+        brought into ring.field; a term past MAX_PACKED_DEGREE is refused."""
+        for m in d:
             if len(m) != ring.num_vars:
                 raise RingMismatchError(
                     f"monomial with {len(m)} exponents in {ring.num_vars}-variable ring")
-            if any(e < 0 or e > MAX_EXPONENT for e in m):
-                raise ValueError(f"exponent out of range in {m}")
-        items.sort(key=lambda t: grevlex_desc_key(t[0]))
+            if min(m) < 0:
+                raise ValueError(f"negative exponent in {m}")
+        of = ring.field.of
+        return cls._sorted(ring, {m: of(c) for m, c in d.items()})
+
+    @classmethod
+    def _sorted(cls, ring: RingCtx, d: dict) -> "Polynomial":
+        """from_dict for valid monomials whose coefficients are already in
+        ring.field: the path of arithmetic and from_int_terms."""
+        items = sorted((t for t in d.items() if t[1]),
+                       key=lambda t: grevlex_desc_key(t[0]))
+        # grevlex ranks degree first: the leading term has the top degree
+        if items and sum(items[0][0]) > MAX_PACKED_DEGREE:
+            raise packed_overflow(sum(items[0][0]))
         return cls(ring, items)
 
     @property
@@ -363,9 +367,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree (of the leading term; -1 for the zero polynomial)."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m, _ in self.terms)
+        return sum(self.terms[0][0]) if self.terms else -1
 
     def is_homogeneous(self) -> bool:
         degs = {mono_degree(m) for m, _ in self.terms}
@@ -383,7 +385,7 @@ class Polynomial:
                 d[m] = s
             else:
                 d.pop(m, None)
-        return Polynomial.from_dict(self.ring, d)
+        return Polynomial._sorted(self.ring, d)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
@@ -403,7 +405,7 @@ class Polynomial:
                     d[m] = s
                 else:
                     d.pop(m, None)
-        return Polynomial.from_dict(self.ring, d)
+        return Polynomial._sorted(self.ring, d)
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.field.of(c)
@@ -471,9 +473,9 @@ def from_int_terms(ring: RingCtx, d: dict, den: int = 1) -> Polynomial:
     """The polynomial d / den over the ring's field; inverse of int_terms."""
     p = ring.field.p
     if p is None:
-        return Polynomial.from_dict(ring, {m: Fraction(c, den) for m, c in d.items()})
+        return Polynomial._sorted(ring, {m: Fraction(c, den) for m, c in d.items()})
     inv = pow(den, -1, p)
-    return Polynomial.from_dict(ring, {m: Fp(c * inv, p) for m, c in d.items()})
+    return Polynomial._sorted(ring, {m: Fp(c * inv, p) for m, c in d.items()})
 
 
 def _sparse_pivots(rows, p: int | None = None) -> dict:
@@ -737,4 +739,4 @@ def seeded_linear_form(ring: RingCtx, seed: int, bound: int = 1000) -> Polynomia
         if any(coeffs):
             break
     return Polynomial.from_dict(
-        ring, {ring.var_mono(i): ring.field.of(c) for i, c in enumerate(coeffs) if c})
+        ring, {ring.var_mono(i): c for i, c in enumerate(coeffs)})

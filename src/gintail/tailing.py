@@ -150,11 +150,10 @@ class DegreeGenus:
     sectional_genus: int | None
 
 
-def degree_genus_from_tailing(b, n: int, e: int, r: int) -> DegreeGenus:
+def degree_genus_from_tailing(b, n: int, e: int) -> DegreeGenus:
     """Degree, arithmetic genus and (for surfaces) irregularity from the
-    tailing vector alone."""
-    if r != n - e:
-        raise ValueError(f"r must equal n - e = {n - e}, got {r}")
+    tailing vector alone, for a scheme of dimension r = n - e."""
+    r = n - e
     degree = hilbert_from_tailing(b, n, e).degree
     p_a = None
     q = None
@@ -380,7 +379,7 @@ def _readings(b, n: int, e: int, warnings: list, h3_warning: str) -> tuple:
     if (coh.h3_lower_raw is not None and coh.h3_upper is not None
             and coh.h3_lower_raw > coh.h3_upper):
         warnings.append(h3_warning)
-    return reconstructed, degree_genus_from_tailing(b, n, e, n - e), coh
+    return reconstructed, degree_genus_from_tailing(b, n, e), coh
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ def test_criterion_4_five_lines(five_lines_cert):
 def test_criterion_5_published_vectors():
     # rational curve of degree 13 in P^9
     assert betti_from_normality([4, 4], 9, 8) == [40, 4]
-    dg_a = degree_genus_from_tailing([40, 4], 9, 8, 1)
+    dg_a = degree_genus_from_tailing([40, 4], 9, 8)
     assert (dg_a.degree, dg_a.p_a) == (13, 0)
 
     # fivefold in P^10

@@ -440,6 +440,17 @@ def test_degree_past_packed_limit_is_input_error(tmp_path, capsys):
     assert "packed monomial form" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gb", "gin", "tailing"])
+def test_product_past_packed_limit_is_input_error(tmp_path, capsys, command):
+    # each power fits, so the parse refuses the product when it is built
+    big = tmp_path / "big.ideal"
+    big.write_text("ring 2\ngens:\nx0^20000*x1^20000\n")
+    assert run_cli(command, str(big)) == 2
+    assert capsys.readouterr().err == (
+        "input error: monomial of degree 40000 exceeds 32767, the largest "
+        "degree of the packed monomial form\n")
+
+
 @pytest.mark.parametrize("command", ["gin", "tailing"])
 def test_bound_below_one_is_input_error(capsys, command):
     assert run_cli(command, _fixture_path("twisted_cubic"), "--bound", "0") == 2

@@ -183,6 +183,19 @@ def test_gin_idempotent_on_gin_output(quintic_cert):
     assert again.gin == quintic_cert.gin
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_gin_of_raw_int_coefficients(field):
+    # from_dict brings plain ints into the field: the ideal is the one built
+    # from field elements, and the Gin runs on it
+    ring = RingCtx(3, field)
+    raw = [{(2, 0, 0): 1, (0, 1, 1): -3}, {(1, 1, 0): 2, (0, 0, 2): -1}]
+    I = PolyIdeal.make(ring, [Polynomial.from_dict(ring, d) for d in raw])
+    assert I == PolyIdeal.make(ring, [P(ring, d) for d in raw])
+    # two general quadrics in P^2 meet in four points
+    assert compute_gin(I, seed=5, trials=2).gin.min_gens == (
+        (2, 0, 0), (1, 1, 0), (0, 3, 0))
+
+
 def test_hilbert_function_preserved(quintic_ideal, quintic_cert):
     assert quintic_cert.hf_checked
     for t in range(7):

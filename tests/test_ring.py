@@ -12,10 +12,10 @@ from gintail.ring import (MAX_PACKED_DEGREE, MAX_PRIME_MODULUS, Packing,
                           Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           _is_prime,
                           apply_linear_change, from_int_terms,
-                          grevlex_desc_key, int_terms, mono_divides, mono_mul,
+                          grevlex_desc_key, int_terms, mono_lcm, mono_mul,
                           seeded_invertible_matrix, seeded_linear_form)
-from oracles import (matrix_inv, naive_grevlex_less, naive_linear_change,
-                     random_poly, trial_division_is_prime)
+from oracles import (divides, matrix_inv, naive_grevlex_less,
+                     naive_linear_change, random_poly, trial_division_is_prime)
 
 R4 = RingCtx(4)
 
@@ -125,6 +125,33 @@ def test_exponent_bound_checked():
         Polynomial.from_dict(R4, {(2**31, 0, 0, 0): QQ.of(1)})
 
 
+def test_from_dict_refuses_degree_past_packed_limit():
+    R2 = RingCtx(2)
+    assert P(R2, {(MAX_PACKED_DEGREE - 1, 1): 1}).degree() == MAX_PACKED_DEGREE
+    # the refusal reads the top degree, whichever term carries it
+    for d in ({(MAX_PACKED_DEGREE, 1): 1}, {(1, 0): 1, (0, 2**15): 3}):
+        with pytest.raises(ValueError, match="degree 32768 exceeds 32767"):
+            P(R2, d)
+    x0, x1 = P(R2, {(1, 0): 1}), P(R2, {(0, 1): 1})
+    with pytest.raises(ValueError, match="packed"):
+        P(R2, {(20000, 0): 1}) * P(R2, {(0, 20000): 1})
+    # a negative exponent is refused as such, not as a degree
+    with pytest.raises(ValueError, match="negative exponent"):
+        P(R2, {(-1, 40000): 1})
+    assert (x0 + x1).degree() == 1 and R2.zero().degree() == -1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_from_dict_brings_coefficients_into_the_field(field):
+    ring = RingCtx(3, field)
+    raw = Polynomial.from_dict(ring, {(2, 0, 0): 1, (0, 1, 1): -3, (0, 0, 2): 0})
+    assert raw == P(ring, {(2, 0, 0): 1, (0, 1, 1): -3})
+    assert str(raw) == ("x0^2 - 3*x1*x2" if field == QQ else "x0^2 + 32000*x1*x2")
+    if field.p:
+        # a raw int that is zero mod p is dropped like a zero
+        assert Polynomial.from_dict(ring, {(1, 0, 0): field.p}).is_zero
+
+
 # --- packed monomials --------------------------------------------------------
 
 # pairs of monomials in 1..10 variables; the wide exponents reach the packed
@@ -141,8 +168,8 @@ def test_packed_monomials_match_tuple_definitions(pair):
     assert (da < db, da == db, da > db) == (
         naive_grevlex_less(a, b), a == b, naive_grevlex_less(b, a))
     assert pk.unpack(ea) == a and pk.degree(ea) == sum(a)
-    assert (not (eb - ea) & pk.guard) == mono_divides(a, b)
-    assert (not (ea - eb) & pk.guard) == mono_divides(b, a)
+    assert (not (eb - ea) & pk.guard) == divides(a, b)
+    assert (not (ea - eb) & pk.guard) == divides(b, a)
     if sum(a) + sum(b) <= MAX_PACKED_DEGREE:
         assert pk.pack(mono_mul(a, b)) == (da + db, ea + eb)
     else:
@@ -156,7 +183,11 @@ def test_packing_refuses_degree_past_limit():
     # degree field's guard bit reports it
     _, e = pk.pack((10000, 10000, 10000))
     assert (e + e) & pk.guard
-    for m in ((MAX_PACKED_DEGREE + 1, 0, 0), (2**16, 0, 0), (0, 2**15, 2**15)):
+    # polynomials are refused past the limit when built, but the lcm of two
+    # leads inside it, such as x0^20000 and x1^20000, can pass it
+    lead_lcm = mono_lcm((20000, 0, 0), (0, 20000, 0))
+    for m in ((MAX_PACKED_DEGREE + 1, 0, 0), (2**16, 0, 0), (0, 2**15, 2**15),
+              lead_lcm):
         with pytest.raises(ValueError, match="packed"):
             pk.pack(m)
 

@@ -106,18 +106,19 @@ def test_hypothesis_gate_refusals(quintic_cert, two_planes_cert):
 # --- reconstruction formulas -------------------------------------------------
 
 def test_degree_genus_published():
-    assert degree_genus_from_tailing([40, 4], 9, 8, 1).degree == 13
-    assert degree_genus_from_tailing([40, 4], 9, 8, 1).p_a == 0
-    dg = degree_genus_from_tailing([12, 1, 0], 8, 6, 2)
+    assert degree_genus_from_tailing([40, 4], 9, 8).degree == 13
+    assert degree_genus_from_tailing([40, 4], 9, 8).p_a == 0
+    dg = degree_genus_from_tailing([12, 1, 0], 8, 6)
     assert dg.degree == 12 and dg.q == 1
-    assert degree_genus_from_tailing([465, 330, 165, 55, 11, 1], 10, 5, 5).degree == 10
+    assert degree_genus_from_tailing([465, 330, 165, 55, 11, 1], 10, 5).degree == 10
 
 
 def test_degree_genus_validates_shape():
+    # b has r + 1 = n - e + 1 entries
     with pytest.raises(ValueError):
-        degree_genus_from_tailing([1, 2], 9, 8, 2)
+        degree_genus_from_tailing([1], 9, 8)
     with pytest.raises(ValueError):
-        degree_genus_from_tailing([1, 2, 3], 9, 8, 1)
+        degree_genus_from_tailing([1, 2, 3], 9, 8)
 
 
 def test_hilbert_from_tailing_published():
