@@ -202,9 +202,10 @@ def stratum(J: MonomialIdeal, d: int, i: int) -> frozenset:
 @dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers of R/J, entry (i, d) counting Tor_i in internal
-    degree i+d (Macaulay2 row convention)."""
+    degree i+d (Macaulay2 row convention).  codim_marker, when set, is the
+    codimension e whose row-2 entries from column e on pretty() brackets as
+    tailing entries."""
 
-    num_vars: int
     entries: dict
     codim_marker: int | None = None
 
@@ -267,7 +268,7 @@ def ek_betti(J: MonomialIdeal, codim_marker: int | None = None) -> BettiTable:
             c = comb(mx, i - 1)
             if c:
                 entries[(i, d)] = entries.get((i, d), 0) + c
-    return BettiTable(J.num_vars, entries, codim_marker)
+    return BettiTable(entries, codim_marker)
 
 
 # ---------------------------------------------------------------------------

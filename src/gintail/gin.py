@@ -42,7 +42,7 @@ from .borel import MonomialIdeal, is_borel_fixed
 from .errors import GenericityError, NotBorelFixedError
 from .groebner import (HF_CHECK_LIMIT, _mix_seed, hilbert_function_rank_oracle,
                        minimal_generators, seeded_initial_ideal)
-from .ring import PolyIdeal, RingCtx
+from .ring import PolyIdeal
 
 #: entry bound of trial 1's coordinate change over QQ (see the module text)
 FIRST_TRIAL_BOUND = 10
@@ -54,30 +54,33 @@ MAX_TRIALS = 100
 class GinCertificate:
     """A generic initial ideal together with how it was certified.
 
-    method "trials": `agreements` independent coordinate changes produced the
-    same Borel-fixed initial ideal.  Over QQ the first change is drawn with
-    entries up to FIRST_TRIAL_BOUND and the others with the caller's bound;
-    if the first does not certify, it is redrawn at the caller's bound.
-    method "borel-fixed": the input was already a Borel-fixed monomial ideal,
-    which is its own Gin, so no trials were run.
+    With a field: len(trial_seeds) >= 2 independent coordinate changes over
+    it produced the same Borel-fixed initial ideal.  Over QQ the first change
+    is drawn with entries up to FIRST_TRIAL_BOUND and the others with the
+    caller's bound; if the first does not certify, it is redrawn at the
+    caller's bound.  The result is certified iff the field is.
+    With field None and no trial seeds: the input was already a Borel-fixed
+    monomial ideal, which is its own Gin, so no trials were run.
+    Either way the constructor checks that gin is Borel fixed.
     """
 
     gin: MonomialIdeal
-    ring: RingCtx
+    field: object = None
     trial_seeds: tuple = ()
-    agreements: int = 0
-    borel_verified: bool = False
-    field_mode: str = "QQ"
-    certified: bool = True      # False in prime-field fast mode
-    method: str = "trials"
     hf_checked: bool = False
     warnings: tuple = ()
 
     def __post_init__(self):
-        if self.method == "trials" and self.agreements < 2:
-            raise ValueError("a trial certificate needs at least 2 agreeing trials")
-        if not self.borel_verified:
+        if (len(self.trial_seeds) < 2) != (self.field is None):
+            raise ValueError("a trial certificate needs a field and at least 2 "
+                             "agreeing trials; a Borel-fixed input has neither")
+        if not is_borel_fixed(self.gin):
             raise NotBorelFixedError("certificate requires a Borel-fixed result")
+
+    @property
+    def certified(self) -> bool:
+        """False in prime-field fast mode."""
+        return self.field is None or self.field.certified
 
     @property
     def n(self) -> int:
@@ -153,11 +156,8 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
                 f"ideal at degree {t} (seeds {seeds}); this indicates a "
                 "non-generic change or an engine bug", seeds=seeds)
 
-    return GinCertificate(
-        gin=first, ring=ring, trial_seeds=seeds, agreements=trials,
-        borel_verified=True, field_mode=ring.field.name,
-        certified=ring.field.certified, method="trials",
-        hf_checked=hf_checked, warnings=tuple(warnings))
+    return GinCertificate(gin=first, field=ring.field, trial_seeds=seeds,
+                          hf_checked=hf_checked, warnings=tuple(warnings))
 
 
 def _trial_problem(first: MonomialIdeal, others: list, seeds: tuple) -> str | None:
@@ -175,22 +175,15 @@ def certificate_for_borel_ideal(J: MonomialIdeal) -> GinCertificate:
     """Certificate for an already Borel-fixed monomial ideal.
 
     A Borel-fixed ideal is its own generic initial ideal, so the exact route
-    is to verify Borel-fixedness and skip the trials; compute_gin on small
-    Borel-fixed inputs is exercised separately to validate that shortcut.
+    skips the trials; the certificate's constructor refuses a J that is not
+    Borel fixed with NotBorelFixedError.  compute_gin on small Borel-fixed
+    inputs is exercised separately to validate that shortcut.
     """
-    if not is_borel_fixed(J):
-        raise NotBorelFixedError(
-            "direct certification requires a Borel-fixed monomial ideal")
-    nv = J.num_vars
-    warnings = []
+    warnings = ()
     if J.saturation_defect:
-        warnings.append(
-            f"saturation defect: generators involve x{nv - 1}; "
-            "ideal is not saturated")
-    return GinCertificate(
-        gin=J, ring=RingCtx(nv), trial_seeds=(), agreements=0,
-        borel_verified=True, field_mode="monomial", certified=True,
-        method="borel-fixed", hf_checked=True, warnings=tuple(warnings))
+        warnings = (f"saturation defect: generators involve x{J.num_vars - 1}; "
+                    "ideal is not saturated",)
+    return GinCertificate(gin=J, hf_checked=True, warnings=warnings)
 
 
 def generic_section_gin(cert: GinCertificate, j: int) -> MonomialIdeal:

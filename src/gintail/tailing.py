@@ -23,7 +23,7 @@ from .borel import ek_betti, stratum
 from .errors import HypothesisError, InternalCheckError
 from .gin import GinCertificate, generic_section_gin
 from .invariants import (HilbertPolynomial, SchemeProfile,
-                         h1_restriction_jump, h1_stratum_count, scheme_profile)
+                         h1_restriction_jump, h1_stratum_count)
 from .ring import mono_max_index, mono_mul
 
 
@@ -324,22 +324,15 @@ def structure_check(cert: GinCertificate, profile: SchemeProfile,
         if mono_max_index(t) > e - 1:
             failures.append(f"(a) top variable of {t} exceeds e-1 = {e - 1}")
 
-    sec = generic_section_gin(cert, n - 1)
-
-    def drop_last(m):
-        if m[-1] != 0:
-            raise InternalCheckError("generator involves the last variable on "
-                                     "a saturated input")
-        return m[:-1]
-
-    try:
-        up2 = {drop_last(m) for m in J.gens_of_degree(2)}
-        up3 = {drop_last(m) for m in J.gens_of_degree(3)}
-        t_set = {drop_last(t) for t in t_list}
-    except InternalCheckError:
+    gens2, gens3 = J.gens_of_degree(2), J.gens_of_degree(3)
+    if any(m[-1] for m in gens2 + gens3):
         return StructureVerdict(False, r,
                                 ("input not saturated: generators involve the "
                                  "last variable",))
+    sec = generic_section_gin(cert, n - 1)
+    up2 = {m[:-1] for m in gens2}
+    up3 = {m[:-1] for m in gens3}
+    t_set = {t[:-1] for t in t_list}
     down2 = set(sec.gens_of_degree(2))
     down3 = set(sec.gens_of_degree(3))
 
@@ -389,7 +382,6 @@ class TailingReport:
     b: tuple
     h: tuple
     consistent: bool           # b == Xi . h
-    profile: SchemeProfile | None
     reconstructed: HilbertPolynomial
     degree_genus: DegreeGenus
     cohomology: CohomologyBounds
@@ -400,11 +392,10 @@ class TailingReport:
     warnings: tuple
 
 
-def build_tailing_report(cert: GinCertificate, profile: SchemeProfile | None = None,
+def build_tailing_report(cert: GinCertificate, profile: SchemeProfile,
                          force: bool = False) -> TailingReport:
-    """End-to-end tailing analysis of a certified Gin."""
-    if profile is None:
-        profile = scheme_profile(cert)
+    """End-to-end tailing analysis of a certified Gin, with its profile from
+    invariants.scheme_profile."""
     broken = _gate(cert, profile, force)
     warnings = list(cert.warnings)
     if broken:
@@ -436,7 +427,7 @@ def build_tailing_report(cert: GinCertificate, profile: SchemeProfile | None = N
             + "; ".join(structure.failures))
     return TailingReport(
         n=n, e=e, b=tuple(b), h=tuple(h), consistent=consistent,
-        profile=profile, reconstructed=reconstructed, degree_genus=dg,
+        reconstructed=reconstructed, degree_genus=dg,
         cohomology=coh, bounds=bounds, structure=structure,
         hilbert_match=hilbert_match, forced=bool(broken), warnings=tuple(warnings))
 
@@ -465,7 +456,7 @@ def vector_report(n: int, e: int, b=None, h=None,
                            "theorem hypotheses")
     bounds = tailing_bounds(b, e, pd, None, certified=False) if pd is not None else None
     return TailingReport(
-        n=n, e=e, b=tuple(b), h=tuple(h), consistent=True, profile=None,
+        n=n, e=e, b=tuple(b), h=tuple(h), consistent=True,
         reconstructed=reconstructed, degree_genus=dg, cohomology=coh,
         bounds=bounds, structure=None, hilbert_match=None, forced=False,
         warnings=tuple(warnings))

@@ -32,7 +32,7 @@ def two_planes_cert(two_planes_ideal):
 
 @pytest.fixture(scope="session")
 def five_lines_cert():
-    return compute_gin(five_lines_ideal(2024), seed=5, trials=2)
+    return compute_gin(five_lines_ideal(), seed=5, trials=2)
 
 
 @pytest.fixture(scope="session")

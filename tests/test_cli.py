@@ -5,9 +5,11 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from gintail.cli import main, parse_ideal
+from gintail.borel import MonomialIdeal
+from gintail.cli import _cert_dict, main, parse_ideal
 from gintail.errors import ParseError
 from gintail.fixtures import bundled_ideal_text
+from gintail.gin import certificate_for_borel_ideal
 from gintail.ring import PolyIdeal, PrimeField, QQ
 
 QUINTIC_TEXT = bundled_ideal_text("quintic")
@@ -182,6 +184,16 @@ def test_gb_and_gin_commands(tmp_path, capsys):
                    "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert report["gb"]["reduced"] is True and report["gb"]["size"] >= 5
+
+
+def test_gin_block_of_a_borel_fixed_certificate():
+    # every command runs compute_gin, so no frozen report covers this block
+    cert = certificate_for_borel_ideal(MonomialIdeal.make(3, [(2, 0, 0), (1, 1, 0)]))
+    assert _cert_dict(cert) == {
+        "generators": ["x0^2", "x0*x1"], "num_vars": 3, "trial_seeds": [],
+        "agreements": 0, "method": "borel-fixed", "borel_verified": True,
+        "field": "monomial", "certified": True, "hf_checked": True,
+        "warnings": []}
 
 
 def test_report_bit_identical_across_runs(tmp_path):

@@ -53,8 +53,8 @@ def test_changes_distinct_across_seeds():
 
 def test_quintic_gin_exact(quintic_cert):
     assert quintic_cert.gin.min_gens == QUINTIC_GIN
-    assert quintic_cert.borel_verified
-    assert quintic_cert.agreements == 2
+    assert quintic_cert.field == QQ
+    assert len(quintic_cert.trial_seeds) == 2
     assert quintic_cert.certified
     assert not quintic_cert.saturation_defect
 
@@ -234,7 +234,7 @@ def test_direct_borel_certificate_requires_borel():
         certificate_for_borel_ideal(MonomialIdeal.make(2, [(0, 1)]))
     J = MonomialIdeal.make(3, [(2, 0, 0)])
     cert = certificate_for_borel_ideal(J)
-    assert cert.method == "borel-fixed" and cert.gin == J
+    assert cert.field is None and cert.trial_seeds == () and cert.gin == J
 
 
 # --- generic sections --------------------------------------------------------
@@ -400,14 +400,16 @@ def test_prime_field_gin_agrees_with_rationals(quintic_cert):
                     field_override=PrimeField(32003))
     cert = compute_gin(I, seed=42, trials=2)
     assert cert.gin == quintic_cert.gin
-    assert not cert.certified and cert.field_mode == "GF(32003)"
+    assert not cert.certified and cert.field == PrimeField(32003)
 
 
 def test_certificate_validation():
     J = MonomialIdeal.make(3, [(2, 0, 0)])
-    with pytest.raises(ValueError):
-        GinCertificate(gin=J, ring=RingCtx(3), trial_seeds=(1,), agreements=1,
-                       borel_verified=True, method="trials")
+    for field, seeds in ((QQ, (1,)), (QQ, ()), (None, (1, 2))):
+        with pytest.raises(ValueError):
+            GinCertificate(gin=J, field=field, trial_seeds=seeds)
+    # the constructor runs the Borel check itself, so no caller can vouch
+    # for a gin that is not Borel fixed
     with pytest.raises(NotBorelFixedError):
-        GinCertificate(gin=J, ring=RingCtx(3), trial_seeds=(1, 2), agreements=2,
-                       borel_verified=False, method="trials")
+        GinCertificate(gin=MonomialIdeal.make(3, [(0, 2, 0)]), field=QQ,
+                       trial_seeds=(1, 2))

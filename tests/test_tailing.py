@@ -239,6 +239,16 @@ def test_structure_nonreduced_fixture():
     assert verdict.passed and verdict.r == 1
 
 
+def test_structure_refuses_generators_in_the_last_variable():
+    # x0*(x0, x1, x2) is Borel fixed, but x0*x2 involves the last variable
+    J = MonomialIdeal.make(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1)])
+    cert = certificate_for_borel_ideal(J)
+    rep = build_tailing_report(cert, scheme_profile(cert), force=True)
+    assert not rep.structure.passed
+    assert rep.structure.failures == (
+        "input not saturated: generators involve the last variable",)
+
+
 def test_structure_randomized():
     for cert, profile in random_nd1_borel_ideals(25, seed=29):
         assert structure_check(cert, profile).passed
@@ -278,9 +288,10 @@ def test_inverted_h3_bounds_flagged_not_fatal():
 
 
 def test_forced_report_three_lines(three_lines_cert):
+    profile = scheme_profile(three_lines_cert)
     with pytest.raises(HypothesisError):
-        build_tailing_report(three_lines_cert)
-    rep = build_tailing_report(three_lines_cert, force=True)
+        build_tailing_report(three_lines_cert, profile)
+    rep = build_tailing_report(three_lines_cert, profile, force=True)
     assert rep.forced
     assert rep.b == (1, 0) and rep.h == (1, 0)
     assert rep.consistent
