@@ -3,13 +3,18 @@
 Everything downstream needs only grevlex bases: the Gin trials, and the
 saturation by a general linear form L, which moves L to the last variable and
 uses in(I : x_last) = in(I) : x_last (Bayer and Stillman, 1987).  Pairs wait
-in a heap keyed by the normal strategy (the lcm, lowest degree first, then
-the pair's indices), so each pair is ranked once, when it is made;
-Buchberger's coprime-lcm and chain criteria are applied as pairs leave the
-heap.  A genericity trial reads only leading monomials, so it stops at a
-minimal basis (reduced=False); given a target, the initial ideal of the same
-ideal in other coordinates, it also drops the pairs that the target's Hilbert
-function proves reduce to zero.
+in a heap keyed by the normal strategy (lowest degree first, then the layer
+of a layered run, then the lcm and the pair's indices), so each pair is
+ranked once, when it is made; Buchberger's coprime-lcm and chain criteria are
+applied as pairs leave the heap.  A genericity trial reads only leading
+monomials, so it stops at a minimal basis (reduced=False).  Two
+Hilbert-driven criteria drop the pairs that provably reduce to zero.  Given a
+target, the initial ideal of the same ideal in other coordinates, a run
+reads the Hilbert function off it.  Without one, a run of 2..num_vars inputs
+adds them as layers, one generator at a time, and bounds the Hilbert
+function by the Koszul bound, which is exact on a regular sequence: on a
+complete intersection each degree's pairs stop as soon as the leads are
+complete.  The leading monomials come out the same either way.
 
 Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
@@ -215,6 +220,75 @@ def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict,
 # Buchberger
 # ---------------------------------------------------------------------------
 
+class _KoszulLayers:
+    """The Koszul bound of a layered run, group by group (see _buchberger_raw).
+
+    Inputs f_1..f_m are layers 1..m, and J_L is the ideal of f_1..f_L.  cover
+    maps each degree-d monomial that some lead divides to the lowest layer of
+    such a lead, for the current degree d only; dims[k][L] is dim (J_L)_k for
+    every closed degree k >= the lowest input degree (below it J_L is 0)."""
+
+    def __init__(self, pk, inputs):
+        self.pk = pk
+        self.inputs = [(pk.degree(e), e) for e in inputs]
+        self.dims = {}
+        self.cover = {}
+        self._start_degree(min(t[0] for t in self.inputs))
+
+    def _hf(self, k: int, L: int) -> int:
+        """HF(R/J_L, k) for a closed degree k."""
+        if k < 0:
+            return 0
+        full = comb(self.pk.num_vars - 1 + k, self.pk.num_vars - 1)
+        return full - self.dims[k][L] if k in self.dims else full
+
+    def _start_degree(self, d: int):
+        """Move cover up to degree d (every multiple of a lead of degree
+        < d is x_i times one of degree d - 1), and open the group (d, 1)."""
+        fields = self.pk.fields
+        nxt: dict = {}
+        for e, L in sorted(self.cover.items(), key=lambda t: t[1]):
+            for f in fields:
+                nxt.setdefault(e + f, L)
+        for L, (k, e) in enumerate(self.inputs, 1):
+            if k == d and nxt.get(e, L) >= L:
+                nxt[e] = L
+        self.cover = nxt
+        self.dims[d] = [0] * (len(self.inputs) + 1)
+        self._open((d, 1))
+
+    def _open(self, group):
+        """Open the group (d, L): count the degree-d monomials that the
+        leads of layers <= L divide, and bound that count."""
+        self.group = d, L = group
+        self.count = sum(1 for layer in self.cover.values() if layer <= L)
+        e = self.inputs[L - 1][0]
+        self.bound = self.dims[d][L - 1] + self._hf(d - e, L - 1)
+
+    def full(self) -> bool:
+        """Whether the leads of layers <= L span in(J_L) in degree d."""
+        return self.count == self.bound
+
+    def add(self, lead_e: int, L: int):
+        """A new element of the current group (d, L) has this lead."""
+        self.cover[lead_e] = L
+        self.count += 1
+
+    def advance(self, to) -> bool:
+        """Close groups until the current one is `to`; False when a closed
+        group ended below its bound."""
+        while self.group < to:
+            if self.count != self.bound:
+                return False
+            d, L = self.group
+            self.dims[d][L] = self.count
+            if L < len(self.inputs):
+                self._open((d, L + 1))
+            else:
+                self._start_degree(d + 1)
+        return True
+
+
 def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
                     target=None) -> GroebnerBasis:
     """Groebner basis of a list of homogeneous polynomials.
@@ -223,12 +297,44 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     monomials are the minimal generators of the initial ideal, but tails are
     not interreduced and leading coefficients are not normalized.
 
+    Two Hilbert-driven criteria (Traverso, J. Symb. Comp. 1996) drop pairs
+    of degree d unreduced once the current leads provably span the degree-d
+    piece of the initial ideal, so such a pair would reduce to zero.  Either
+    way the basis has the same leading monomials as without the drops.
+
     target is the initial ideal of the same ideal in other coordinates (a
     MonomialIdeal), so it has the same Hilbert function.  Once every target
     generator of degree <= d is divisible by a current leading monomial, the
-    leads span the whole degree-d piece of the initial ideal, so every
-    remaining pair of degree d reduces to zero and is dropped unreduced.  The basis comes out exactly as it would without the
-    target: a dropped pair is one that would have added nothing.
+    leads span the whole degree-d piece, and every remaining pair of degree
+    d is dropped.  Otherwise the run is plain Buchberger, and it returns
+    exactly the basis it would without the target.
+
+    Without a target, 2 <= m <= num_vars nonzero inputs f_1..f_m are added
+    as layers (a homogeneous regular sequence has at most num_vars
+    elements).  Let J_L be the ideal of f_1..f_L, of degree e = deg f_L.
+    Then (J_L)_d = (J_(L-1))_d + f_L*R_(d-e) and f_L*(J_(L-1))_(d-e) lies in
+    (J_(L-1))_d, so
+      dim (J_L)_d <= dim (J_(L-1))_d + HF(R/J_(L-1), d-e),
+    with equality iff f_L is a nonzerodivisor on R/J_(L-1) in degree d-e:
+    the Koszul bound, exact on a regular sequence.  A pair's layer is the
+    larger layer of its two elements, and an element made from a pair takes
+    the pair's layer.  Pairs leave the heap by (degree, layer, lcm, i, j),
+    and a pair of layer L is reduced, and chain-tested, only against the
+    elements of layers <= L.  So every element of layers <= L lies in J_L,
+    and the degree-d monomials that their leads divide, c of them, lie in
+    in(J_L)_d:
+      c <= dim in(J_L)_d = dim (J_L)_d <= bound.
+    When c reaches the bound, the leads span in(J_L)_d, so every S-polynomial
+    of layer L and degree d (it lies in (J_L)_d) reduces to zero against
+    them, and the rest of the group (d, L) is dropped.  The bound reads
+    dim (J_(L-1))_k for k = d and k = d - e, which are the counts c of the
+    closed groups (k, L-1); each of those reached its bound, so by the same
+    squeeze it was exact.  A group that closes below its bound shows f_L to
+    be a zero divisor, and the run finishes as plain Buchberger: every
+    element and pair goes to one layer.  A group is closed only when a pair
+    of a later group survives the coprime and chain criteria, so the table
+    of degree-d words (for the current degree only) never reaches a degree
+    where no pair is left to reduce.
     """
     pk = Packing(ring.num_vars)
     guard = pk.guard
@@ -252,16 +358,25 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     def cover(lead_e):
         uncovered[:] = [t for t in uncovered if (t[1] - lead_e) & guard]
 
-    # pair heap in the normal strategy: smallest lcm (its D ranks the degree
-    # first), then the indices, so the selection order is total; pending
-    # holds the same pairs, for the chain criterion
+    layers = None
+    if target is None and 2 <= len(G) <= ring.num_vars:
+        layers = _KoszulLayers(pk, [g[1] for g in G])
+        layer = list(range(1, len(G) + 1))
+    else:
+        layer = [0] * len(G)
+    divisors = list(G)  # the elements that a pair of the current layer sees
+
+    # pair heap in the normal strategy: lowest degree, then layer, then the
+    # smallest lcm, then the indices, so the selection order is total;
+    # pending holds the same pairs, for the chain criterion
     pairs: list = []
     pending: set = set()
 
     def add_pairs(j):
         for i in range(j):
             lcm, lcm_e = pk.pack(mono_lcm(lms[i], lms[j]))
-            heappush(pairs, (lcm, i, j, lcm_e))
+            heappush(pairs, (pk.degree(lcm_e), max(layer[i], layer[j]),
+                             lcm, i, j, lcm_e))
             pending.add((i, j))
 
     for j in range(len(G)):
@@ -271,15 +386,15 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     while pairs:
         if target is not None and not uncovered:
             break       # every remaining pair reduces to zero
-        lcm, i, j, lcm_e = heappop(pairs)
+        d, lay, lcm, i, j, lcm_e = heappop(pairs)
         pending.discard((i, j))
-        if target is not None and uncovered[0][0] > pk.degree(lcm_e):
+        if target is not None and uncovered[0][0] > d:
             continue    # the leads already span this degree
         if lcm == G[i][0] + G[j][0]:
             continue    # coprime leading monomials: lcm = product
         chained = False
         for k in range(len(G)):
-            if k in (i, j):
+            if k in (i, j) or layer[k] > lay:
                 continue
             if (not (lcm_e - G[k][1]) & guard
                     and (min(i, k), max(i, k)) not in pending
@@ -288,16 +403,32 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
                 break
         if chained:
             continue
+        if layers is not None and layers.group != (d, lay):
+            if layers.advance((d, lay)):
+                divisors = [g for g, k in zip(G, layer) if k <= lay]
+            else:       # f_lay is a zero divisor: one layer from here on
+                layers = None
+                layer = [0] * len(G)
+                lay = 0
+                pairs = [(t[0], 0) + t[2:] for t in pairs]
+                heapify(pairs)
+                divisors = list(G)
+        if layers is not None and layers.full():
+            continue    # the leads of layers <= lay span this degree
         s = _spoly_work(G[i], G[j], lcm, lcm_e, table, p_mod)
-        r = _reduce_work(s, G, table, pk, p_mod)
+        r = _reduce_work(s, divisors, table, pk, p_mod)
         if r:
             if p_mod is None:
                 r = _strip_int(r)
             G.append(_as_divisor(r, table))
             lms.append(pk.unpack(G[-1][1]))
+            layer.append(lay)
+            divisors.append(G[-1])
             add_pairs(len(G) - 1)
             if target is not None:
                 cover(G[-1][1])
+            if layers is not None:
+                layers.add(G[-1][1], lay)
 
     # minimalize: keep only elements whose lm is not divisible by another lm;
     # taken in ascending order, so the basis comes out sorted by leading term
@@ -471,6 +602,7 @@ def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
     The run stops at a minimal basis, since only its leads are read.  target,
     an initial ideal of I in other coordinates (an earlier trial's), lets it
     skip the pairs that provably reduce to zero; the result is the same.
+    Without a target, 2..num_vars generators are layered (_buchberger_raw).
     A change keeps degrees, so the moved generators fit the packed limit."""
     M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
     return initial_ideal(_buchberger_raw(I.ring, apply_linear_change(I.gens, M),

@@ -55,11 +55,31 @@ def reduces_to_zero(f: Polynomial, G) -> bool:
 
 
 def spoly_certificate(G) -> bool:
-    """The full Buchberger criterion on a finished basis: every S-polynomial
-    reduces to zero."""
+    """Buchberger's criterion on a finished basis: every S-polynomial has a
+    standard representation.  Pairs are taken by ascending lcm degree.  One
+    with coprime leads has one (Buchberger's first criterion), and so has
+    one whose lcm is divisible by a third lead k when the pairs (i, k) and
+    (j, k) were taken before (his second); every other S-polynomial must
+    reduce to zero."""
     els = G.elements
-    return all(reduces_to_zero(naive_spoly(els[i], els[j], naive_grevlex_less), els)
-               for j in range(len(els)) for i in range(j))
+    lms = [g.lead_monomial() for g in els]
+
+    def lcm(i, j):
+        return tuple(map(max, lms[i], lms[j]))
+
+    taken = set()
+    for _, i, j in sorted((sum(lcm(i, j)), i, j)
+                          for j in range(len(els)) for i in range(j)):
+        chained = any(divides(lms[k], lcm(i, j))
+                      and (min(i, k), max(i, k)) in taken
+                      and (min(j, k), max(j, k)) in taken
+                      for k in range(len(els)) if k not in (i, j))
+        coprime = not any(a and b for a, b in zip(lms[i], lms[j]))
+        if not (coprime or chained or reduces_to_zero(
+                naive_spoly(els[i], els[j], naive_grevlex_less), els)):
+            return False
+        taken.add((i, j))
+    return True
 
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(32003)],
@@ -223,21 +243,42 @@ def over(I: PolyIdeal, field) -> PolyIdeal:
         for g in I.gens])
 
 
+def moved_gens(I: PolyIdeal, seed: int):
+    """The generators one genericity trial moves."""
+    M = seeded_invertible_matrix(I.ring.num_vars, seed, 1000, I.ring.field)
+    return apply_linear_change(I.gens, M)
+
+
 def trial_basis(I: PolyIdeal, seed: int, target=None):
     """The minimal basis one genericity trial computes."""
-    M = seeded_invertible_matrix(I.ring.num_vars, seed, 1000, I.ring.field)
-    return _buchberger_raw(I.ring, apply_linear_change(I.gens, M),
-                           reduced=False, target=target)
+    return _buchberger_raw(I.ring, moved_gens(I, seed), reduced=False,
+                           target=target)
+
+
+def assert_groebner_basis_of(G, gens):
+    """G is a Groebner basis of the ideal of gens: it passes the S-polynomial
+    certificate, and every one of gens reduces to zero against it (G is
+    built from gens, so it lies in their ideal)."""
+    assert spoly_certificate(G)
+    assert all(reduces_to_zero(f, G.elements) for f in gens)
 
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
 @pytest.mark.parametrize("name", sorted(TRIAL_INPUTS))
 def test_targeted_trial_equals_untargeted(name, field):
+    # an untargeted run of 2..num_vars inputs is layered, so its tails may
+    # differ from the targeted run's; its leads may not
     I = over(TRIAL_INPUTS[name](), field)
     J1 = seeded_initial_ideal(I, 1)
     for seed in (2, 3):
         plain = trial_basis(I, seed)
-        assert trial_basis(I, seed, target=J1) == plain
+        aimed = trial_basis(I, seed, target=J1)
+        if len(I.gens) > I.ring.num_vars:
+            assert aimed == plain
+        assert initial_ideal(aimed) == initial_ideal(plain)
+        if seed == 2:
+            for G in (plain, aimed):
+                assert_groebner_basis_of(G, moved_gens(I, seed))
         assert seeded_initial_ideal(I, seed, target=J1) == initial_ideal(plain)
 
 
@@ -274,23 +315,159 @@ def test_non_generic_target_keeps_the_trial_exact(quintic_ideal, field):
     assert initial_ideal(original) == J0
 
 
-@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
-def test_targeted_trial_skips_reductions(monkeypatch, field):
-    I = over(random_quadrics(4, 6, 17), field)
-    J1 = seeded_initial_ideal(I, 1)
-    calls = []
+def counted_reductions(monkeypatch):
+    """A list that gets the remainder of every _reduce_work call."""
+    remainders = []
     counted = groebner._reduce_work
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return counted(*args, **kwargs)
+        remainders.append(counted(*args, **kwargs))
+        return remainders[-1]
 
     monkeypatch.setattr(groebner, "_reduce_work", counting)
+    return remainders
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_targeted_trial_skips_reductions(monkeypatch, field):
+    # the twisted cubic is no complete intersection, so trial 1 leaves its
+    # layers and still reduces pairs to zero
+    I = over(load_bundled_ideal("twisted_cubic"), field)
+    J1 = seeded_initial_ideal(I, 1)
+    remainders = counted_reductions(monkeypatch)
     plain = trial_basis(I, 2)
-    untargeted = len(calls)
-    del calls[:]
-    assert trial_basis(I, 2, target=J1) == plain
-    assert len(calls) < untargeted
+    assert not all(remainders)
+    untargeted = len(remainders)
+    del remainders[:]
+    assert initial_ideal(trial_basis(I, 2, target=J1)) == initial_ideal(plain)
+    assert len(remainders) < untargeted
+
+
+def rnc_basis(num_vars: int, count: int, field) -> PolyIdeal:
+    """count seeded random combinations of the 2x2 minors of the 2 x n
+    Hankel matrix of x0..x_n (n = num_vars - 1), which cut out the rational
+    normal curve of degree n in P^n."""
+    ring = RingCtx(num_vars, field)
+    x = [ring.variable(i) for i in range(num_vars)]
+    n = num_vars - 1
+    minors = [x[i] * x[j + 1] - x[i + 1] * x[j]
+              for i in range(n) for j in range(i + 1, n)]
+    rng = random.Random(f"rnc:{num_vars}")
+    gens = []
+    for _ in range(count):
+        gens.append(sum((q.scale(field.of(rng.randint(-9, 9))) for q in minors),
+                        ring.zero()))
+    return PolyIdeal.make(ring, gens)
+
+
+def mixed_degrees(field) -> PolyIdeal:
+    """Two cubics and a quadric in 5 variables, from a seeded search: a run
+    that reduced a layer's pairs by the elements of later layers too would
+    miss a lead here."""
+    ring = RingCtx(5, field)
+    return PolyIdeal.make(ring, [
+        P(ring, {(2, 0, 1, 0, 0): 4, (0, 2, 1, 0, 0): 2, (2, 0, 0, 1, 0): 4,
+                 (1, 1, 0, 0, 1): 2}),
+        P(ring, {(0, 0, 2, 1, 0): 3, (0, 0, 0, 3, 0): 1}),
+        P(ring, {(0, 0, 1, 1, 0): 1, (0, 0, 0, 2, 0): 3, (1, 0, 0, 0, 1): 5,
+                 (0, 0, 1, 0, 1): 2})])
+
+
+# inputs past TRIAL_INPUTS: four quadrics in 7 variables, whose degree-5
+# piece is past HF_CHECK_LIMIT; 6 of the 10 quadrics through the rational
+# normal curve in P^5, no complete intersection, which leaves its layers;
+# and forms of mixed degrees
+LAYERED_INPUTS = {
+    "quadrics_4_in_7": lambda field: over(random_quadrics(4, 7, 5), field),
+    "rnc5_first_6": lambda field: rnc_basis(6, 6, field),
+    "mixed_degrees": mixed_degrees,
+}
+
+
+@FIELDS
+@pytest.mark.parametrize("name", sorted(LAYERED_INPUTS))
+def test_layered_basis_is_a_groebner_basis(monkeypatch, name, field):
+    # the inputs are dense and random as they stand, so they are not moved:
+    # over QQ a moved basis costs the certificate several seconds
+    I = LAYERED_INPUTS[name](field)
+    assert 2 <= len(I.gens) <= I.ring.num_vars
+    kept = []
+    advance = groebner._KoszulLayers.advance
+
+    def spy(self, to):
+        kept.append(advance(self, to))
+        return kept[-1]
+
+    monkeypatch.setattr(groebner._KoszulLayers, "advance", spy)
+    G = _buchberger_raw(I.ring, I.gens, reduced=False)
+    assert_groebner_basis_of(G, I.gens)
+    # the regular sequences keep their layers to the end
+    assert kept and all(kept) == (name != "rnc5_first_6")
+    if name == "quadrics_4_in_7":
+        assert comb(6 + 5, 6) > groebner.HF_CHECK_LIMIT
+        assert [dense_standard_count(initial_ideal(G).min_gens, 7, t)
+                for t in range(8)] == series_quotient_coeffs([2] * 4, 7, 7)
+
+
+@FIELDS
+def test_layered_basis_of_random_small_inputs(field):
+    # 2..num_vars sparse forms of degrees 1-3: regular sequences or not
+    rng = random.Random(f"layers:{field}")
+    for _ in range(40):
+        ring = RingCtx(rng.randint(3, 5), field)
+        gens = []
+        for _ in range(rng.randint(2, ring.num_vars)):
+            monos = monomials_of_degree(ring.num_vars, rng.randint(1, 3))
+            terms = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+            gens.append(P(ring, {m: rng.randint(1, 5) for m in terms}))
+        G = _buchberger_raw(ring, gens, reduced=False)
+        assert_groebner_basis_of(G, gens)
+
+
+@FIELDS
+def test_layered_trial_reduces_nothing_to_zero(monkeypatch, field):
+    # the plain run reduces 29 pairs, 18 of them to zero
+    I = over(TRIAL_INPUTS["quadrics_4_in_6"](), field)
+    remainders = counted_reductions(monkeypatch)
+    trial_basis(I, 2)
+    assert remainders and all(remainders)
+
+
+@FIELDS
+def test_more_inputs_than_variables_are_not_layered(monkeypatch, field):
+    # all 10 quadrics through the rational normal curve in P^5: a plain run,
+    # with the 29 reductions it made before layering
+    I = rnc_basis(6, 10, field)
+    remainders = counted_reductions(monkeypatch)
+    G = trial_basis(I, 4)
+    assert len(remainders) <= 29
+    assert_groebner_basis_of(G, moved_gens(I, 4))
+
+
+def test_layered_runs_keep_their_tables_to_themselves(monkeypatch):
+    # the degree words of a layered run live in the run: nothing in the
+    # module grows, and the words never pass a degree where a pair is left
+    # to reduce (four quadrics: the basis ends in degree 5)
+    def sizes():
+        return {name: len(v) for name, v in vars(groebner).items()
+                if isinstance(v, (dict, list, set))}
+
+    degrees = []
+    opened = groebner._KoszulLayers._start_degree
+
+    def spy(self, d):
+        degrees.append(d)
+        return opened(self, d)
+
+    monkeypatch.setattr(groebner._KoszulLayers, "_start_degree", spy)
+    before = sizes()
+    I = over(random_quadrics(4, 7, 5), GF)
+    for seed in range(6):
+        G = trial_basis(I, seed)
+        assert max(g.degree() for g in G.elements) == 5
+        assert max(degrees) <= 6
+    assert sizes() == before
+    assert not any(hasattr(v, "cache_info") for v in vars(groebner).values())
 
 
 # --- minimal generators ------------------------------------------------------
