@@ -269,9 +269,9 @@ class _KoszulLayers:
         """Whether the leads of layers <= L span in(J_L) in degree d."""
         return self.count == self.bound
 
-    def add(self, lead_e: int, L: int):
+    def add(self, lead_e: int):
         """A new element of the current group (d, L) has this lead."""
-        self.cover[lead_e] = L
+        self.cover[lead_e] = self.group[1]
         self.count += 1
 
     def advance(self, to) -> bool:
@@ -428,7 +428,7 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
             if target is not None:
                 cover(G[-1][1])
             if layers is not None:
-                layers.add(G[-1][1], lay)
+                layers.add(G[-1][1])
 
     # minimalize: keep only elements whose lm is not divisible by another lm;
     # taken in ascending order, so the basis comes out sorted by leading term
