@@ -20,8 +20,8 @@ Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
 and intermediate results are content-stripped, which is what keeps exact
 arithmetic feasible at this scale.  Over GF(p) the same loop runs on ints
-mod p.  Polynomials enter and leave this integer working form through
-ring.int_terms and ring.from_int_terms.  The division is internal to
+mod p.  Polynomials enter this integer working form through ring.int_terms
+and leave it through ring.from_packed.  The division is internal to
 Buchberger's reductions and the interreduction of the reduced basis, which
 only need each remainder up to a nonzero scalar, so there is no public
 normal form.
@@ -55,7 +55,7 @@ from math import comb, gcd
 from .borel import MonomialIdeal
 from .errors import SaturationRetryError
 from .ring import (Packing, Polynomial, PolyIdeal, RingCtx, _sparse_pivots,
-                   apply_linear_change, from_int_terms, int_terms, mono_lcm,
+                   apply_linear_change, from_packed, int_terms, mono_lcm,
                    mono_mul, seeded_invertible_matrix, seeded_linear_form)
 
 
@@ -86,10 +86,6 @@ def _pack_work(work: dict, pk, table: dict) -> dict:
         table[d] = e
         out[d] = c
     return out
-
-
-def _unpack_work(d: dict, pk, table: dict) -> dict:
-    return {pk.unpack(table[m]): c for m, c in d.items()}
 
 
 def _strip_int(d: dict) -> dict:
@@ -349,7 +345,7 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
             w = _strip_int(w)
         if w:
             G.append(_as_divisor(w, table))
-    lms = [pk.unpack(g[1]) for g in G]   # the same, as tuples, for lcms
+    lms = [pk.unpack(g[0]) for g in G]   # the same, as tuples, for lcms
     # target generators not yet divisible by a lead, as (degree, E), sorted
     # so the first has the lowest degree
     uncovered = [] if target is None else sorted(
@@ -421,7 +417,7 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
             if p_mod is None:
                 r = _strip_int(r)
             G.append(_as_divisor(r, table))
-            lms.append(pk.unpack(G[-1][1]))
+            lms.append(pk.unpack(G[-1][0]))
             layer.append(lay)
             divisors.append(G[-1])
             add_pairs(len(G) - 1)
@@ -437,18 +433,15 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
         if not any(not (g[1] - h[1]) & guard for h in kept):
             kept.append(g)
     if not reduced:
-        return GroebnerBasis(ring, tuple(
-            from_int_terms(ring, _unpack_work(dict(g[3]), pk, table)) for g in kept),
-            reduced=False)
-    # interreduce tails, then normalize leading coefficients to 1
+        return GroebnerBasis(ring, from_packed(ring, [(dict(g[3]), 1) for g in kept]),
+                             reduced=False)
+    # interreduce tails, then divide by the leading coefficient: monic
     out = []
     for idx in range(len(kept)):
         others = kept[:idx] + kept[idx + 1:]
         r = _reduce_work(dict(kept[idx][3]), others, table, pk, p_mod)
-        if p_mod is None:
-            r = _strip_int(r)
-        out.append(from_int_terms(ring, _unpack_work(r, pk, table)).monic())
-    return GroebnerBasis(ring, tuple(out), reduced=True)
+        out.append((r, r[max(r)]))
+    return GroebnerBasis(ring, from_packed(ring, out), reduced=True)
 
 
 def buchberger(I: PolyIdeal) -> GroebnerBasis:
@@ -696,5 +689,5 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
         return PolyIdeal.make(ring, [ring.constant(1)])
     sat = minimal_generators(PolyIdeal.make(ring, divided))
     # over QQ the numerators of a monic polynomial are coprime
-    return PolyIdeal.make(ring, [from_int_terms(ring, int_terms(g.monic())[0])
-                                 for g in apply_linear_change(sat.gens, back)])
+    monic = [g.monic() for g in apply_linear_change(sat.gens, back)]
+    return PolyIdeal.make(ring, [g.scale(int_terms(g)[1]) for g in monic])

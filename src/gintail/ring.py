@@ -7,15 +7,18 @@ their terms sorted descending in grevlex, so the leading term is always the
 first one.  Coefficients are arbitrary-precision rationals (the certified
 mode) or elements of an odd prime field (a fast, advisory mode).
 
-The exact Groebner kernel does not use the tuples: a Packing turns each
-monomial into two ints that are linear in the exponents (Bachmann and
-Schoenemann, ISSAC 1998; Monagan and Pearce, CASC 2007).  The order key D
-makes multiplication `+` and comparison in grevlex `<`; the word
-E, 16-bit fields with a clear guard bit on top of each, makes a divisibility
-test one subtraction and one mask.  Packed monomials have total degree at
-most MAX_PACKED_DEGREE = 2^15 - 1.  A larger term is refused with a ValueError
-(exit 2 from the CLI) where a polynomial is built, and Packing.pack refuses
-an lcm of two leads past it; nothing is wrapped into a wrong answer.
+The exact kernels do not use the tuples: a Packing turns each monomial into
+two ints that are linear in the exponents (Bachmann and Schoenemann, ISSAC
+1998; Monagan and Pearce, CASC 2007).  The order key D makes multiplication
+`+` and comparison in grevlex `<`; the word E, 16-bit fields with a clear
+guard bit on top of each, makes a divisibility test one subtraction and one
+mask.  The coordinate change expands on D keys, through one table of
+monomial images per call, and from_packed, shared with the Groebner kernel,
+builds polynomials back from them by an int sort.  Packed monomials have
+total degree at most MAX_PACKED_DEGREE = 2^15 - 1.  A larger term is refused
+with a ValueError (exit 2 from the CLI) where a polynomial is built, and
+Packing.pack refuses an lcm of two leads past it; nothing is wrapped into a
+wrong answer.
 
 The library's one Gaussian elimination, _sparse_pivots, also lives here, on
 sparse integer rows: exact and fraction-free over QQ, mod p over GF(p).  It
@@ -252,10 +255,15 @@ class Packing:
             raise packed_overflow(d)
         return sum(map(mul, m, self.weights)), sum(map(mul, m, self.fields))
 
-    def unpack(self, e: int) -> Mono:
-        """The exponent tuple of the word E."""
+    def unpack(self, d: int) -> Mono:
+        """The exponent tuple of the order key D: S = sum_{i>=1} a_i*B^i is in
+        [0, B^N), so deg(a) = ceil(D / B^N) and S = deg(a)*B^N - D."""
+        shift = _FIELD * self.num_vars
+        deg = -(-d >> shift)
+        rest = (deg << shift) - d
         mask = (1 << _FIELD) - 1
-        return tuple((e >> (_FIELD * i)) & mask for i in range(self.num_vars))
+        tail = [(rest >> (_FIELD * i)) & mask for i in range(1, self.num_vars)]
+        return (deg - sum(tail), *tail)
 
     def degree(self, e: int) -> int:
         return e >> (_FIELD * self.num_vars)
@@ -290,9 +298,6 @@ class RingCtx:
         if self != other:
             raise RingMismatchError(f"ring mismatch: {self} vs {other}")
 
-    def unit_mono(self) -> Mono:
-        return (0,) * self.num_vars
-
     def var_mono(self, i: int) -> Mono:
         if not 0 <= i < self.num_vars:
             raise ValueError(f"no variable x{i} in a {self.num_vars}-variable ring")
@@ -302,7 +307,7 @@ class RingCtx:
         return Polynomial._sorted(self, {self.var_mono(i): self.field.one})
 
     def constant(self, c) -> "Polynomial":
-        return Polynomial.from_dict(self, {self.unit_mono(): c})
+        return Polynomial.from_dict(self, {(0,) * self.num_vars: c})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -343,7 +348,7 @@ class Polynomial:
     @classmethod
     def _sorted(cls, ring: RingCtx, d: dict) -> "Polynomial":
         """from_dict for valid monomials whose coefficients are already in
-        ring.field: the path of arithmetic and from_int_terms."""
+        ring.field: the path of arithmetic."""
         items = sorted((t for t in d.items() if t[1]),
                        key=lambda t: grevlex_desc_key(t[0]))
         # grevlex ranks degree first: the leading term has the top degree
@@ -454,10 +459,10 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # the integer working form
 # ---------------------------------------------------------------------------
-# Exact kernels (division, S-polynomials, coordinate change) run on
-# {mono: int} dicts, and the one Gaussian elimination, _sparse_pivots, on
-# {column: int} rows.  Over GF(p) the ints are residues mod p; over QQ they
-# are numerators over one common denominator.
+# Exact kernels (division, S-polynomials, coordinate change) run on {D: int}
+# dicts keyed by the packed order key, and the one Gaussian elimination,
+# _sparse_pivots, on {column: int} rows.  Over GF(p) the ints are residues
+# mod p; over QQ they are numerators over one common denominator.
 
 def int_terms(f: Polynomial) -> tuple:
     """(work, den) with f = work / den: over GF(p) the residues of the
@@ -469,13 +474,26 @@ def int_terms(f: Polynomial) -> tuple:
     return {m: c.numerator * (den // c.denominator) for m, c in f.terms}, den
 
 
-def from_int_terms(ring: RingCtx, d: dict, den: int = 1) -> Polynomial:
-    """The polynomial d / den over the ring's field; inverse of int_terms."""
+def from_packed(ring: RingCtx, parts) -> tuple:
+    """The polynomial work / den over the ring's field for each (work, den)
+    in parts, work {D: int} and den a nonzero int, zero terms dropped: its
+    terms in the descending sort of the D keys, which is grevlex.  A D
+    shared by several parts is unpacked once."""
     p = ring.field.p
-    if p is None:
-        return Polynomial._sorted(ring, {m: Fraction(c, den) for m, c in d.items()})
-    inv = pow(den, -1, p)
-    return Polynomial._sorted(ring, {m: Fp(c * inv, p) for m, c in d.items()})
+    unpack = Packing(ring.num_vars).unpack
+    monos: dict = {}
+    out = []
+    for work, den in parts:
+        terms = []
+        inv = 1 if p is None else pow(den, -1, p)
+        for d in sorted(work, reverse=True):
+            c = work[d] if p is None else work[d] * inv % p
+            if c:
+                if d not in monos:
+                    monos[d] = unpack(d)
+                terms.append((monos[d], Fraction(c, den) if p is None else Fp(c, p)))
+        out.append(Polynomial(ring, terms))
+    return tuple(out)
 
 
 def _sparse_pivots(rows, p: int | None = None) -> dict:
@@ -596,54 +614,38 @@ def _coerce_matrix(M, field, n: int):
     return rows
 
 
-def _int_mul(a: dict, b: dict, p: int | None) -> dict:
-    """Product of two {mono: int} polynomials, reduced mod p when p is given."""
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
-            out[m] = out.get(m, 0) + ca * cb
-    if p is not None:
-        return {m: c % p for m, c in out.items()}
-    return out
-
-
-def _linear_power(row, e: int, p: int | None) -> dict:
-    """(sum_j row[j] * x_j)^e as {mono: int} by the multinomial theorem: the
-    coefficient of prod_j x_j^k_j is e! / prod_j k_j! * prod_j row[j]^k_j.
-    The compositions k of e are walked over the nonzero entries of row, one
-    variable at a time, carrying the product of the binomials and powers
-    chosen so far; the last variable takes what is left."""
-    support = [(j, a) for j, a in enumerate(row) if a]
+def _linear_power(row, e: int, p: int | None, weights) -> dict:
+    """(sum_j row[j] * x_j)^e as {D: int}, D = sum_j k_j * weights[j], by the
+    multinomial theorem: the coefficient of prod_j x_j^k_j is
+    e! / prod_j k_j! * prod_j row[j]^k_j.  The compositions k of e are walked
+    over the nonzero entries of row, one variable at a time, carrying the
+    product of the binomials and powers and the key chosen so far; the last
+    variable takes what is left."""
+    support = [(weights[j], a) for j, a in enumerate(row) if a]
     powers = []             # powers[t][k] = (entry t of support)^k
     for _, a in support:
         got = [1]
         for _ in range(e):
             got.append(got[-1] * a if p is None else got[-1] * a % p)
         powers.append(got)
-    expo = [0] * len(row)
     out: dict = {}
     last = len(support) - 1
 
-    def walk(t: int, rest: int, coef: int):
-        j = support[t][0]
+    def walk(t: int, rest: int, coef: int, key: int):
+        w = support[t][0]
         if t == last:
-            expo[j] = rest
             c = coef * powers[t][rest]
             if p is not None:
                 c %= p
             if c:
-                out[tuple(expo)] = c
-            expo[j] = 0
+                out[key + rest * w] = c
             return
         binom = 1           # C(rest, k)
         for k in range(rest + 1):
-            expo[j] = k
-            walk(t + 1, rest - k, coef * binom * powers[t][k])
+            walk(t + 1, rest - k, coef * binom * powers[t][k], key + k * w)
             binom = binom * (rest - k) // (k + 1)
-        expo[j] = 0
 
-    walk(0, e, 1)
+    walk(0, e, 1, 0)
     return out
 
 
@@ -653,15 +655,22 @@ def apply_linear_change(gens, M) -> tuple:
 
     M must be invertible, so the substitution is a ring automorphism; applying
     M then its inverse is the identity.  M is checked once, as full rank of
-    its integer rows (_sparse_pivots: exact over QQ, mod p over GF(p)), and
-    the powers of the images of the variables are shared by all the
-    generators.  The expansion runs on the integer working form (int_terms),
-    takes each power of an image from the multinomial theorem, and converts
-    to field elements once per generator, at the end.  Over QQ, with M = N/dm
-    and f = F/df for integer N and F, a term of degree d maps to dm^-d times
-    its image under N; scaling it by dm^(top - d), top = deg f, puts every
-    term over the one denominator df * dm^top, so inhomogeneous f and
-    fractional M stay exact.  Over GF(p) dm = df = 1.
+    its integer rows (_sparse_pivots: exact over QQ, mod p over GF(p)).
+
+    The expansion runs on {D: int} dicts (Packing), so a product of
+    monomials is an int add.  One table per call, shared by all the
+    generators, maps the D of a monomial m to its image: a pure power comes
+    from the multinomial theorem (_linear_power), any other m is
+    image(m / x_i) * L_i for its last variable x_i, L_i = sum_j M[i][j] x_j.
+    The walk down along x_i is a loop, and only m and its restrictions to
+    its first variables enter the table, so a deep power holds a few images,
+    not one per step.  Each sum_m c_m * image(m) is built by from_packed.
+
+    Over QQ, with M = N/dm and f = F/df for integer N and F, a term of
+    degree d maps to dm^-d times its image under N; scaling it by
+    dm^(top - d), top = deg f, puts every term over the one denominator
+    df * dm^top, so inhomogeneous f and fractional M stay exact.  Over GF(p)
+    dm = df = 1.
     """
     gens = tuple(gens)
     if not gens:
@@ -680,31 +689,46 @@ def apply_linear_change(gens, M) -> tuple:
         rows = [[v.v for v in row] for row in rows]
     if len(_sparse_pivots([dict(enumerate(r)) for r in rows], p)) < len(rows):
         raise SingularMatrixError("coordinate change matrix is singular")
-    powers: dict = {}       # (i, e) -> image of x_i^e
+    weights = Packing(ring.num_vars).weights
+    forms = [tuple((weights[j], a) for j, a in enumerate(row) if a) for row in rows]
+    images: dict = {0: {0: 1}}      # D of a monomial -> its image {D: int}
 
-    def image_power(i: int, e: int) -> dict:
-        got = powers.get((i, e))
-        if got is None:
-            got = powers[i, e] = _linear_power(rows[i], e, p)
+    def image(m: Mono) -> dict:
+        key = sum(map(mul, m, weights))
+        cur, peeled = list(m), []       # peeled: the variables divided out
+        got = images.get(key)
+        while got is None:
+            i = max(j for j, e in enumerate(cur) if e)
+            if not any(cur[:i]):
+                got = images[key] = _linear_power(rows[i], cur[i], p, weights)
+            else:
+                cur[i] -= 1
+                key -= weights[i]
+                peeled.append(i)
+                got = images.get(key)
+        for k in range(len(peeled) - 1, -1, -1):
+            i = peeled[k]
+            nxt: dict = {}
+            for w, a in forms[i]:       # got * L_i
+                for d, c in got.items():
+                    nxt[d + w] = nxt.get(d + w, 0) + c * a
+            got = nxt if p is None else {d: c % p for d, c in nxt.items()}
+            key += weights[i]
+            if not k or peeled[k - 1] != i:
+                images[key] = got
         return got
 
-    out = []
+    moved = []
     for f in gens:
-        if f.is_zero:
-            out.append(f)
-            continue
-        work, df = int_terms(f)
-        top = f.degree()
+        work, df = int_terms(f)     # ({}, 1) for the zero polynomial
+        top = max(f.degree(), 0)
         acc: dict = {}
         for m, c in work.items():
-            part = {ring.unit_mono(): c * dm ** (top - sum(m))}
-            for i, e in enumerate(m):
-                if e:
-                    part = _int_mul(part, image_power(i, e), p)
-            for mm, cc in part.items():
-                acc[mm] = acc.get(mm, 0) + cc
-        out.append(from_int_terms(ring, acc, df * dm ** top))
-    return tuple(out)
+            c *= dm ** (top - sum(m))
+            for d, v in image(m).items():
+                acc[d] = acc.get(d, 0) + c * v
+        moved.append((acc, df * dm ** top))
+    return from_packed(ring, moved)
 
 
 def _check_bound(bound: int):

@@ -297,6 +297,22 @@ def test_minimal_trial_basis_has_the_reduced_leads(quintic_ideal, field):
     assert all(reduces_to_zero(g, full.elements) for g in minimal.elements)
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["minimal", "reduced"])
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_basis_elements_are_canonical(quintic_ideal, field, reduced):
+    # the elements leave the packed kernel through an int sort of their
+    # order keys; each must be the polynomial that from_dict builds, and
+    # sorts, from its own terms, with coefficients in the field
+    I = over(quintic_ideal, field)
+    G = _buchberger_raw(I.ring, moved_gens(I, 5), reduced=reduced)
+    assert G.elements
+    for g in G.elements:
+        assert g == Polynomial.from_dict(I.ring, dict(g.terms))
+        assert all(type(c) is type(field.one) for _, c in g.terms)
+        if reduced:
+            assert g.lead_coeff() == field.one
+
+
 @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
 def test_non_generic_target_keeps_the_trial_exact(quintic_ideal, field):
     # in(I) in the original coordinates has I's Hilbert function but is not

@@ -11,7 +11,7 @@ from gintail.errors import InhomogeneousError, SingularMatrixError
 from gintail.ring import (MAX_PACKED_DEGREE, MAX_PRIME_MODULUS, Packing,
                           Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           _is_prime,
-                          apply_linear_change, from_int_terms,
+                          apply_linear_change, from_packed,
                           grevlex_desc_key, int_terms, mono_lcm, mono_mul,
                           seeded_invertible_matrix, seeded_linear_form)
 from oracles import (divides, matrix_inv, naive_grevlex_less,
@@ -111,7 +111,8 @@ def test_int_terms_round_trip(field, seed, terms):
     # random_poly draws fractional coefficients, reduced mod p over GF(p)
     f = random_poly(RingCtx(3, field), random.Random(seed), terms)
     work, den = int_terms(f)
-    assert from_int_terms(f.ring, work, den) == f
+    packed = {Packing(3).pack(m)[0]: c for m, c in work.items()}
+    assert from_packed(f.ring, [(packed, den)]) == (f,)
     assert list(work) == [m for m, _ in f.terms]
     if field.p is None:
         assert den == lcm(*(c.denominator for _, c in f.terms))
@@ -167,7 +168,7 @@ def test_packed_monomials_match_tuple_definitions(pair):
     (da, ea), (db, eb) = pk.pack(a), pk.pack(b)
     assert (da < db, da == db, da > db) == (
         naive_grevlex_less(a, b), a == b, naive_grevlex_less(b, a))
-    assert pk.unpack(ea) == a and pk.degree(ea) == sum(a)
+    assert pk.unpack(da) == a and pk.degree(ea) == sum(a)
     assert (not (eb - ea) & pk.guard) == divides(a, b)
     assert (not (ea - eb) & pk.guard) == divides(b, a)
     if sum(a) + sum(b) <= MAX_PACKED_DEGREE:
@@ -260,6 +261,70 @@ def test_linear_change_of_x0_to_the_1600_is_fast():
     assert len(moved.terms) == 1601
     for k in (0, 1, 800, 1599, 1600):
         assert dict(moved.terms)[(k, 1600 - k)] == comb(1600, k) * 3**k * (-2)**(1600 - k)
+
+
+# monomials of degrees 0..4 in 3 variables: pure powers, the unit, and
+# monomials that share their restrictions to the first variables
+SHARED_MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 0, 2), (3, 0, 0), (1, 1, 0),
+                    (1, 1, 1), (2, 0, 1), (0, 1, 2), (1, 2, 1), (0, 2, 2))
+
+
+def shared_generators(ring, rng):
+    """Five inhomogeneous polynomials on SHARED_MONOMIALS, which the image
+    table of one call shares among them, with a zero polynomial in between."""
+    gens = [P(ring, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for m in rng.sample(SHARED_MONOMIALS, 6)})
+            for _ in range(5)]
+    return gens[:2] + [ring.zero()] + gens[2:]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(5)],
+                         ids=["QQ", "GF32003", "GF5"])
+def test_linear_change_of_several_generators_matches_naive_substitution(field):
+    # one call moves generators of mixed degrees that share monomials; over
+    # QQ the inverse matrices are fractional, so the terms of each degree
+    # need their own dm power
+    ring = RingCtx(3, field)
+    rng = random.Random(83)
+    for trial in range(4):
+        gens = shared_generators(ring, rng)
+        M = seeded_invertible_matrix(3, 700 + trial, 5, field)
+        for A in (M, matrix_inv(M, field)):
+            assert apply_linear_change(gens, A) == \
+                tuple(naive_linear_change(g, A) for g in gens)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+def test_linear_change_keeps_no_image_across_calls(field):
+    # the same generators under two matrices in a row, then the first again:
+    # an image kept from an earlier call would be the wrong matrix's
+    ring = RingCtx(3, field)
+    gens = shared_generators(ring, random.Random(5))
+    A, B = (seeded_invertible_matrix(3, seed, 7, field) for seed in (1, 2))
+    first = apply_linear_change(gens, A)
+    assert first == tuple(naive_linear_change(g, A) for g in gens)
+    assert apply_linear_change(gens, B) == tuple(naive_linear_change(g, B) for g in gens)
+    assert apply_linear_change(gens, A) == first
+
+
+def test_linear_change_of_a_deep_mixed_monomial_is_fast():
+    # x1^600 is divided out one factor at a time down to the pure power
+    # x0^1000 by a loop, not a recursion
+    R2, R3 = RingCtx(2), RingCtx(3)
+    start = time.perf_counter()
+    moved, = apply_linear_change([P(R2, {(1000, 600): 1})], [[3, -2], [1, 1]])
+    moved3, = apply_linear_change([P(R3, {(1000, 600, 1): 1})],
+                                  [[3, -2, 0], [1, 1, 0], [0, 1, 1]])
+    assert time.perf_counter() - start < 5
+    # (3 x0 - 2 x1)^1000 * (x0 + x1)^600
+    assert len(moved.terms) == 1601
+    for k in (0, 1, 700, 1599, 1600):
+        assert dict(moved.terms)[(k, 1600 - k)] == sum(
+            comb(1000, a) * 3**a * (-2)**(1000 - a) * comb(600, k - a)
+            for a in range(max(0, k - 600), min(1000, k) + 1))
+    # the same times x1 + x2
+    lifted = Polynomial.from_dict(R3, {m + (0,): c for m, c in moved.terms})
+    assert moved3 == lifted * (R3.variable(1) + R3.variable(2))
 
 
 def test_samplers_reject_bound_below_one():
