@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from functools import cached_property
@@ -31,7 +32,7 @@ from .gin import FIRST_TRIAL_BOUND, MAX_TRIALS, compute_gin
 from .groebner import buchberger
 from .invariants import scheme_profile
 from .ring import (MAX_PACKED_DEGREE, Polynomial, PolyIdeal, PrimeField, QQ,
-                   RingCtx, mono_str, packed_overflow)
+                   RingCtx, add_terms, mono_str, mul_terms, packed_overflow)
 from .tailing import build_tailing_report, vector_report, xi_matrix
 
 EXIT_OK = 0
@@ -44,52 +45,26 @@ EXIT_INTERNAL = 3
 # ideal-file parsing
 # ---------------------------------------------------------------------------
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+# ASCII only: str.isdigit() and \d also accept digits such as '²' that int()
+# refuses
+_is_number = re.compile("[0-9]+").fullmatch
+_TOKEN = re.compile(
+    r"[ \t]+|(?P<end>#)|(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^()])|(?P<bad>.)",
+    re.DOTALL)
 
 
-# ASCII only: str.isdigit() also accepts digits such as '²' that int() refuses
-_DIGITS = frozenset("0123456789")
-
-
-def _is_number(text: str) -> bool:
-    return bool(text) and all(ch in _DIGITS for ch in text)
-
-
-def _tokenize_expr(src: str, line_no: int):
+def _tokenize_expr(src: str, line_no: int) -> list:
+    """(kind, text, col) of each token up to a '#'; an operator's kind is
+    its own text."""
     toks = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    for m in _TOKEN.finditer(src):
+        kind, text, col = m.lastgroup, m.group(), m.start() + 1
+        if kind == "end":
             break
-        col = i + 1
-        if ch in _DIGITS:
-            j = i
-            while j < len(src) and src[j] in _DIGITS:
-                j += 1
-            toks.append(_Tok("int", src[i:j], line_no, col))
-            i = j
-        elif ch == "x" and i + 1 < len(src) and src[i + 1] in _DIGITS:
-            j = i + 1
-            while j < len(src) and src[j] in _DIGITS:
-                j += 1
-            toks.append(_Tok("var", src[i:j], line_no, col))
-            i = j
-        elif ch in "+-*^()":
-            toks.append(_Tok(ch, ch, line_no, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line_no, col)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line_no, col)
+        if kind:
+            toks.append((text if kind == "op" else kind, text, col))
     return toks
 
 
@@ -110,100 +85,106 @@ def _read_int(digits: str, line: int, col=None) -> int:
 
 
 class _ExprParser:
-    def __init__(self, toks, ring: RingCtx, line_no: int):
+    """Evaluates one generator line as a term dict {exponent tuple: int}: the
+    grammar has no division, so the field enters only when parse_ideal
+    builds the generator."""
+
+    def __init__(self, toks, num_vars: int, line_no: int):
         self.toks = toks
         self.pos = 0
-        self.ring = ring
+        self.num_vars = num_vars
         self.line = line_no
         self.depth = 0      # open parentheses around the current position
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek(self) -> str | None:
+        """The kind of the next token, None at the end."""
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
-    def take(self):
-        t = self.peek()
-        if t is None:
+    def take(self) -> tuple:
+        if self.pos == len(self.toks):
             raise ParseError("unexpected end of expression", self.line)
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        left = self.peek()
-        if left is not None:
-            raise ParseError(f"unexpected token {left.text!r}", left.line, left.col)
-        return p
+    def parse(self) -> dict:
+        node = self.expr()
+        if self.peek() is not None:
+            _, text, col = self.take()
+            raise ParseError(f"unexpected token {text!r}", self.line, col)
+        return node
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         node = self.term()
-        while (t := self.peek()) is not None and t.kind in "+-":
+        while (kind := self.peek()) is not None and kind in "+-":
             self.take()
             rhs = self.term()
-            node = node + rhs if t.kind == "+" else node - rhs
+            add_terms(node, rhs.items() if kind == "+" else
+                      ((m, -c) for m, c in rhs.items()))
         return node
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         node = self.factor()
-        while (t := self.peek()) is not None and t.kind == "*":
+        while self.peek() == "*":
             self.take()
-            node = node * self.factor()
+            node = mul_terms(node.items(), self.factor().items())
         return node
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         # a run of unary signs is read in a loop, so its length costs no
         # recursion depth
         negate = False
-        while (t := self.peek()) is not None and t.kind in "+-":
+        while (kind := self.peek()) is not None and kind in "+-":
             self.take()
-            negate ^= t.kind == "-"
+            negate ^= kind == "-"
         node = self.power()
-        return -node if negate else node
+        return {m: -c for m, c in node.items()} if negate else node
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
-        if (t := self.peek()) is not None and t.kind == "^":
+        if self.peek() == "^":
             self.take()
-            e_tok = self.take()
-            if e_tok.kind != "int":
+            kind, text, col = self.take()
+            if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer",
-                                 e_tok.line, e_tok.col)
-            e = _read_int(e_tok.text, e_tok.line, e_tok.col)
+                                 self.line, col)
+            e = _read_int(text, self.line, col)
             # the product below takes e steps, so e itself is bounded too: a
             # power of a constant is counted as if it had degree e
-            degree = e * max(base.degree(), 1)
+            degree = e * max([1, *map(sum, base)])
             if degree > MAX_PACKED_DEGREE:
                 raise ParseError(f"exponent {e}: {packed_overflow(degree)}",
-                                 e_tok.line, e_tok.col)
-            out = self.ring.constant(1)
+                                 self.line, col)
+            out = {(0,) * self.num_vars: 1}
             for _ in range(e):
-                out = out * base
+                out = mul_terms(out.items(), base.items())
             return out
         return base
 
-    def atom(self) -> Polynomial:
-        t = self.take()
-        if t.kind == "int":
-            return self.ring.constant(_read_int(t.text, t.line, t.col))
-        if t.kind == "var":
-            idx = _read_int(t.text[1:], t.line, t.col)
-            if idx >= self.ring.num_vars:
+    def atom(self) -> dict:
+        kind, text, col = self.take()
+        if kind == "int":
+            v = _read_int(text, self.line, col)
+            return {(0,) * self.num_vars: v} if v else {}
+        if kind == "var":
+            idx = _read_int(text[1:], self.line, col)
+            if idx >= self.num_vars:
                 raise ParseError(
-                    f"unknown variable x{idx} (ring has x0..x{self.ring.num_vars - 1})",
-                    t.line, t.col)
-            return self.ring.variable(idx)
-        if t.kind == "(":
+                    f"unknown variable x{idx} (ring has x0..x{self.num_vars - 1})",
+                    self.line, col)
+            return {(0,) * idx + (1,) + (0,) * (self.num_vars - 1 - idx): 1}
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_NESTING} levels",
-                    t.line, t.col)
+                    self.line, col)
             self.depth += 1
             node = self.expr()
             self.depth -= 1
-            close = self.take()
-            if close.kind != ")":
-                raise ParseError("expected ')'", close.line, close.col)
+            close, text, col = self.take()
+            if close != ")":
+                raise ParseError("expected ')'", self.line, col)
             return node
-        raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+        raise ParseError(f"unexpected token {text!r}", self.line, col)
 
 
 def parse_ideal(text: str, field_override=None) -> PolyIdeal:
@@ -244,7 +225,8 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
             else:
                 raise ParseError(f"unexpected directive {parts[0]!r}", line_no)
             continue
-        poly = _ExprParser(_tokenize_expr(raw, line_no), ctx, line_no).parse()
+        terms = _ExprParser(_tokenize_expr(raw, line_no), ring, line_no).parse()
+        poly = Polynomial.from_dict(ctx, terms)
         if poly.is_zero:
             raise ParseError("generator simplifies to the zero polynomial", line_no)
         if not poly.is_homogeneous():

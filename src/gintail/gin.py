@@ -193,7 +193,11 @@ def generic_section_gin(cert: GinCertificate, j: int) -> MonomialIdeal:
     """Gin of the ideal of X cut by a general linear subspace of dimension j,
     read off combinatorially: restrict x_{j+1},..,x_n to zero, then saturate
     in x_j.  For j = n this is X itself and the Gin is returned unchanged.
-    Each section is built once per certificate and kept in its tower."""
+    For j < n the restriction is one step: the generators free of
+    x_{j+1},..,x_n, cut to their first j + 1 exponents, which keeps a
+    minimal set minimal and in order (MonomialIdeal.restrict_last_to_zero,
+    n - j times at once).  Each section is built once per certificate and
+    kept in its tower."""
     n = cert.n
     if not 0 <= j <= n:
         raise ValueError(f"section dimension {j} out of range 0..{n}")
@@ -201,8 +205,7 @@ def generic_section_gin(cert: GinCertificate, j: int) -> MonomialIdeal:
     if j not in tower:
         J = cert.gin
         if j < n:
-            for _ in range(n - j):
-                J = J.restrict_last_to_zero()
-            J = J.saturate_last()
+            kept = tuple(g[:j + 1] for g in J.min_gens if not any(g[j + 1:]))
+            J = MonomialIdeal(j + 1, kept).saturate_last()
         tower[j] = J
     return tower[j]

@@ -490,7 +490,10 @@ def _macaulay_rows(gens, n: int, d: int) -> list:
     gens: monomial multiples m*g with deg(m*g) = d, as sparse rows over the
     integer working form of g, whose columns are the degree-d monomials in
     _monomials_of_degree order (ascending lex).  A generator of degree d
-    gives one row; these rows come last, in input order.
+    gives one row; these rows come last, in input order.  The columns stay
+    in lex: in ascending grevlex, the order of the packed key D, the ranks
+    are the same but the elimination takes 2-3 times as long on the
+    benchmark's quadric intersections.
 
     Rows that only restate a Koszul syzygy are never built.  The generators
     of each lower degree are eliminated (_sparse_pivots): pivot k picks a

@@ -280,6 +280,34 @@ def mono_str(m: Mono) -> str:
 
 
 # ---------------------------------------------------------------------------
+# term dicts
+# ---------------------------------------------------------------------------
+# The one term arithmetic, shared by Polynomial and the ideal-file parser:
+# {monomial: coefficient} with ints or field elements alike, zero terms
+# dropped; a Polynomial sorts the result once.
+
+def add_terms(acc: dict, terms) -> dict:
+    """acc + terms, with terms (monomial, coefficient) pairs; acc is updated
+    in place and returned."""
+    for m, c in terms:
+        s = acc.get(m)
+        s = c if s is None else s + c
+        if s:
+            acc[m] = s
+        else:
+            acc.pop(m, None)
+    return acc
+
+
+def mul_terms(a, b) -> dict:
+    """The product of two sequences of (monomial, coefficient) pairs."""
+    out: dict = {}
+    for ma, ca in a:
+        add_terms(out, ((mono_mul(ma, mb), ca * cb) for mb, cb in b))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # ring context
 # ---------------------------------------------------------------------------
 
@@ -302,9 +330,6 @@ class RingCtx:
         if not 0 <= i < self.num_vars:
             raise ValueError(f"no variable x{i} in a {self.num_vars}-variable ring")
         return tuple(1 if j == i else 0 for j in range(self.num_vars))
-
-    def variable(self, i: int) -> "Polynomial":
-        return Polynomial._sorted(self, {self.var_mono(i): self.field.one})
 
     def constant(self, c) -> "Polynomial":
         return Polynomial.from_dict(self, {(0,) * self.num_vars: c})
@@ -382,15 +407,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self.ring.check_same(other.ring)
-        d = dict(self.terms)
-        for m, c in other.terms:
-            s = d.get(m)
-            s = c if s is None else s + c
-            if s:
-                d[m] = s
-            else:
-                d.pop(m, None)
-        return Polynomial._sorted(self.ring, d)
+        return Polynomial._sorted(self.ring, add_terms(dict(self.terms), other.terms))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
@@ -400,17 +417,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self.ring.check_same(other.ring)
-        d = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = mono_mul(ma, mb)
-                s = d.get(m)
-                s = ca * cb if s is None else s + ca * cb
-                if s:
-                    d[m] = s
-                else:
-                    d.pop(m, None)
-        return Polynomial._sorted(self.ring, d)
+        return Polynomial._sorted(self.ring, mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "Polynomial":
         c = self.ring.field.of(c)

@@ -189,6 +189,11 @@ def fraction_rank(rows, p=None):
     return rank
 
 
+def variable(ring, i):
+    """The polynomial x_i of the ring."""
+    return Polynomial.from_dict(ring, {ring.var_mono(i): 1})
+
+
 def random_poly(ring, rng, terms, max_exp=2):
     """Random input for the differential tests: up to `terms` terms with
     exponents in [0, max_exp], so inhomogeneous in general, and fractional
@@ -204,7 +209,7 @@ def naive_linear_change(f, M):
     one variable factor at a time, in the field of f."""
     ring = f.ring
     n = ring.num_vars
-    images = [sum((ring.variable(j).scale(M[i][j]) for j in range(n)), ring.zero())
+    images = [sum((variable(ring, j).scale(M[i][j]) for j in range(n)), ring.zero())
               for i in range(n)]
     out = ring.zero()
     for m, c in f.terms:

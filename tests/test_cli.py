@@ -1,16 +1,18 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gintail.borel import MonomialIdeal
-from gintail.cli import _cert_dict, main, parse_ideal
+from gintail.cli import (_cert_dict, _ExprParser, _tokenize_expr, main,
+                         parse_ideal)
 from gintail.errors import ParseError
 from gintail.fixtures import bundled_ideal_text
 from gintail.gin import certificate_for_borel_ideal
-from gintail.ring import PolyIdeal, PrimeField, QQ
+from gintail.ring import Polynomial, PolyIdeal, PrimeField, QQ, RingCtx
 
 QUINTIC_TEXT = bundled_ideal_text("quintic")
 
@@ -163,6 +165,57 @@ def test_parse_fuzz_raises_only_parse_error(tokens, sep):
     except ParseError:
         return
     assert isinstance(I, PolyIdeal)
+
+
+def _random_expr(rng, depth):
+    """A random expression of the file grammar in x0..x3: sums of products of
+    signed powers of integers, variables and parenthesised expressions."""
+    terms = []
+    for k in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            pick = rng.randrange(3 if depth else 2)
+            atom = (str(rng.randint(0, 12)), f"x{rng.randrange(4)}",
+                    f"({_random_expr(rng, depth - 1)})" if depth else "")[pick]
+            if rng.random() < 0.4:
+                atom += f"^{rng.randint(0, 3)}"
+            factors.append(rng.choice(["", "", "-", "+", "- -", "-+"]) + atom)
+        terms.append((rng.choice("+-") if k else "") + " " + " * ".join(factors))
+    return " ".join(terms)
+
+
+def _value(f, point):
+    field = f.ring.field
+    total = field.zero
+    for m, c in f.terms:
+        for a, e in zip(point, m):
+            c = c * field.of(a ** e)
+        total = total + c
+    return total
+
+
+def test_parse_evaluates_like_integer_arithmetic():
+    # each expression, read as Python integer arithmetic (^ as **), is the
+    # oracle for the polynomial the parser builds, over QQ and mod p
+    rng = random.Random(5)
+    fields = (QQ, PrimeField(5), PrimeField(32003))
+    for _ in range(300):
+        expr = _random_expr(rng, 2)
+        terms = _ExprParser(_tokenize_expr(expr, 1), 4, 1).parse()
+        polys = [Polynomial.from_dict(RingCtx(4, field), terms) for field in fields]
+        for _ in range(3):
+            point = [rng.randint(-6, 6) for _ in range(4)]
+            want = eval(expr.replace("^", "**"), {"__builtins__": {}},
+                        dict(zip(("x0", "x1", "x2", "x3"), point)))
+            for field, f in zip(fields, polys):
+                assert _value(f, point) == field.of(want), (expr, point, field)
+
+
+def test_parse_reduces_integers_mod_p_when_the_generator_is_built():
+    with pytest.raises(ParseError, match="zero polynomial"):
+        parse_ideal("ring 2\nfield fp 5\ngens:\n7*x0 + 3*x0\n")
+    I = parse_ideal("ring 2\nfield fp 5\ngens:\n7*x0^2 - x1^2\n")
+    assert [(m, c.v) for m, c in I.gens[0].terms] == [((2, 0), 2), ((0, 2), 4)]
 
 
 # --- subcommands -------------------------------------------------------------

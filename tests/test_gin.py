@@ -300,10 +300,18 @@ def test_section_tower_matches_formula(monkeypatch):
     monkeypatch.undo()
     assert len(certs) >= 8
     certs += _seeded_borel_certificates(300, 21)
+    wants = [[_section_by_formula(cert, j) for j in range(cert.n + 1)]
+             for cert in certs]
+
+    # the restriction chain is the oracle only: a section is cut to j + 1
+    # variables in one step
+    def refuse(self):
+        raise AssertionError("section built by a chain of restrictions")
+
+    monkeypatch.setattr(MonomialIdeal, "restrict_last_to_zero", refuse)
     nonempty = 0
-    for cert in certs:
-        for j in range(cert.n + 1):
-            want = _section_by_formula(cert, j)
+    for cert, sections in zip(certs, wants):
+        for j, want in enumerate(sections):
             if want is None:
                 with pytest.raises(UnitIdealError):
                     generic_section_gin(cert, j)

@@ -22,7 +22,8 @@ from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           seeded_linear_form)
 from oracles import (bounded_saturation_members, dense_standard_count,
                      divides, in_monomial_ideal, monomials_of_degree, naive_grevlex_less,
-                     naive_normal_form, naive_spoly, series_quotient_coeffs)
+                     naive_normal_form, naive_spoly, series_quotient_coeffs,
+                     variable)
 
 R3 = RingCtx(3)
 R4 = RingCtx(4)
@@ -364,7 +365,7 @@ def rnc_basis(num_vars: int, count: int, field) -> PolyIdeal:
     Hankel matrix of x0..x_n (n = num_vars - 1), which cut out the rational
     normal curve of degree n in P^n."""
     ring = RingCtx(num_vars, field)
-    x = [ring.variable(i) for i in range(num_vars)]
+    x = [variable(ring, i) for i in range(num_vars)]
     n = num_vars - 1
     minors = [x[i] * x[j + 1] - x[i + 1] * x[j]
               for i in range(n) for j in range(i + 1, n)]
@@ -544,7 +545,7 @@ def test_minimal_generators_keep_the_first_of_dependent_ones(field):
                        ([f.scale(field.of(2)), f], [f.scale(field.of(2))]),
                        ([f, g, h], [f, g]),
                        ([h, f, g], [h, f]),
-                       ([f * ring.variable(1), g, f], [g, f])):
+                       ([f * variable(ring, 1), g, f], [g, f])):
         assert minimal_generators(PolyIdeal.make(ring, gens)).gens == tuple(kept)
 
 
@@ -552,7 +553,7 @@ def test_minimal_generators_keep_an_over_limit_generator():
     # in 9 variables the cubics fit under HF_CHECK_LIMIT and the quartics do
     # not: a redundant quartic is kept untested, a redundant cubic is not
     ring = RingCtx(9)
-    x0 = ring.variable(0)
+    x0 = variable(ring, 0)
     assert comb(8 + 3, 8) <= groebner.HF_CHECK_LIMIT < comb(8 + 4, 8)
     cubic, quartic = x0 * x0 * x0, x0 * x0 * x0 * x0
     assert minimal_generators(PolyIdeal.make(ring, [x0, cubic])).gens == (x0,)
@@ -656,13 +657,13 @@ def test_moving_the_form_to_the_last_variable(field, last_is_zero):
     rng = random.Random(31)
     seed = linear_form_seed(ring, 1000, last_is_zero)
     forms = [seeded_linear_form(ring, _mix_seed(seed, 0), 1000),
-             ring.variable(0).scale(-7)]
+             variable(ring, 0).scale(-7)]
     for L in forms:
         forward, back = groebner._to_last_variable(L)
         k = max(m.index(1) for m, _ in L.terms)
         ck = dict(L.terms)[ring.var_mono(k)]
         assert apply_linear_change([L], forward) == (
-            ring.variable(3).scale(ck),)
+            variable(ring, 3).scale(ck),)
         scale = field.one
         for degree in (1, 2, 3):
             scale = scale * ck
@@ -673,7 +674,7 @@ def test_moving_the_form_to_the_last_variable(field, last_is_zero):
 
 def times_every_variable(Q: PolyIdeal) -> PolyIdeal:
     ring = Q.ring
-    return PolyIdeal.make(ring, [ring.variable(k) * q for q in Q.gens
+    return PolyIdeal.make(ring, [variable(ring, k) * q for q in Q.gens
                                  for k in range(ring.num_vars)])
 
 
@@ -700,7 +701,7 @@ def test_saturate_with_a_form_missing_the_last_variable(field):
     # L has no x3 term, so x2 trades places with x3 before L is solved for
     ring = RingCtx(4, field)
     seed = linear_form_seed(ring, 1000, last_is_zero=True)
-    x = [ring.variable(i) for i in range(4)]
+    x = [variable(ring, i) for i in range(4)]
     Q = PolyIdeal.make(ring, [x[0] * x[3] - x[1] * x[2],
                               x[0] * x[2] + x[1] * x[1] - x[3] * x[3]])
     assert same_ideal(saturate_by_general_linear_form(times_every_variable(Q),
@@ -797,7 +798,7 @@ def test_saturate_three_lines_raises_exactly_on_an_associated_prime():
 def test_saturate_a_point_and_a_line_raises_exactly_on_their_primes():
     # (x0*x1, x0*x2) = (x0) cap (x1, x2) is saturated
     ring = R3
-    x = [ring.variable(k) for k in range(3)]
+    x = [variable(ring, k) for k in range(3)]
     I = PolyIdeal.make(ring, [x[0] * x[1], x[0] * x[2]])
     kinds = set()
     for seed in range(40):
@@ -812,7 +813,7 @@ def test_saturate_a_point_and_a_line_raises_exactly_on_their_primes():
 
 def test_saturate_a_hyperplane_raises_exactly_on_its_form():
     ring = R3
-    I = PolyIdeal.make(ring, [ring.variable(0)])
+    I = PolyIdeal.make(ring, [variable(ring, 0)])
     raised = []
     for seed in range(40):
         c = saturation_form(ring, seed)

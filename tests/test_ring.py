@@ -15,7 +15,8 @@ from gintail.ring import (MAX_PACKED_DEGREE, MAX_PRIME_MODULUS, Packing,
                           grevlex_desc_key, int_terms, mono_lcm, mono_mul,
                           seeded_invertible_matrix, seeded_linear_form)
 from oracles import (divides, matrix_inv, naive_grevlex_less,
-                     naive_linear_change, random_poly, trial_division_is_prime)
+                     naive_linear_change, random_poly, trial_division_is_prime,
+                     variable)
 
 R4 = RingCtx(4)
 
@@ -67,8 +68,8 @@ def test_grevlex_total_order(a, b, c):
 def test_add_inverse_and_product():
     f = P(R4, {(1, 0, 0, 0): 2, (0, 1, 0, 0): -3})
     assert (f + (-f)).is_zero
-    x0 = R4.variable(0)
-    x1 = R4.variable(1)
+    x0 = variable(R4, 0)
+    x1 = variable(R4, 1)
     assert (x0 + x1) * (x0 - x1) == P(R4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1})
 
 
@@ -200,7 +201,7 @@ def test_linear_change_identity_and_permutation():
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert apply_linear_change([f], ident) == (f,)
     swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert apply_linear_change([f], swap) == (R4.variable(1),)
+    assert apply_linear_change([f], swap) == (variable(R4, 1),)
 
 
 def test_linear_change_round_trip():
@@ -324,7 +325,7 @@ def test_linear_change_of_a_deep_mixed_monomial_is_fast():
             for a in range(max(0, k - 600), min(1000, k) + 1))
     # the same times x1 + x2
     lifted = Polynomial.from_dict(R3, {m + (0,): c for m, c in moved.terms})
-    assert moved3 == lifted * (R3.variable(1) + R3.variable(2))
+    assert moved3 == lifted * (variable(R3, 1) + variable(R3, 2))
 
 
 def test_samplers_reject_bound_below_one():
