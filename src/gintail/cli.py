@@ -21,6 +21,7 @@ import re
 import sys
 import tempfile
 from functools import cached_property
+from math import comb
 from typing import Callable, NamedTuple
 
 from .borel import ek_betti, hilbert_function
@@ -71,6 +72,12 @@ def _tokenize_expr(src: str, line_no: int) -> list:
 # each parenthesis level costs the recursive descent five stack frames; this
 # keeps the deepest accepted expression well inside Python's recursion limit
 MAX_NESTING = 100
+
+# the most terms a power x^e may have: the power is e successive products,
+# so it costs about e times its own size; the slowest power this lets
+# through, a binomial to the 999th, takes 1-1.5 s on one x86-64 core
+# (CPython 3.11)
+MAX_POWER_TERMS = 1000
 
 # the longest digit string read as an integer: Python's default cap on
 # str -> int conversion, applied here on every Python version
@@ -150,10 +157,20 @@ class _ExprParser:
             e = _read_int(text, self.line, col)
             # the product below takes e steps, so e itself is bounded too: a
             # power of a constant is counted as if it had degree e
-            degree = e * max([1, *map(sum, base)])
-            if degree > MAX_PACKED_DEGREE:
-                raise ParseError(f"exponent {e}: {packed_overflow(degree)}",
+            degrees = {sum(m) for m in base}
+            top = max(degrees | {1})
+            if e * top > MAX_PACKED_DEGREE:
+                raise ParseError(f"exponent {e}: {packed_overflow(e * top)}",
                                  self.line, col)
+            # at most the products of e of the base's k terms, and the
+            # monomials of degree e*top (up to e*top unless homogeneous)
+            n, k = self.num_vars, max(len(base), 1)
+            monomials = (comb(n - 1 + e * top, n - 1) if len(degrees) == 1
+                         else comb(n + e * top, n))
+            terms = min(comb(k - 1 + e, k - 1), monomials)
+            if terms > MAX_POWER_TERMS:
+                raise ParseError(f"exponent {e}: the power can have {terms} terms, "
+                                 f"more than {MAX_POWER_TERMS}", self.line, col)
             out = {(0,) * self.num_vars: 1}
             for _ in range(e):
                 out = mul_terms(out.items(), base.items())

@@ -23,8 +23,9 @@ Groebner basis, since only its leading monomials are read.  Trials 2..k
 also skip every S-pair that trial 1's Hilbert function proves reduces to
 zero (Traverso's Hilbert-driven pair skipping, with trial 1's initial ideal
 J1 as the target, in the same field).  Trial 1 has no target; with at most
-num_vars generators it skips the pairs that the Koszul bound, exact on a
-regular sequence, proves reduce to zero (groebner._buchberger_raw).
+num_vars generators it skips the pairs that the Hilbert function of a
+complete intersection of the same degrees, exact on a regular sequence,
+proves reduce to zero (groebner._buchberger_raw).
 A skipped pair would have added nothing, so each trial still returns its own
 initial ideal, the same leading monomials as without the skip, generic or
 not: agreement still compares each trial's own leads with J1, and the rank

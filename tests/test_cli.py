@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from gintail import cli
 from gintail.borel import MonomialIdeal
 from gintail.cli import (_cert_dict, _ExprParser, _tokenize_expr, main,
                          parse_ideal)
@@ -111,6 +112,34 @@ def test_parse_round_trips_printed_polynomials():
 def test_parse_huge_exponent_is_refused(expr):
     with pytest.raises(ParseError, match=r"packed monomial form \(line 3, col"):
         parse_ideal(f"ring 2\ngens:\n{expr}\n")
+
+
+def test_parse_power_with_too_many_terms_is_refused_at_once():
+    # (x0+x1+x2)^400 has C(402, 2) = 80601 terms, and expanding it took 27 s
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"exponent 400: the power can have 80601 "
+                       r"terms, more than 1000 \(line 3, col 12\)"):
+        parse_ideal("ring 3\ngens:\n(x0+x1+x2)^400\n")
+    assert time.perf_counter() - start < 0.1
+    # the count is the lesser of the products of e of the base's terms and
+    # the monomials the power can reach
+    assert len(parse_ideal("ring 3\ngens:\n(x0+x1+x2)^43\n").gens[0].terms) == 990
+    assert len(parse_ideal("ring 2\ngens:\n(x0^2+x0*x1+x1^2)^30\n").gens[0].terms) == 61
+    for expr, terms in (("(x0+x1+x2)^44", 1035), ("(x0+1)^1000", 1001),
+                        ("(x0^2+x1)^1000", 1001)):
+        with pytest.raises(ParseError, match=f"can have {terms} terms"):
+            parse_ideal(f"ring 3\ngens:\n{expr}\n")
+    # a power of a monomial or a constant has one term
+    assert parse_ideal("ring 3\ngens:\n7^30000*(x0*x1)^1000\n")
+
+
+def test_every_bundled_fixture_parses_as_without_the_power_limit(monkeypatch):
+    from importlib import resources
+    texts = [p.read_text() for p in (resources.files("gintail") / "fixtures").iterdir()
+             if p.name.endswith(".ideal")]
+    limited = [parse_ideal(text).gens for text in texts]
+    monkeypatch.setattr(cli, "MAX_POWER_TERMS", float("inf"))
+    assert limited == [parse_ideal(text).gens for text in texts]
 
 
 def test_parse_deep_parentheses_refused_with_position():

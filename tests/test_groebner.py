@@ -17,8 +17,8 @@ from gintail.groebner import (_buchberger_raw, _mix_seed, buchberger,
                               minimal_generators,
                               saturate_by_general_linear_form,
                               seeded_initial_ideal)
-from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
-                          apply_linear_change, seeded_invertible_matrix,
+from gintail.ring import (Packing, Polynomial, PolyIdeal, PrimeField, QQ,
+                          RingCtx, apply_linear_change, seeded_invertible_matrix,
                           seeded_linear_form)
 from oracles import (bounded_saturation_members, dense_standard_count,
                      divides, in_monomial_ideal, monomials_of_degree, naive_grevlex_less,
@@ -267,19 +267,16 @@ def assert_groebner_basis_of(G, gens):
 @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
 @pytest.mark.parametrize("name", sorted(TRIAL_INPUTS))
 def test_targeted_trial_equals_untargeted(name, field):
-    # an untargeted run of 2..num_vars inputs is layered, so its tails may
-    # differ from the targeted run's; its leads may not
+    # both runs drop only pairs that would reduce to zero, and the pairs
+    # they keep meet the same elements, so the bases are the same
     I = over(TRIAL_INPUTS[name](), field)
     J1 = seeded_initial_ideal(I, 1)
     for seed in (2, 3):
         plain = trial_basis(I, seed)
         aimed = trial_basis(I, seed, target=J1)
-        if len(I.gens) > I.ring.num_vars:
-            assert aimed == plain
-        assert initial_ideal(aimed) == initial_ideal(plain)
+        assert aimed == plain
         if seed == 2:
-            for G in (plain, aimed):
-                assert_groebner_basis_of(G, moved_gens(I, seed))
+            assert_groebner_basis_of(plain, moved_gens(I, seed))
         assert seeded_initial_ideal(I, seed, target=J1) == initial_ideal(plain)
 
 
@@ -347,14 +344,15 @@ def counted_reductions(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
 def test_targeted_trial_skips_reductions(monkeypatch, field):
-    # the twisted cubic is no complete intersection, so trial 1 leaves its
-    # layers and still reduces pairs to zero
+    # the twisted cubic is no complete intersection, so the bound of
+    # trial 1 falls short and it still reduces pairs to zero, in 4 reductions
     I = over(load_bundled_ideal("twisted_cubic"), field)
     J1 = seeded_initial_ideal(I, 1)
     remainders = counted_reductions(monkeypatch)
     plain = trial_basis(I, 2)
     assert not all(remainders)
     untargeted = len(remainders)
+    assert untargeted <= 4
     del remainders[:]
     assert initial_ideal(trial_basis(I, 2, target=J1)) == initial_ideal(plain)
     assert len(remainders) < untargeted
@@ -378,9 +376,8 @@ def rnc_basis(num_vars: int, count: int, field) -> PolyIdeal:
 
 
 def mixed_degrees(field) -> PolyIdeal:
-    """Two cubics and a quadric in 5 variables, from a seeded search: a run
-    that reduced a layer's pairs by the elements of later layers too would
-    miss a lead here."""
+    """Two cubics and a quadric in 5 variables, from a seeded search: forms
+    of mixed degrees whose leads reach the bound in every degree."""
     ring = RingCtx(5, field)
     return PolyIdeal.make(ring, [
         P(ring, {(2, 0, 1, 0, 0): 4, (0, 2, 1, 0, 0): 2, (2, 0, 0, 1, 0): 4,
@@ -390,15 +387,32 @@ def mixed_degrees(field) -> PolyIdeal:
                  (0, 0, 1, 0, 1): 2})])
 
 
-# inputs past TRIAL_INPUTS: four quadrics in 7 variables, whose degree-5
-# piece is past HF_CHECK_LIMIT; 6 of the 10 quadrics through the rational
-# normal curve in P^5, no complete intersection, which leaves its layers;
-# and forms of mixed degrees
+# A "layered" run, in the test names below, is an untargeted run of
+# 2..num_vars inputs: the runs that the complete-intersection bound
+# (groebner._CIBound) applies to.  Inputs past TRIAL_INPUTS: four quadrics
+# in 7 variables, whose degree-5 piece is past HF_CHECK_LIMIT; 6 of the 10
+# quadrics through the rational normal curve in P^5, no complete
+# intersection, which falls short of the bound; and forms of mixed degrees
 LAYERED_INPUTS = {
     "quadrics_4_in_7": lambda field: over(random_quadrics(4, 7, 5), field),
     "rnc5_first_6": lambda field: rnc_basis(6, 6, field),
     "mixed_degrees": mixed_degrees,
 }
+
+
+def spy_on_degrees(monkeypatch):
+    """A list that gets, for each degree that a bounded run leaves, whether
+    its leads reached the bound there."""
+    closed = []
+    move_to = groebner._CIBound.move_to
+
+    def spy(self, d):
+        if d > self.degree:
+            closed.append(self.full())
+        return move_to(self, d)
+
+    monkeypatch.setattr(groebner._CIBound, "move_to", spy)
+    return closed
 
 
 @FIELDS
@@ -408,18 +422,11 @@ def test_layered_basis_is_a_groebner_basis(monkeypatch, name, field):
     # over QQ a moved basis costs the certificate several seconds
     I = LAYERED_INPUTS[name](field)
     assert 2 <= len(I.gens) <= I.ring.num_vars
-    kept = []
-    advance = groebner._KoszulLayers.advance
-
-    def spy(self, to):
-        kept.append(advance(self, to))
-        return kept[-1]
-
-    monkeypatch.setattr(groebner._KoszulLayers, "advance", spy)
+    closed = spy_on_degrees(monkeypatch)
     G = _buchberger_raw(I.ring, I.gens, reduced=False)
     assert_groebner_basis_of(G, I.gens)
-    # the regular sequences keep their layers to the end
-    assert kept and all(kept) == (name != "rnc5_first_6")
+    # the regular sequences reach the bound in every degree they leave
+    assert closed and all(closed) == (name != "rnc5_first_6")
     if name == "quadrics_4_in_7":
         assert comb(6 + 5, 6) > groebner.HF_CHECK_LIMIT
         assert [dense_standard_count(initial_ideal(G).min_gens, 7, t)
@@ -441,6 +448,64 @@ def test_layered_basis_of_random_small_inputs(field):
         assert_groebner_basis_of(G, gens)
 
 
+def random_bound_inputs(rng, field):
+    """2..num_vars seeded random forms of degrees 1-3 in 2-5 variables,
+    nonzero in field; one time in three the last is 2*f or x0*f for an
+    earlier f, so that the inputs are dependent."""
+    ring = RingCtx(rng.randint(2, 5), field)
+    gens = []
+    for _ in range(rng.randint(2, ring.num_vars)):
+        monos = monomials_of_degree(ring.num_vars, rng.randint(1, 3))
+        terms = rng.sample(monos, min(len(monos), rng.randint(1, 5)))
+        gens.append(P(ring, {m: rng.randint(1, 2) for m in terms}))
+    if rng.random() < 1 / 3:
+        f = rng.choice(gens[:-1])
+        gens[-1] = f.scale(field.of(2)) if rng.random() < 0.5 else variable(ring, 0) * f
+    return ring, gens
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), GF],
+                         ids=["QQ", "GF3", "GF32003"])
+def test_complete_intersection_bound_is_sound(monkeypatch, field):
+    # dim I_d never passes the complete intersection's, in any
+    # characteristic, and a run whose bound is switched off finds the same
+    # leads; the bound object counts dim R_d - HF(R/CI, d)
+    rng = random.Random(f"ci-bound:{field}")
+    reached = []
+    full = groebner._CIBound.full
+
+    def spy(self):
+        reached.append(full(self))
+        return reached[-1]
+
+    monkeypatch.setattr(groebner._CIBound, "full", spy)
+    dependent = 0
+    for _ in range(60):
+        ring, gens = random_bound_inputs(rng, field)
+        n = ring.num_vars
+        degrees = [g.degree() for g in gens]
+        ci_hf = series_quotient_coeffs(degrees, n, 5)
+        I = PolyIdeal.make(ring, gens)
+        hf = [hilbert_function_rank_oracle(I, d) for d in range(6)]
+        assert all(h >= c for h, c in zip(hf, ci_hf))
+        dependent += hf != ci_hf[:6]
+        pk = Packing(n)
+        bound = groebner._CIBound(pk, [pk.pack(g.lead_monomial())[1] for g in gens])
+        for d in range(min(degrees), 6):
+            bound.move_to(d)
+            assert bound.bound == comb(n - 1 + d, n - 1) - ci_hf[d]
+        leads = initial_ideal(_buchberger_raw(ring, gens, reduced=False))
+        with monkeypatch.context() as m:
+            m.setattr(groebner._CIBound, "full", lambda self: False)
+            assert initial_ideal(_buchberger_raw(ring, gens, reduced=False)) == leads
+    assert dependent and any(reached)
+    # a constant input makes I = R, which the bound allows in every degree
+    pk = Packing(3)
+    unit = groebner._CIBound(pk, [pk.pack((0, 0, 0))[1], pk.pack((1, 0, 0))[1]])
+    unit.move_to(2)
+    assert unit.bound == len(unit.cover) == 6
+
+
 @FIELDS
 def test_layered_trial_reduces_nothing_to_zero(monkeypatch, field):
     # the plain run reduces 29 pairs, 18 of them to zero
@@ -451,9 +516,20 @@ def test_layered_trial_reduces_nothing_to_zero(monkeypatch, field):
 
 
 @FIELDS
+def test_bound_that_falls_short_costs_no_extra_reductions(monkeypatch, field):
+    # 6 of the quadrics through the rational normal curve in P^5: no regular
+    # sequence, so the bound falls short; the trial makes 61 reductions, 44
+    # of them to zero, as many as a plain run
+    I = rnc_basis(6, 6, field)
+    remainders = counted_reductions(monkeypatch)
+    trial_basis(I, 1)
+    assert len(remainders) <= 61
+
+
+@FIELDS
 def test_more_inputs_than_variables_are_not_layered(monkeypatch, field):
     # all 10 quadrics through the rational normal curve in P^5: a plain run,
-    # with the 29 reductions it made before layering
+    # which makes 29 reductions
     I = rnc_basis(6, 10, field)
     remainders = counted_reductions(monkeypatch)
     G = trial_basis(I, 4)
@@ -462,7 +538,7 @@ def test_more_inputs_than_variables_are_not_layered(monkeypatch, field):
 
 
 def test_layered_runs_keep_their_tables_to_themselves(monkeypatch):
-    # the degree words of a layered run live in the run: nothing in the
+    # the degree words of a bounded run live in the run: nothing in the
     # module grows, and the words never pass a degree where a pair is left
     # to reduce (four quadrics: the basis ends in degree 5)
     def sizes():
@@ -470,13 +546,13 @@ def test_layered_runs_keep_their_tables_to_themselves(monkeypatch):
                 if isinstance(v, (dict, list, set))}
 
     degrees = []
-    opened = groebner._KoszulLayers._start_degree
+    move_to = groebner._CIBound.move_to
 
     def spy(self, d):
         degrees.append(d)
-        return opened(self, d)
+        return move_to(self, d)
 
-    monkeypatch.setattr(groebner._KoszulLayers, "_start_degree", spy)
+    monkeypatch.setattr(groebner._CIBound, "move_to", spy)
     before = sizes()
     I = over(random_quadrics(4, 7, 5), GF)
     for seed in range(6):

@@ -57,6 +57,31 @@ def referenced_names(tree):
             yield node.name
 
 
+def private_definitions(tree):
+    """(qualified name, name) of each private module-level function and
+    class, and of each private method of a module-level class.  Dunder
+    methods are left out: Python itself calls them."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_private_definition_is_used_in_the_library():
+    # a private function, class or method that no code in the package refers
+    # to is dead: the tests may spy on private names, but do not keep them
+    used = {name for tree in TREES.values() for name in referenced_names(tree)}
+    unused = [(module, qualified) for module, tree in TREES.items()
+              for qualified, name in private_definitions(tree) if name not in used]
+    assert unused == []
+
+
 def test_every_public_function_is_used_in_the_library():
     # a public function or method must be referred to somewhere in the
     # package's code besides the package's re-export in __init__; test-only
