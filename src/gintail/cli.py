@@ -73,10 +73,10 @@ def _tokenize_expr(src: str, line_no: int) -> list:
 # keeps the deepest accepted expression well inside Python's recursion limit
 MAX_NESTING = 100
 
-# the most terms a power x^e may have: the power is e successive products,
-# so it costs about e times its own size; the slowest power this lets
-# through, a binomial to the 999th, takes 1-1.5 s on one x86-64 core
-# (CPython 3.11)
+# the most terms a power x^e or a product x*y may have: the power is e
+# successive products, so it costs about e times its own size; the slowest
+# power this lets through, a binomial to the 999th, takes 1-1.5 s on one
+# x86-64 core (CPython 3.11)
 MAX_POWER_TERMS = 1000
 
 # the longest digit string read as an integer: Python's default cap on
@@ -132,8 +132,14 @@ class _ExprParser:
     def term(self) -> dict:
         node = self.factor()
         while self.peek() == "*":
-            self.take()
-            node = mul_terms(node.items(), self.factor().items())
+            _, _, col = self.take()
+            rhs = self.factor()
+            count = len(node) * len(rhs)
+            if count > MAX_POWER_TERMS:
+                degrees = [{sum(m) for m in f} for f in (node, rhs)]
+                self.check_terms(count, sum(map(max, degrees)),
+                                 all(len(d) == 1 for d in degrees), "the product", col)
+            node = mul_terms(node.items(), rhs.items())
         return node
 
     def factor(self) -> dict:
@@ -162,20 +168,27 @@ class _ExprParser:
             if e * top > MAX_PACKED_DEGREE:
                 raise ParseError(f"exponent {e}: {packed_overflow(e * top)}",
                                  self.line, col)
-            # at most the products of e of the base's k terms, and the
-            # monomials of degree e*top (up to e*top unless homogeneous)
-            n, k = self.num_vars, max(len(base), 1)
-            monomials = (comb(n - 1 + e * top, n - 1) if len(degrees) == 1
-                         else comb(n + e * top, n))
-            terms = min(comb(k - 1 + e, k - 1), monomials)
-            if terms > MAX_POWER_TERMS:
-                raise ParseError(f"exponent {e}: the power can have {terms} terms, "
-                                 f"more than {MAX_POWER_TERMS}", self.line, col)
+            # at most the products of e of the base's k terms
+            k = max(len(base), 1)
+            self.check_terms(comb(k - 1 + e, k - 1), e * top, len(degrees) == 1,
+                             f"exponent {e}: the power", col)
             out = {(0,) * self.num_vars: 1}
             for _ in range(e):
                 out = mul_terms(out.items(), base.items())
             return out
         return base
+
+    def check_terms(self, terms: int, degree: int, homogeneous: bool, what: str,
+                    col: int):
+        """Refuse, at col, a result that can have more than MAX_POWER_TERMS
+        terms: at most `terms`, and at most the monomials of degree `degree`
+        (up to `degree` unless homogeneous)."""
+        n = self.num_vars
+        terms = min(terms, comb(n - 1 + degree, n - 1) if homogeneous
+                    else comb(n + degree, n))
+        if terms > MAX_POWER_TERMS:
+            raise ParseError(f"{what} can have {terms} terms, "
+                             f"more than {MAX_POWER_TERMS}", self.line, col)
 
     def atom(self) -> dict:
         kind, text, col = self.take()
@@ -247,7 +260,9 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
         if poly.is_zero:
             raise ParseError("generator simplifies to the zero polynomial", line_no)
         if not poly.is_homogeneous():
-            raise ParseError(f"generator is not homogeneous: {poly}", line_no)
+            degrees = [sum(m) for m, _ in poly.terms]
+            raise ParseError(f"generator is not homogeneous: its terms have degrees "
+                             f"{min(degrees)} to {max(degrees)}", line_no)
         gens.append(poly)
     if ring is None:
         raise ParseError("missing ring declaration")

@@ -14,9 +14,7 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .borel import (MonomialIdeal, borel_closure, ek_betti, hilbert_function,
-                    stratum)
-from .errors import GintailError
+from .borel import MonomialIdeal, ek_betti, hilbert_function, stratum
 from .gin import certificate_for_borel_ideal, compute_gin
 from .groebner import hilbert_function_rank_oracle
 from .invariants import (h1_restriction_jump, h1_stratum_count, marginal_betti,
@@ -80,42 +78,6 @@ def ci_three_quadrics(seed: int) -> PolyIdeal:
 
 def ci_two_quadrics(seed: int) -> PolyIdeal:
     return random_quadrics(2, 5, seed)
-
-
-def random_borel_ideal(rng: random.Random) -> MonomialIdeal:
-    """Borel closure, in 3..6 variables, of a few random monomials of degree
-    2..3 that avoid the last variable (so the result is saturated)."""
-    nv = rng.randint(3, 6)
-    monos = []
-    for _ in range(rng.randint(1, 4)):
-        expo = [0] * nv
-        for _ in range(rng.randint(2, 3)):
-            expo[rng.randrange(nv - 1)] += 1
-        monos.append(tuple(expo))
-    return borel_closure(nv, monos)
-
-
-def random_nd1_borel_ideals(count: int, seed: int = 0):
-    """Seeded stream of saturated Borel-fixed monomial ideals that are
-    3-regular, have no linear generator, and pass the ND(1) check."""
-    rng = random.Random(seed)
-    out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise GintailError("random Borel generation is starving; bad filter?")
-        J = random_borel_ideal(rng)
-        if J.is_zero or J.max_gen_degree() > 3:
-            continue
-        if any(sum(g) == 1 for g in J.min_gens):
-            continue
-        cert = certificate_for_borel_ideal(J)
-        profile = scheme_profile(cert)
-        if not profile.nd1_all:
-            continue
-        out.append((cert, profile))
-    return out
 
 
 # ---------------------------------------------------------------------------

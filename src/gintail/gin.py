@@ -11,21 +11,23 @@ certificate records that it is a surrogate, not a proof.
 Over the rationals trial 1 draws its change with entries only up to
 FIRST_TRIAL_BOUND, because it pays for nearly all of the coefficient growth
 and serves mainly as the target below.  Any initial ideal of I has I's
-Hilbert function, so a non-generic trial 1 still makes a valid target; it
-then disagrees with the full-bound trials, or is not Borel fixed, and is
-re-run at the full bound, aimed at trial 2's ideal, before any error is
-raised.  Over GF(p) there is no growth to save and every trial uses the
-caller's bound.
+Hilbert function, so a non-generic trial 1 still makes a sound target (one
+that is not Borel fixed is not read); it then disagrees with the full-bound
+trials, or is not Borel fixed, and is re-run at the full bound, aimed at
+trial 2's ideal, before any error is raised.
+Over GF(p) there is no growth to save and every trial uses the caller's
+bound.
 
 Every trial moves only a minimal generating set of the input
 (groebner.minimal_generators), computed once, and stops at a minimal
-Groebner basis, since only its leading monomials are read.  Trials 2..k
-also skip every S-pair that trial 1's Hilbert function proves reduces to
-zero (Traverso's Hilbert-driven pair skipping, with trial 1's initial ideal
-J1 as the target, in the same field).  Trial 1 has no target; with at most
-num_vars generators it skips the pairs that the Hilbert function of a
-complete intersection of the same degrees, exact on a regular sequence,
-proves reduce to zero (groebner._buchberger_raw).
+Groebner basis, since only its leading monomials are read.  Each trial
+skips every S-pair that a Hilbert function proves reduces to zero
+(Traverso's Hilbert-driven pair skipping, groebner._buchberger_raw).
+Trials 2..k read it off trial 1's initial ideal J1, the target, in the same
+field, when J1 is Borel fixed: the Eliahou-Kervaire sum then gives I's
+Hilbert function exactly.  Trial 1, and a trial whose target is not Borel
+fixed, read it, when there are at most num_vars generators, off a complete
+intersection of the same degrees, which is exact on a regular sequence.
 A skipped pair would have added nothing, so each trial still returns its own
 initial ideal, the same leading monomials as without the skip, generic or
 not: agreement still compares each trial's own leads with J1, and the rank

@@ -8,13 +8,15 @@ the pair's indices), so each pair is ranked once, when it is made;
 Buchberger's coprime-lcm and chain criteria are applied as pairs leave the
 heap, and every pair is reduced against all elements.  A genericity trial
 reads only leading monomials, so it stops at a minimal basis
-(reduced=False).  Two Hilbert-driven criteria drop the pairs that provably
-reduce to zero.  Given a target, the initial ideal of the same ideal in
-other coordinates, a run reads the Hilbert function off it.  Without one, a
-run of 2..num_vars inputs bounds each dim I_d by its value on a complete
-intersection of the same degrees, which is exact on a regular sequence: on
-a complete intersection each degree's pairs stop as soon as the leads are
-complete.  Neither criterion changes the basis that comes out.
+(reduced=False).  One Hilbert-driven criterion drops the pairs of degree d
+that provably reduce to zero: those left once the leads divide as many
+degree-d monomials as a lower bound on the Hilbert function of R/I lets I_d
+have.  The bound is read off a Borel-fixed target, the initial ideal of the
+same ideal in other coordinates, or otherwise, for a run of 2..num_vars
+inputs, off a complete intersection of the same degrees.  Either is exact on
+the inputs it serves, a Gin's trials and regular sequences: there each
+degree's pairs stop as soon as its leads are complete.  The criterion never
+changes the basis that comes out.
 
 Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
@@ -49,10 +51,11 @@ the others, so the rank and the pivot columns do not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
-from .borel import MonomialIdeal
+from .borel import MonomialIdeal, hilbert_function, is_borel_fixed
 from .errors import SaturationRetryError
 from .ring import (Packing, Polynomial, PolyIdeal, RingCtx, _sparse_pivots,
                    apply_linear_change, from_packed, int_terms, mono_lcm,
@@ -216,22 +219,17 @@ def _spoly_work(gi, gj, lcm: int, lcm_e: int, table: dict,
 # Buchberger
 # ---------------------------------------------------------------------------
 
-class _CIBound:
-    """The complete-intersection bound of an untargeted run, for the
-    current degree d only (see _buchberger_raw).
+class _HilbertBound:
+    """Traverso's Hilbert-driven criterion, for the current degree d only
+    (see _buchberger_raw).
 
-    inputs are the words E of the inputs' leads.  cover holds the word of
-    each degree-d monomial that some lead divides, and bound is b(d), the
-    largest that dim I_d can be."""
+    inputs are the words E of the inputs' leads, and hf(d) is a lower bound
+    on HF(R/I, d).  cover holds the word of each degree-d monomial that some
+    lead divides, and bound = dim R_d - hf(d) is the largest that dim I_d
+    can be."""
 
-    def __init__(self, pk, inputs):
-        self.pk = pk
-        self.inputs = inputs
-        self.numerator = {0: 1}     # prod_i (1 - t^(d_i)), by power of t
-        for e in inputs:
-            k = pk.degree(e)
-            for t, c in list(self.numerator.items()):
-                self.numerator[t + k] = self.numerator.get(t + k, 0) - c
+    def __init__(self, pk, inputs, hf):
+        self.pk, self.inputs, self.hf = pk, inputs, hf
         # below the lowest input degree, I is zero
         self.degree = min(map(pk.degree, inputs)) - 1
         self.cover, self.bound = set(), 0
@@ -239,21 +237,30 @@ class _CIBound:
 
     def move_to(self, d: int):
         """Move up to degree d.  Every multiple of a lead of degree < d is
-        x_i times one of degree d - 1, and
-        b(d) = dim R_d - [t^d] prod_i (1 - t^(d_i)) / (1 - t)^n."""
+        x_i times one of degree d - 1."""
         n = self.pk.num_vars
         while self.degree < d:
             self.degree += 1
             k = self.degree
             self.cover = {e + f for e in self.cover for f in self.pk.fields}
             self.cover.update(e for e in self.inputs if self.pk.degree(e) == k)
-            self.bound = comb(n - 1 + k, n - 1) - sum(
-                c * comb(n - 1 + k - t, n - 1)
-                for t, c in self.numerator.items() if t <= k)
+            self.bound = comb(n - 1 + k, n - 1) - self.hf(k)
 
     def full(self) -> bool:
         """Whether the leads span I_d."""
         return len(self.cover) == self.bound
+
+
+def _complete_intersection_hf(num_vars: int, degrees):
+    """d -> [t^d] prod_i (1 - t^(d_i)) / (1 - t)^n, the Hilbert function of
+    R/I for a complete intersection I of forms of the given degrees in
+    n = num_vars variables."""
+    numerator = {0: 1}     # prod_i (1 - t^(d_i)), by power of t
+    for k in degrees:
+        for t, c in list(numerator.items()):
+            numerator[t + k] = numerator.get(t + k, 0) - c
+    return lambda d: sum(c * comb(num_vars - 1 + d - t, num_vars - 1)
+                         for t, c in numerator.items() if t <= d)
 
 
 def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
@@ -264,22 +271,32 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     monomials are the minimal generators of the initial ideal, but tails are
     not interreduced and leading coefficients are not normalized.
 
-    Two Hilbert-driven criteria (Traverso, J. Symb. Comp. 1996) drop pairs
-    of degree d unreduced once the current leads provably span the degree-d
-    piece of the initial ideal, so such a pair would reduce to zero.  A
-    dropped pair would have added nothing, so either way the run returns
-    exactly the basis it would without the drops.
+    One Hilbert-driven criterion (Traverso, J. Symb. Comp. 1996) drops a
+    pair of degree d unreduced once the current leads provably span the
+    degree-d piece of the initial ideal.  The degree-d monomials that the
+    leads divide, c of them (_HilbertBound), lie in in(I)_d, since every
+    element lies in I.  So for any lower bound h(d) <= HF(R/I, d),
+      c <= dim in(I)_d = dim I_d = dim R_d - HF(R/I, d) <= dim R_d - h(d).
+    When c reaches dim R_d - h(d), the leads span in(I)_d, so every
+    S-polynomial of degree d (it lies in I_d) reduces to zero, and the pair
+    is dropped.  A dropped pair would have added nothing, so the run returns
+    exactly the basis it would without the drops.  The cover moves up a
+    degree only when a pair of a higher degree survives the coprime and
+    chain criteria, so it never reaches a degree where no pair is left to
+    reduce.  h comes from one of two sources; any other run is plain.
 
     target is the initial ideal of the same ideal in other coordinates (a
-    MonomialIdeal), so it has the same Hilbert function.  Once every target
-    generator of degree <= d is divisible by a current leading monomial, the
-    leads span the whole degree-d piece, and every remaining pair of degree
-    d is dropped.
+    MonomialIdeal), so it has the same Hilbert function.  When it is Borel
+    fixed, as a Gin is, h is its Hilbert function, the Eliahou-Kervaire sum
+    (borel.hilbert_function).  This h is exact, so each degree's pairs stop
+    as soon as its leads are complete.  A target that is not Borel fixed is
+    not read.
 
-    Without a target, 2 <= m <= n = num_vars nonzero inputs f_1..f_m, of
-    degrees d_1..d_m, span an ideal I whose pieces are bounded by those of a
+    Otherwise 2 <= m <= n = num_vars nonzero inputs f_1..f_m, of degrees
+    d_1..d_m, span an ideal I whose pieces are bounded by those of a
     complete intersection, in any characteristic:
-      dim I_d <= b(d) = dim R_d - [t^d] prod_i (1 - t^(d_i)) / (1 - t)^n.
+      dim I_d <= b(d) = dim R_d - [t^d] prod_i (1 - t^(d_i)) / (1 - t)^n,
+    so h(d) = dim R_d - b(d) (_complete_intersection_hf).
     Proof.  dim I_d is the rank of phi: (g_i) -> sum_i g_i f_i from
     V = sum_i R_(d-d_i) to R_d, a matrix in the coefficients of the f_i.
     Let F be forms of the same degrees with indeterminate coefficients, over
@@ -292,16 +309,8 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     rank phi(x), the dimension of its ideal in degree d, is b(d).  Then
       rank phi(f) <= rank phi(F) <= dim V - rank psi(F)
                   <= dim V - rank psi(x) = rank phi(x) = b(d).
-    The degree-d monomials that the leads divide, c of them (_CIBound), lie
-    in in(I)_d, since every element lies in I:
-      c <= dim in(I)_d = dim I_d <= b(d).
-    When c reaches b(d), the leads span in(I)_d, so every S-polynomial of
-    degree d (it lies in I_d) reduces to zero, and the pair is dropped.  On
-    a regular sequence the bound is exact, so on a complete intersection
-    each degree's pairs stop as soon as its leads are complete.  The cover
-    moves up a degree only when a pair of a higher degree survives the
-    coprime and chain criteria, so it never reaches a degree where no pair
-    is left to reduce.
+    On a regular sequence the bound is exact, so on a complete intersection
+    each degree's pairs stop as soon as its leads are complete.
     """
     pk = Packing(ring.num_vars)
     guard = pk.guard
@@ -317,17 +326,13 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
         if w:
             G.append(_as_divisor(w, table))
     lms = [pk.unpack(g[0]) for g in G]   # the same, as tuples, for lcms
-    # target generators not yet divisible by a lead, as (degree, E), sorted
-    # so the first has the lowest degree
-    uncovered = [] if target is None else sorted(
-        (sum(m), pk.pack(m)[1]) for m in target.min_gens)
-
-    def cover(lead_e):
-        uncovered[:] = [t for t in uncovered if (t[1] - lead_e) & guard]
-
-    ci = None
-    if target is None and 2 <= len(G) <= ring.num_vars:
-        ci = _CIBound(pk, [g[1] for g in G])
+    hf = None
+    if target is not None and is_borel_fixed(target):
+        hf = partial(hilbert_function, target)
+    elif 2 <= len(G) <= ring.num_vars:
+        hf = _complete_intersection_hf(ring.num_vars, [pk.degree(g[1]) for g in G])
+    hilbert = None if hf is None or not G else _HilbertBound(
+        pk, [g[1] for g in G], hf)
 
     # pair heap in the normal strategy: smallest lcm (its D ranks the degree
     # first), then the indices, so the selection order is total; pending
@@ -343,16 +348,9 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
 
     for j in range(len(G)):
         add_pairs(j)
-        if target is not None:
-            cover(G[j][1])
     while pairs:
-        if target is not None and not uncovered:
-            break       # every remaining pair reduces to zero
         lcm, i, j, lcm_e = heappop(pairs)
         pending.discard((i, j))
-        d = pk.degree(lcm_e)
-        if target is not None and uncovered[0][0] > d:
-            continue    # the leads already span this degree
         if lcm == G[i][0] + G[j][0]:
             continue    # coprime leading monomials: lcm = product
         chained = False
@@ -366,9 +364,9 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
                 break
         if chained:
             continue
-        if ci is not None:
-            ci.move_to(d)
-            if ci.full():
+        if hilbert is not None:
+            hilbert.move_to(pk.degree(lcm_e))
+            if hilbert.full():
                 continue    # the leads span I_d
         s = _spoly_work(G[i], G[j], lcm, lcm_e, table, p_mod)
         r = _reduce_work(s, G, table, pk, p_mod)
@@ -378,10 +376,8 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
             G.append(_as_divisor(r, table))
             lms.append(pk.unpack(G[-1][0]))
             add_pairs(len(G) - 1)
-            if target is not None:
-                cover(G[-1][1])
-            if ci is not None:
-                ci.cover.add(G[-1][1])
+            if hilbert is not None:
+                hilbert.cover.add(G[-1][1])
 
     # minimalize: keep only elements whose lm is not divisible by another lm;
     # taken in ascending order, so the basis comes out sorted by leading term
@@ -552,11 +548,12 @@ def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
     """Grevlex initial ideal after one seeded random coordinate change; one
     genericity trial of compute_gin.
 
-    The run stops at a minimal basis, since only its leads are read.  target,
-    an initial ideal of I in other coordinates (an earlier trial's), lets it
-    skip the pairs that provably reduce to zero; the result is the same.
-    Without a target, 2..num_vars generators are bounded by a complete
-    intersection of their degrees (_buchberger_raw).
+    The run stops at a minimal basis, since only its leads are read.  It
+    skips the pairs that a Hilbert function proves reduce to zero, and the
+    result is the same (_buchberger_raw).  The Hilbert function is read off
+    target, an initial ideal of I in other coordinates (an earlier trial's),
+    when it is Borel fixed, and otherwise, for 2..num_vars generators, off a
+    complete intersection of their degrees.
     A change keeps degrees, so the moved generators fit the packed limit."""
     M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
     return initial_ideal(_buchberger_raw(I.ring, apply_linear_change(I.gens, M),

@@ -600,7 +600,10 @@ class PolyIdeal:
             if g.is_zero:
                 raise InhomogeneousError(f"generator #{k} is the zero polynomial")
             if not g.is_homogeneous():
-                raise InhomogeneousError(f"generator #{k} is not homogeneous: {g}")
+                degrees = [mono_degree(m) for m, _ in g.terms]
+                raise InhomogeneousError(
+                    f"generator #{k} is not homogeneous: its terms have degrees "
+                    f"{min(degrees)} to {max(degrees)}")
 
     @classmethod
     def make(cls, ring: RingCtx, gens) -> "PolyIdeal":

@@ -5,12 +5,19 @@ enumeration, literal definitions, and series expansions, so that agreement
 with the fast paths is evidence and not circularity.  The library keeps no
 normal form or S-polynomial of its own: the tests divide by naive_normal_form
 and form S-polynomials with naive_spoly, both on Polynomial arithmetic.
+
+The seeded input generators at the end are no oracles: they build test
+inputs with the library's own Borel closure and ND(1) profile.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
-from gintail.errors import SingularMatrixError
+from gintail.borel import MonomialIdeal, borel_closure
+from gintail.errors import GintailError, SingularMatrixError
+from gintail.gin import certificate_for_borel_ideal
+from gintail.invariants import scheme_profile
 from gintail.ring import Polynomial
 
 
@@ -305,3 +312,39 @@ def matrix_inv(M, field):
                 factor = A[r][col]
                 A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
     return tuple(tuple(row[n:]) for row in A)
+
+
+def random_borel_ideal(rng: random.Random) -> MonomialIdeal:
+    """Borel closure, in 3..6 variables, of a few random monomials of degree
+    2..3 that avoid the last variable (so the result is saturated)."""
+    nv = rng.randint(3, 6)
+    monos = []
+    for _ in range(rng.randint(1, 4)):
+        expo = [0] * nv
+        for _ in range(rng.randint(2, 3)):
+            expo[rng.randrange(nv - 1)] += 1
+        monos.append(tuple(expo))
+    return borel_closure(nv, monos)
+
+
+def random_nd1_borel_ideals(count: int, seed: int = 0):
+    """Seeded stream of saturated Borel-fixed monomial ideals that are
+    3-regular, have no linear generator, and pass the ND(1) check."""
+    rng = random.Random(seed)
+    out = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 200 * count:
+            raise GintailError("random Borel generation is starving; bad filter?")
+        J = random_borel_ideal(rng)
+        if J.is_zero or J.max_gen_degree() > 3:
+            continue
+        if any(sum(g) == 1 for g in J.min_gens):
+            continue
+        cert = certificate_for_borel_ideal(J)
+        profile = scheme_profile(cert)
+        if not profile.nd1_all:
+            continue
+        out.append((cert, profile))
+    return out

@@ -8,7 +8,7 @@ import functools
 from gintail.borel import MonomialIdeal, ek_betti, hilbert_function, stratum
 from gintail.errors import HypothesisError
 from gintail.fixtures import (ci_three_quadrics, five_lines_ideal,
-                              load_bundled_ideal, random_nd1_borel_ideals)
+                              load_bundled_ideal)
 from gintail.gin import certificate_for_borel_ideal, compute_gin
 from gintail.groebner import hilbert_function_rank_oracle
 from gintail.invariants import (h1_restriction_jump, h1_stratum_count,
@@ -20,6 +20,7 @@ from gintail.tailing import (betti_from_normality, build_tailing_report,
                              normality_from_betti, sectional_normality,
                              structure_check, tailing_bounds, tailing_from_gin,
                              vector_report, xi_matrix)
+from oracles import random_nd1_borel_ideals
 
 
 def criterion(num, summary):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +58,14 @@ def test_parse_zero_generator_rejected():
 def test_parse_inhomogeneous_rejected_with_line():
     with pytest.raises(ParseError, match="line 3"):
         parse_ideal("ring 2\ngens:\nx0*x1 - x0\n")
+
+
+def test_parse_inhomogeneous_message_names_degrees_not_terms():
+    # the message used to print the whole generator, of any length
+    with pytest.raises(ParseError) as info:
+        parse_ideal("ring 3\ngens:\nx0^2\n(x0+1)^99\n")
+    assert str(info.value) == ("generator is not homogeneous: its terms have "
+                               "degrees 0 to 99 (line 4)")
 
 
 def test_parse_unknown_variable():
@@ -140,6 +150,44 @@ def test_every_bundled_fixture_parses_as_without_the_power_limit(monkeypatch):
     limited = [parse_ideal(text).gens for text in texts]
     monkeypatch.setattr(cli, "MAX_POWER_TERMS", float("inf"))
     assert limited == [parse_ideal(text).gens for text in texts]
+
+
+def test_parse_product_with_too_many_terms_is_refused_at_once():
+    # three powers of 990 terms each: the first product can have
+    # C(88, 2) = 3828 terms, and expanding all three took about 90 times as
+    # long as one power; the refusal comes once the first two are expanded
+    start = time.perf_counter()
+    parse_ideal("ring 3\ngens:\n(x0+x1+x2)^43\n")
+    one_power = time.perf_counter() - start
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"the product can have 3828 terms, "
+                       r"more than 1000 \(line 3, col 14\)"):
+        parse_ideal("ring 3\ngens:\n" + "*".join(["(x0+x1+x2)^43"] * 3) + "\n")
+    assert time.perf_counter() - start < 5 * one_power
+    # the count is the lesser of the products of the factors' term counts
+    # and the monomials the product can reach
+    assert len(parse_ideal("ring 2\ngens:\n(x0+x1)^400*(x0+x1)^400\n")
+               .gens[0].terms) == 801
+    assert len(parse_ideal("ring 3\ngens:\n(x0+x1)^99*(x1+x2)^9\n")
+               .gens[0].terms) == 1000
+    for line, terms in (("(x0+x1)^99*(x0+x1+x2)^9", 5500), ("(x0+1)^30*(x1+1)^40", 1271)):
+        with pytest.raises(ParseError, match=f"the product can have {terms} terms"):
+            parse_ideal(f"ring 3\ngens:\n{line}\n")
+
+
+def test_every_benchmark_input_parses_as_without_the_term_limit(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    from gintail import fixtures
+    lib = SimpleNamespace(cli=cli, fixtures=fixtures)
+
+    def inputs():
+        return [case.payload for w in ("gin_qq", "gin_fp", "saturate_qq")
+                for seed in (1, 2, 3) for case in workloads.build(lib, w, seed)]
+
+    limited = inputs()
+    monkeypatch.setattr(cli, "MAX_POWER_TERMS", float("inf"))
+    assert limited == inputs()
 
 
 def test_parse_deep_parentheses_refused_with_position():

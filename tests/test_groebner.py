@@ -358,6 +358,70 @@ def test_targeted_trial_skips_reductions(monkeypatch, field):
     assert len(remainders) < untargeted
 
 
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["quintic", "twisted_cubic"])
+def test_original_coordinates_aimed_at_the_gin_skip_reductions(monkeypatch, name,
+                                                               field):
+    # in the original coordinates in(I) is not the Gin, so the leads never
+    # divide every generator of the Gin; but the Gin has I's Hilbert
+    # function, and the leads span in(I)_d as soon as they divide as many
+    # degree-d monomials as I_d has
+    I = over(TRIAL_INPUTS[name](), field)
+    gin = seeded_initial_ideal(I, 4)
+    remainders = counted_reductions(monkeypatch)
+    plain = _buchberger_raw(I.ring, I.gens, reduced=False)
+    untargeted = len(remainders)
+    del remainders[:]
+    assert _buchberger_raw(I.ring, I.gens, reduced=False, target=gin) == plain
+    assert len(remainders) < untargeted
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("name", ["quintic", "twisted_cubic", "five_lines",
+                                  "quadrics_4_in_6"])
+def test_targeted_bound_is_the_targets_hilbert_function(monkeypatch, name, field):
+    # a Borel-fixed target bounds dim I_d by dim R_d - HF(R/target, d),
+    # which the rank oracle confirms; the bound is exact, so every degree
+    # that a run leaves has reached it
+    I = over(TRIAL_INPUTS[name](), field)
+    n = I.ring.num_vars
+    J1 = seeded_initial_ideal(I, 1)
+    assert is_borel_fixed(J1)
+    plain = trial_basis(I, 2)
+    bounds, closed = {}, []
+    move_to = groebner._HilbertBound.move_to
+
+    def spy(self, d):
+        if d > self.degree:
+            closed.append(self.full())
+        move_to(self, d)
+        bounds[self.degree] = self.bound
+
+    monkeypatch.setattr(groebner._HilbertBound, "move_to", spy)
+    assert trial_basis(I, 2, target=J1) == plain
+    assert bounds and all(closed)
+    for d, bound in bounds.items():
+        assert bound == comb(n - 1 + d, n - 1) - hilbert_function(J1, d)
+        assert bound == comb(n - 1 + d, n - 1) - hilbert_function_rank_oracle(I, d)
+
+
+@pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+def test_target_that_is_not_borel_fixed_is_not_read(monkeypatch, quintic_ideal,
+                                                    field):
+    # J0, in(I) in the original coordinates, has I's Hilbert function, but
+    # the Eliahou-Kervaire sum does not count it: the run ignores it and
+    # keeps its own leads
+    I = over(quintic_ideal, field)
+    J0 = initial_ideal(buchberger(I))
+    assert not is_borel_fixed(J0)
+    read = []
+    monkeypatch.setattr(groebner, "hilbert_function",
+                        lambda J, d: read.append(J))
+    for seed in (4, 9):
+        assert trial_basis(I, seed, target=J0) == trial_basis(I, seed)
+    assert not read
+
+
 def rnc_basis(num_vars: int, count: int, field) -> PolyIdeal:
     """count seeded random combinations of the 2x2 minors of the 2 x n
     Hankel matrix of x0..x_n (n = num_vars - 1), which cut out the rational
@@ -389,10 +453,11 @@ def mixed_degrees(field) -> PolyIdeal:
 
 # A "layered" run, in the test names below, is an untargeted run of
 # 2..num_vars inputs: the runs that the complete-intersection bound
-# (groebner._CIBound) applies to.  Inputs past TRIAL_INPUTS: four quadrics
-# in 7 variables, whose degree-5 piece is past HF_CHECK_LIMIT; 6 of the 10
-# quadrics through the rational normal curve in P^5, no complete
-# intersection, which falls short of the bound; and forms of mixed degrees
+# (groebner._complete_intersection_hf) applies to.  Inputs past
+# TRIAL_INPUTS: four quadrics in 7 variables, whose degree-5 piece is past
+# HF_CHECK_LIMIT; 6 of the 10 quadrics through the rational normal curve in
+# P^5, no complete intersection, which falls short of the bound; and forms
+# of mixed degrees
 LAYERED_INPUTS = {
     "quadrics_4_in_7": lambda field: over(random_quadrics(4, 7, 5), field),
     "rnc5_first_6": lambda field: rnc_basis(6, 6, field),
@@ -404,14 +469,14 @@ def spy_on_degrees(monkeypatch):
     """A list that gets, for each degree that a bounded run leaves, whether
     its leads reached the bound there."""
     closed = []
-    move_to = groebner._CIBound.move_to
+    move_to = groebner._HilbertBound.move_to
 
     def spy(self, d):
         if d > self.degree:
             closed.append(self.full())
         return move_to(self, d)
 
-    monkeypatch.setattr(groebner._CIBound, "move_to", spy)
+    monkeypatch.setattr(groebner._HilbertBound, "move_to", spy)
     return closed
 
 
@@ -472,13 +537,13 @@ def test_complete_intersection_bound_is_sound(monkeypatch, field):
     # leads; the bound object counts dim R_d - HF(R/CI, d)
     rng = random.Random(f"ci-bound:{field}")
     reached = []
-    full = groebner._CIBound.full
+    full = groebner._HilbertBound.full
 
     def spy(self):
         reached.append(full(self))
         return reached[-1]
 
-    monkeypatch.setattr(groebner._CIBound, "full", spy)
+    monkeypatch.setattr(groebner._HilbertBound, "full", spy)
     dependent = 0
     for _ in range(60):
         ring, gens = random_bound_inputs(rng, field)
@@ -490,18 +555,20 @@ def test_complete_intersection_bound_is_sound(monkeypatch, field):
         assert all(h >= c for h, c in zip(hf, ci_hf))
         dependent += hf != ci_hf[:6]
         pk = Packing(n)
-        bound = groebner._CIBound(pk, [pk.pack(g.lead_monomial())[1] for g in gens])
+        bound = groebner._HilbertBound(pk, [pk.pack(g.lead_monomial())[1] for g in gens],
+                                       groebner._complete_intersection_hf(n, degrees))
         for d in range(min(degrees), 6):
             bound.move_to(d)
             assert bound.bound == comb(n - 1 + d, n - 1) - ci_hf[d]
         leads = initial_ideal(_buchberger_raw(ring, gens, reduced=False))
         with monkeypatch.context() as m:
-            m.setattr(groebner._CIBound, "full", lambda self: False)
+            m.setattr(groebner._HilbertBound, "full", lambda self: False)
             assert initial_ideal(_buchberger_raw(ring, gens, reduced=False)) == leads
     assert dependent and any(reached)
     # a constant input makes I = R, which the bound allows in every degree
     pk = Packing(3)
-    unit = groebner._CIBound(pk, [pk.pack((0, 0, 0))[1], pk.pack((1, 0, 0))[1]])
+    unit = groebner._HilbertBound(pk, [pk.pack((0, 0, 0))[1], pk.pack((1, 0, 0))[1]],
+                                  groebner._complete_intersection_hf(3, [0, 1]))
     unit.move_to(2)
     assert unit.bound == len(unit.cover) == 6
 
@@ -546,13 +613,13 @@ def test_layered_runs_keep_their_tables_to_themselves(monkeypatch):
                 if isinstance(v, (dict, list, set))}
 
     degrees = []
-    move_to = groebner._CIBound.move_to
+    move_to = groebner._HilbertBound.move_to
 
     def spy(self, d):
         degrees.append(d)
         return move_to(self, d)
 
-    monkeypatch.setattr(groebner._CIBound, "move_to", spy)
+    monkeypatch.setattr(groebner._HilbertBound, "move_to", spy)
     before = sizes()
     I = over(random_quadrics(4, 7, 5), GF)
     for seed in range(6):

@@ -6,13 +6,13 @@ import pytest
 
 from gintail.borel import MonomialIdeal, borel_closure, ek_betti, hilbert_function
 from gintail.errors import NotBorelFixedError, RegularityError
-from gintail.fixtures import random_nd1_borel_ideals
 from gintail.gin import certificate_for_borel_ideal
 from gintail.invariants import (depth_pd, h1_restriction_jump,
                                 h1_stratum_count, hilbert_polynomial,
                                 marginal_betti, nd1_check, regularity,
                                 scheme_profile)
-from oracles import betti_regularity, ek_alternating_hf, in_monomial_ideal
+from oracles import (betti_regularity, ek_alternating_hf, in_monomial_ideal,
+                     random_nd1_borel_ideals)
 
 NONREDUCED = MonomialIdeal.make(4, [
     (3, 0, 0, 0), (2, 1, 0, 0), (1, 2, 0, 0), (0, 3, 0, 0), (2, 0, 1, 0)])

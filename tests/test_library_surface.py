@@ -14,9 +14,9 @@ PERFBENCH_TREES = [
     for p in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))]
 
 UNUSED_ALLOWED = {
-    # waiting for the exhaustive atlas of 3-regular Borel-fixed ideals, which
-    # will draw from it; until then only tests call it
-    ("fixtures.py", "random_nd1_borel_ideals"),
+    # the borel_tailing benchmark workload builds its inputs with it, as the
+    # tests' random_nd1_borel_ideals does
+    ("borel.py", "borel_closure"),
     # the saturate_qq benchmark workload calls it, and so will the CLI once
     # it reports the Gin of an unsaturated input's saturation
     ("groebner.py", "saturate_by_general_linear_form"),
@@ -28,8 +28,6 @@ ONE_VALUE_ALLOWED = {
     # mirrors compute_gin's bound, which the CLI will pass once it reports
     # the Gin of an unsaturated input's saturation
     ("groebner.py", "saturate_by_general_linear_form", "bound"),
-    # test-only, see UNUSED_ALLOWED
-    ("fixtures.py", "random_nd1_borel_ideals", "seed"),
 }
 
 

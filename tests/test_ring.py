@@ -439,6 +439,11 @@ def test_ideal_rejects_inhomogeneous_and_zero():
     f = P(R4, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 1})
     with pytest.raises(InhomogeneousError):
         PolyIdeal.make(R4, [f])
+    # the message names the term degrees, not the whole generator
+    big = P(R4, {(k, 40 - k, 0, 0): 1 for k in range(41)}) + f
+    with pytest.raises(InhomogeneousError) as info:
+        PolyIdeal.make(R4, [P(R4, {(0, 1, 0, 0): 1}), big])
+    assert str(info.value) == "generator #1 is not homogeneous: its terms have degrees 0 to 40"
     with pytest.raises(InhomogeneousError):
         PolyIdeal.make(R4, [R4.zero()])
     with pytest.raises(InhomogeneousError):

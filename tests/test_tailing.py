@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from gintail.borel import MonomialIdeal, ek_betti
 from gintail.errors import HypothesisError, InternalCheckError
-from gintail.fixtures import random_nd1_borel_ideals
 from gintail.gin import certificate_for_borel_ideal
 from gintail.invariants import hilbert_polynomial, scheme_profile
 from gintail.tailing import (betti_from_normality, build_tailing_report,
@@ -14,7 +13,7 @@ from gintail.tailing import (betti_from_normality, build_tailing_report,
                              sectional_normality,
                              structure_check, tailing_bounds, tailing_from_gin,
                              vector_report, xi_inverse, xi_matrix)
-from oracles import point_section_h1
+from oracles import point_section_h1, random_nd1_borel_ideals
 
 
 # --- Xi matrices -------------------------------------------------------------
