@@ -83,6 +83,12 @@ MAX_POWER_TERMS = 1000
 # str -> int conversion, applied here on every Python version
 MAX_DIGITS = 4300
 
+# the most variables a ring may declare: the paper's largest ambient space
+# is P^10, and a Gin's cost climbs steeply with the variable count: the
+# `gin` command on two squares takes 3-5 s in 64 variables and more than
+# 100 s in 160 on one x86-64 core (CPython 3.11)
+MAX_VARIABLES = 64
+
 
 def _read_int(digits: str, line: int, col=None) -> int:
     if len(digits) > MAX_DIGITS:
@@ -237,6 +243,9 @@ def parse_ideal(text: str, field_override=None) -> PolyIdeal:
                 if ring < 1:
                     raise ParseError("ring declaration needs a positive variable count",
                                      line_no)
+                if ring > MAX_VARIABLES:
+                    raise ParseError(f"ring of {ring} variables is larger than "
+                                     f"{MAX_VARIABLES} variables", line_no)
             elif parts[0] == "field":
                 if parts[1:] == ["q"]:
                     field = QQ

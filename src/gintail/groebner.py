@@ -59,7 +59,7 @@ from .borel import MonomialIdeal, hilbert_function, is_borel_fixed
 from .errors import SaturationRetryError
 from .ring import (Packing, Polynomial, PolyIdeal, RingCtx, _sparse_pivots,
                    apply_linear_change, from_packed, int_terms, mono_lcm,
-                   mono_mul, seeded_invertible_matrix, seeded_linear_form)
+                   mono_mul, seeded_full_rank_rows)
 
 
 @dataclass(frozen=True)
@@ -555,7 +555,8 @@ def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
     when it is Borel fixed, and otherwise, for 2..num_vars generators, off a
     complete intersection of their degrees.
     A change keeps degrees, so the moved generators fit the packed limit."""
-    M = seeded_invertible_matrix(I.ring.num_vars, seed, bound, I.ring.field)
+    n = I.ring.num_vars
+    M = seeded_full_rank_rows(n, n, seed, bound, I.ring.field)
     return initial_ideal(_buchberger_raw(I.ring, apply_linear_change(I.gens, M),
                                          reduced=False, target=target))
 
@@ -570,16 +571,15 @@ def _mix_seed(master: int, idx: int) -> int:
     return z ^ (z >> 31)
 
 
-def _to_last_variable(L: Polynomial) -> tuple:
-    """Integral changes (forward, back) for L = sum_i c_i x_i.  With x_k the
-    last variable in L, swapped into last place by perm, forward sends
-    x_perm(j) -> c_k x_j (j < N-1) and x_k -> x_(N-1) - sum_(j<N-1) c_perm(j)
-    x_j, so L -> c_k x_(N-1); back sends x_j -> x_perm(j) and x_(N-1) -> L.
-    They compose to c_k times the identity: no inverse matrix is needed."""
-    n = L.ring.num_vars
-    c = [L.ring.field.zero] * n
-    for m, a in L.terms:
-        c[m.index(1)] = a
+def _to_last_variable(c) -> tuple:
+    """Integral changes (forward, back) for L = sum_i c_i x_i, given as its
+    coefficient row c, nonzero in the field: seeded_full_rank_rows draws it
+    by the same rule as the Gin trials' changes.  With x_k the last variable
+    in L, swapped into last place by perm, forward sends x_perm(j) -> c_k x_j
+    (j < N-1) and x_k -> x_(N-1) - sum_(j<N-1) c_perm(j) x_j, so
+    L -> c_k x_(N-1); back sends x_j -> x_perm(j) and x_(N-1) -> L.  They
+    compose to c_k times the identity: no inverse matrix is needed."""
+    n = len(c)
     k = max(i for i in range(n) if c[i])
     perm = list(range(n))
     perm[k], perm[-1] = perm[-1], perm[k]
@@ -611,7 +611,9 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
     the saturation I^sat with respect to the irrelevant maximal ideal m,
     because a general linear form misses every associated prime but m.
 
-    L is moved to the last variable (_to_last_variable).  For grevlex,
+    L is drawn as one row of seeded_full_rank_rows, the sampler of the Gin
+    trials' changes, so it is nonzero in the field, and it is moved to the
+    last variable (_to_last_variable).  For grevlex,
     in(J : x_last) = in(J) : x_last (Bayer and Stillman), so each element of
     a minimal basis of the moved ideal, divided by its largest power of
     x_last (that of its lead), gives a basis of the saturation.  Its
@@ -628,8 +630,9 @@ def saturate_by_general_linear_form(I: PolyIdeal, seed: int = 0,
     the caller to retry with a fresh seed.
     """
     ring = I.ring
-    forward, back = _to_last_variable(
-        seeded_linear_form(ring, _mix_seed(seed, 0), bound))
+    (form,) = seeded_full_rank_rows(1, ring.num_vars, _mix_seed(seed, 0), bound,
+                                    ring.field)
+    forward, back = _to_last_variable(form)
     basis = _buchberger_raw(ring, apply_linear_change(I.gens, forward),
                             reduced=False).elements
     if not _colon_has_finite_length([g.lead_monomial() for g in basis]):

@@ -123,7 +123,6 @@ class RationalField:
     name = "QQ"
     p = None            # no modulus: integer working forms stay exact
 
-    zero = Fraction(0)
     one = Fraction(1)
 
     def of(self, v) -> Fraction:
@@ -152,7 +151,6 @@ class PrimeField:
             raise ValueError(f"prime field modulus must be an odd prime, got {p}")
         self.p = p
         self.name = f"GF({p})"
-        self.zero = Fp(0, p)
         self.one = Fp(1, p)
 
     def of(self, v) -> Fp:
@@ -333,9 +331,6 @@ class RingCtx:
 
     def constant(self, c) -> "Polynomial":
         return Polynomial.from_dict(self, {(0,) * self.num_vars: c})
-
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
 
     def __repr__(self):
         return f"{self.field}[x0..x{self.num_vars - 1}]"
@@ -741,36 +736,25 @@ def apply_linear_change(gens, M) -> tuple:
     return from_packed(ring, moved)
 
 
-def _check_bound(bound: int):
-    # with bound 0 every sample is zero: no invertible matrix, no nonzero form
-    if bound < 1:
-        raise ValueError(f"coefficient bound must be at least 1, got {bound}")
-
-
-def seeded_invertible_matrix(num_vars: int, seed: int, bound: int = 1000, field=QQ):
-    """Deterministic invertible matrix with entries uniform in [-bound, bound].
+def seeded_full_rank_rows(count: int, num_vars: int, seed: int, bound: int = 1000,
+                          field=QQ) -> tuple:
+    """Deterministic count x num_vars matrix of rank count in the field, with
+    entries drawn row by row, uniform in [-bound, bound], and returned as
+    field elements.  num_vars rows are an invertible coordinate change (a
+    Gin trial's); one row is a linear form that is nonzero in the field (the
+    saturation's), drawn by the same rule as the changes.
 
     Resamples on a rank-deficient sample (over the field: mod p over
     GF(p)); more than 100 resamples would mean the generator is broken, not
     unlucky.
     """
-    _check_bound(bound)
+    # with bound 0 every sample is zero: no row has full rank
+    if bound < 1:
+        raise ValueError(f"coefficient bound must be at least 1, got {bound}")
     rng = random.Random(seed)
     for _ in range(100):
         rows = [[rng.randint(-bound, bound) for _ in range(num_vars)]
-                for _ in range(num_vars)]
-        if len(_sparse_pivots([dict(enumerate(r)) for r in rows], field.p)) == num_vars:
+                for _ in range(count)]
+        if len(_sparse_pivots([dict(enumerate(r)) for r in rows], field.p)) == count:
             return tuple(tuple(field.of(v) for v in r) for r in rows)
-    raise RuntimeError("could not sample an invertible matrix (internal error)")
-
-
-def seeded_linear_form(ring: RingCtx, seed: int, bound: int = 1000) -> Polynomial:
-    """Deterministic nonzero linear form with integer coefficients in [-bound, bound]."""
-    _check_bound(bound)
-    rng = random.Random(seed)
-    while True:
-        coeffs = [rng.randint(-bound, bound) for _ in range(ring.num_vars)]
-        if any(coeffs):
-            break
-    return Polynomial.from_dict(
-        ring, {ring.var_mono(i): c for i, c in enumerate(coeffs)})
+    raise RuntimeError("could not sample a full-rank matrix (internal error)")

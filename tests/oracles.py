@@ -216,9 +216,10 @@ def naive_linear_change(f, M):
     one variable factor at a time, in the field of f."""
     ring = f.ring
     n = ring.num_vars
-    images = [sum((variable(ring, j).scale(M[i][j]) for j in range(n)), ring.zero())
+    zero = Polynomial(ring, ())
+    images = [sum((variable(ring, j).scale(M[i][j]) for j in range(n)), zero)
               for i in range(n)]
-    out = ring.zero()
+    out = zero
     for m, c in f.terms:
         part = ring.constant(c)
         for i, e in enumerate(m):
@@ -255,7 +256,7 @@ def naive_normal_form(f, G, less):
     """Remainder of f on division by the polynomial list G, over the field of
     f: each step scans every term for the largest one under the order
     less(a, b), and tries the divisors in list order.  Returns {mono: coeff}."""
-    zero = f.ring.field.zero
+    zero = f.ring.field.of(0)
     divisors = []
     for g in G:
         d = dict(g.terms)
@@ -298,7 +299,7 @@ def trial_division_is_prime(n):
 def matrix_inv(M, field):
     """Inverse by Gauss-Jordan; raises SingularMatrixError when det = 0."""
     n = len(M)
-    A = [list(row) + [field.one if i == j else field.zero for j in range(n)]
+    A = [list(row) + [field.of(int(i == j)) for j in range(n)]
          for i, row in enumerate(M)]
     for col in range(n):
         piv = next((r for r in range(col, n) if A[r][col]), None)

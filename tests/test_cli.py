@@ -89,6 +89,19 @@ def test_parse_header_errors():
         parse_ideal("ring 0\ngens:\nx0\n")
 
 
+def test_parse_ring_of_too_many_variables_is_refused_at_once(tmp_path):
+    # the Gin of two squares in 3000 variables would not finish
+    assert parse_ideal("ring 64\ngens:\nx0^2\nx63^2\n").ring.num_vars == 64
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"65 variables is larger than 64 variables "
+                                         r"\(line 2\)"):
+        parse_ideal("# header\nring 65\ngens:\nx0^2\nx1^2\n")
+    path = tmp_path / "wide.ideal"
+    path.write_text("ring 3000\ngens:\nx0^2\nx1^2\n")
+    assert main(["gin", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+
+
 def test_parse_comments_and_field():
     I = parse_ideal("# header\nring 2  # two variables\nfield fp 101\ngens:\nx0^2 # square\n")
     assert isinstance(I.ring.field, PrimeField)
@@ -263,7 +276,7 @@ def _random_expr(rng, depth):
 
 def _value(f, point):
     field = f.ring.field
-    total = field.zero
+    total = field.of(0)
     for m, c in f.terms:
         for a, e in zip(point, m):
             c = c * field.of(a ** e)

@@ -15,7 +15,7 @@ from gintail.groebner import (hilbert_function_rank_oracle,
                               saturate_by_general_linear_form)
 from gintail.errors import GenericityError, NotBorelFixedError, UnitIdealError
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
-                          apply_linear_change, seeded_invertible_matrix)
+                          apply_linear_change, seeded_full_rank_rows)
 from oracles import fraction_rank
 
 R3 = RingCtx(3)
@@ -38,14 +38,14 @@ def monomial_poly_ideal(J: MonomialIdeal, field=QQ) -> PolyIdeal:
 # --- random coordinate changes -----------------------------------------------
 
 def test_change_deterministic_and_invertible():
-    a = seeded_invertible_matrix(4, 123)
-    b = seeded_invertible_matrix(4, 123)
+    a = seeded_full_rank_rows(4, 4, 123)
+    b = seeded_full_rank_rows(4, 4, 123)
     assert a == b
     assert fraction_rank(a) == 4
 
 
 def test_changes_distinct_across_seeds():
-    seen = {seeded_invertible_matrix(3, s) for s in range(1000)}
+    seen = {seeded_full_rank_rows(3, 3, s) for s in range(1000)}
     assert len(seen) == 1000
 
 
@@ -352,7 +352,8 @@ def test_section_tower_is_not_part_of_the_certificate():
 def _polynomial_level_section(I: PolyIdeal, seed: int) -> PolyIdeal:
     """Cut by a general hyperplane at the polynomial level: move by a random
     change and substitute the last variable by zero."""
-    M = seeded_invertible_matrix(I.ring.num_vars, seed, 1000, I.ring.field)
+    n = I.ring.num_vars
+    M = seeded_full_rank_rows(n, n, seed, 1000, I.ring.field)
     S = RingCtx(I.ring.num_vars - 1, I.ring.field)
     gens = []
     for moved in apply_linear_change(I.gens, M):

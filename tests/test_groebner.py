@@ -18,8 +18,7 @@ from gintail.groebner import (_buchberger_raw, _mix_seed, buchberger,
                               saturate_by_general_linear_form,
                               seeded_initial_ideal)
 from gintail.ring import (Packing, Polynomial, PolyIdeal, PrimeField, QQ,
-                          RingCtx, apply_linear_change, seeded_invertible_matrix,
-                          seeded_linear_form)
+                          RingCtx, apply_linear_change, seeded_full_rank_rows)
 from oracles import (bounded_saturation_members, dense_standard_count,
                      divides, in_monomial_ideal, monomials_of_degree, naive_grevlex_less,
                      naive_normal_form, naive_spoly, series_quotient_coeffs,
@@ -93,7 +92,7 @@ def test_membership_oracle_random_combinations(quintic_ideal):
     G = buchberger(quintic_ideal)
     rng = random.Random(4)
     for _ in range(5):
-        acc = R4.zero()
+        acc = Polynomial(R4, ())
         for g in quintic_ideal.gens:
             h = random_homogeneous(R4, rng, rng.randint(0, 2), terms=3)
             acc = acc + h * g
@@ -246,7 +245,8 @@ def over(I: PolyIdeal, field) -> PolyIdeal:
 
 def moved_gens(I: PolyIdeal, seed: int):
     """The generators one genericity trial moves."""
-    M = seeded_invertible_matrix(I.ring.num_vars, seed, 1000, I.ring.field)
+    n = I.ring.num_vars
+    M = seeded_full_rank_rows(n, n, seed, 1000, I.ring.field)
     return apply_linear_change(I.gens, M)
 
 
@@ -283,7 +283,7 @@ def test_targeted_trial_equals_untargeted(name, field):
 @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
 def test_minimal_trial_basis_has_the_reduced_leads(quintic_ideal, field):
     I = over(quintic_ideal, field)
-    M = seeded_invertible_matrix(4, 5, 1000, field)
+    M = seeded_full_rank_rows(4, 4, 5, 1000, field)
     moved = apply_linear_change(I.gens, M)
     full = _buchberger_raw(I.ring, moved)
     minimal = _buchberger_raw(I.ring, moved, reduced=False)
@@ -435,7 +435,7 @@ def rnc_basis(num_vars: int, count: int, field) -> PolyIdeal:
     gens = []
     for _ in range(count):
         gens.append(sum((q.scale(field.of(rng.randint(-9, 9))) for q in minors),
-                        ring.zero()))
+                        Polynomial(ring, ())))
     return PolyIdeal.make(ring, gens)
 
 
@@ -781,12 +781,19 @@ def test_saturate_agrees_with_monomial_route():
     assert J.saturate_last().min_gens == ((2, 0, 0),)
 
 
+def saturation_form(ring, seed, bound=1):
+    """The coefficient row, in the ring's field, of the linear form L that
+    saturate(..., seed, bound) draws."""
+    (form,) = seeded_full_rank_rows(1, ring.num_vars, _mix_seed(seed, 0), bound,
+                                    ring.field)
+    return form
+
+
 def linear_form_seed(ring, bound, last_is_zero):
     """The first seed whose saturation form has (or lacks) a zero
     coefficient on the last variable."""
     for seed in range(100_000):
-        L = seeded_linear_form(ring, _mix_seed(seed, 0), bound)
-        if (ring.var_mono(ring.num_vars - 1) not in dict(L.terms)) == last_is_zero:
+        if (not saturation_form(ring, seed, bound)[-1]) == last_is_zero:
             return seed
     raise AssertionError("no such seed")
 
@@ -799,12 +806,12 @@ def test_moving_the_form_to_the_last_variable(field, last_is_zero):
     ring = RingCtx(4, field)
     rng = random.Random(31)
     seed = linear_form_seed(ring, 1000, last_is_zero)
-    forms = [seeded_linear_form(ring, _mix_seed(seed, 0), 1000),
-             variable(ring, 0).scale(-7)]
-    for L in forms:
-        forward, back = groebner._to_last_variable(L)
-        k = max(m.index(1) for m, _ in L.terms)
-        ck = dict(L.terms)[ring.var_mono(k)]
+    forms = [saturation_form(ring, seed, 1000),
+             tuple(map(field.of, (-7, 0, 0, 0)))]
+    for c in forms:
+        forward, back = groebner._to_last_variable(c)
+        L = Polynomial.from_dict(ring, {ring.var_mono(i): a for i, a in enumerate(c)})
+        ck = c[max(i for i in range(4) if c[i])]
         assert apply_linear_change([L], forward) == (
             variable(ring, 3).scale(ck),)
         scale = field.one
@@ -906,12 +913,6 @@ def test_saturate_monomial_input_matches_saturate_last(field):
 # the irrelevant ideal; the call must raise exactly then, and otherwise return
 # the saturation.
 
-def saturation_form(ring, seed):
-    """The coefficients of L on each variable, for saturate(..., bound=1)."""
-    terms = dict(seeded_linear_form(ring, _mix_seed(seed, 0), 1).terms)
-    return [terms.get(ring.var_mono(k), 0) for k in range(ring.num_vars)]
-
-
 def saturates_or_raises(I, seed):
     """The saturation for bound=1, or None when it raised."""
     try:
@@ -976,6 +977,23 @@ def test_saturate_a_primary_to_the_maximal_ideal_to_the_unit_ideal():
                               ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2))])
     for seed in range(8):
         assert saturates_or_raises(I, seed).gens == (ring.constant(1),)
+
+
+@pytest.mark.parametrize("p,nv", [(5, 2), (3, 2), (3, 3)])
+def test_saturate_over_a_small_prime_draws_a_form_nonzero_in_the_field(p, nv):
+    # x0 * m saturates to (x0).  Over GF(3) and GF(5) the integer draws of
+    # the form often vanish mod p; such a draw is resampled, so every seed
+    # gives the saturation or, when the form lies in (x0), a retry
+    ring = RingCtx(nv, PrimeField(p))
+    x = [variable(ring, k) for k in range(nv)]
+    I = PolyIdeal.make(ring, [x[0] * xk for xk in x])
+    raised = 0
+    for seed in range(300):
+        try:
+            assert saturate_by_general_linear_form(I, seed).gens == (x[0],)
+        except SaturationRetryError:
+            raised += 1
+    assert 0 < raised < 300
 
 
 @FIELDS

@@ -44,12 +44,13 @@ def public_functions(tree):
 
 
 def referenced_names(tree):
-    """Every name the code refers to: bare names, attributes and imports.
-    Comments and docstrings refer to nothing."""
+    """Every name the code reads: bare names, attributes and imports.  A
+    name that is only assigned or deleted, as an attribute is by
+    self.name = ..., is not read; comments and docstrings refer to nothing."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name

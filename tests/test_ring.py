@@ -13,7 +13,7 @@ from gintail.ring import (MAX_PACKED_DEGREE, MAX_PRIME_MODULUS, Packing,
                           _is_prime,
                           apply_linear_change, from_packed,
                           grevlex_desc_key, int_terms, mono_lcm, mono_mul,
-                          seeded_invertible_matrix, seeded_linear_form)
+                          seeded_full_rank_rows)
 from oracles import (divides, matrix_inv, naive_grevlex_less,
                      naive_linear_change, random_poly, trial_division_is_prime,
                      variable)
@@ -140,7 +140,7 @@ def test_from_dict_refuses_degree_past_packed_limit():
     # a negative exponent is refused as such, not as a degree
     with pytest.raises(ValueError, match="negative exponent"):
         P(R2, {(-1, 40000): 1})
-    assert (x0 + x1).degree() == 1 and R2.zero().degree() == -1
+    assert (x0 + x1).degree() == 1 and Polynomial(R2, ()).degree() == -1
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
@@ -206,7 +206,7 @@ def test_linear_change_identity_and_permutation():
 
 def test_linear_change_round_trip():
     f = P(R4, {(2, 0, 0, 0): 1})
-    M = seeded_invertible_matrix(4, 2023, 50)
+    M = seeded_full_rank_rows(4, 4, 2023, 50)
     Minv = matrix_inv(M, QQ)
     assert apply_linear_change(apply_linear_change([f], M), Minv) == (f,)
 
@@ -218,11 +218,11 @@ def test_linear_change_matches_naive_substitution(field):
     ring = RingCtx(4, field)
     rng = random.Random(31)
     for trial in range(6):
-        M = seeded_invertible_matrix(4, trial, 9, field)
+        M = seeded_full_rank_rows(4, 4, trial, 9, field)
         for A in (M, matrix_inv(M, field)):
             f = random_poly(ring, rng, 5)
             assert apply_linear_change([f], A) == (naive_linear_change(f, A),)
-    assert apply_linear_change([ring.zero()], M)[0].is_zero
+    assert apply_linear_change([Polynomial(ring, ())], M)[0].is_zero
 
 
 def test_linear_change_of_a_high_power():
@@ -242,7 +242,7 @@ def test_linear_change_of_powers_matches_naive_substitution(field):
     for nv in (1, 2, 3, 4):
         ring = RingCtx(nv, field)
         for trial in range(4):
-            M = seeded_invertible_matrix(nv, 100 * nv + trial, 3 - trial % 2, field)
+            M = seeded_full_rank_rows(nv, nv, 100 * nv + trial, 3 - trial % 2, field)
             for _ in range(3):
                 expo = tuple(rng.randint(0, 6 // nv) for _ in range(nv))
                 power = P(ring, {expo: rng.randint(1, 9)})
@@ -276,7 +276,7 @@ def shared_generators(ring, rng):
     gens = [P(ring, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                      for m in rng.sample(SHARED_MONOMIALS, 6)})
             for _ in range(5)]
-    return gens[:2] + [ring.zero()] + gens[2:]
+    return gens[:2] + [Polynomial(ring, ())] + gens[2:]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(5)],
@@ -289,7 +289,7 @@ def test_linear_change_of_several_generators_matches_naive_substitution(field):
     rng = random.Random(83)
     for trial in range(4):
         gens = shared_generators(ring, rng)
-        M = seeded_invertible_matrix(3, 700 + trial, 5, field)
+        M = seeded_full_rank_rows(3, 3, 700 + trial, 5, field)
         for A in (M, matrix_inv(M, field)):
             assert apply_linear_change(gens, A) == \
                 tuple(naive_linear_change(g, A) for g in gens)
@@ -301,7 +301,7 @@ def test_linear_change_keeps_no_image_across_calls(field):
     # an image kept from an earlier call would be the wrong matrix's
     ring = RingCtx(3, field)
     gens = shared_generators(ring, random.Random(5))
-    A, B = (seeded_invertible_matrix(3, seed, 7, field) for seed in (1, 2))
+    A, B = (seeded_full_rank_rows(3, 3, seed, 7, field) for seed in (1, 2))
     first = apply_linear_change(gens, A)
     assert first == tuple(naive_linear_change(g, A) for g in gens)
     assert apply_linear_change(gens, B) == tuple(naive_linear_change(g, B) for g in gens)
@@ -329,11 +329,12 @@ def test_linear_change_of_a_deep_mixed_monomial_is_fast():
 
 
 def test_samplers_reject_bound_below_one():
-    # with bound 0 every sample is zero, so neither sampler could succeed
+    # with bound 0 every sample is zero, so neither a change nor a form
+    # could be drawn
     with pytest.raises(ValueError, match="at least 1"):
-        seeded_invertible_matrix(3, 1, bound=0)
+        seeded_full_rank_rows(3, 3, 1, bound=0)
     with pytest.raises(ValueError, match="at least 1"):
-        seeded_linear_form(RingCtx(3), 1, bound=0)
+        seeded_full_rank_rows(1, 3, 1, bound=0)
 
 
 def test_linear_change_rejects_singular():
@@ -362,16 +363,29 @@ def test_seeded_invertible_matrix_is_pinned():
         for bound in (1, 1000):
             for n in range(2, 5):
                 for seed in range(50):
-                    M = seeded_invertible_matrix(n, seed, bound, field)
+                    M = seeded_full_rank_rows(n, n, seed, bound, field)
                     h.update(repr([[str(v) for v in row] for row in M]).encode())
                     h.update(b";")
     assert h.hexdigest() == \
         "37bd72847d8e36c1dc6e526352bf93b23f239c612a4aed57576873960e9d2bb9"
 
 
+@pytest.mark.parametrize("num_vars,seed,bound,form", [
+    (3, 0, 1000, (729, -212, 552)),
+    (4, 1, 1000, (-725, 165, 735, 643)),
+    (1, 7, 1000, (-337,)),
+    (5, 2023, 10, (2, 4, 2, 0, 9)),
+    (2, 54, 1, (-1, 0)),
+])
+def test_seeded_form_is_pinned(num_vars, seed, bound, form):
+    # one row over QQ is the saturation's linear form; these are the
+    # coefficients it had when a form was drawn apart from the changes
+    assert seeded_full_rank_rows(1, num_vars, seed, bound) == (form,)
+
+
 def test_linear_change_is_ring_homomorphism():
     rng = random.Random(7)
-    M = seeded_invertible_matrix(4, 99, 20)
+    M = seeded_full_rank_rows(4, 4, 99, 20)
     for _ in range(5):
         f = P(R4, {tuple(rng.randint(0, 2) for _ in range(4)): rng.randint(-4, 4)
                    for _ in range(3)})
@@ -384,7 +398,7 @@ def test_linear_change_is_ring_homomorphism():
 
 def test_linear_change_preserves_homogeneous_degree():
     f = P(R4, {(1, 1, 0, 0): 3, (0, 0, 2, 0): -1})
-    M = seeded_invertible_matrix(4, 5, 10)
+    M = seeded_full_rank_rows(4, 4, 5, 10)
     out, = apply_linear_change([f], M)
     assert out.is_homogeneous() and out.degree() == 2
 
@@ -445,6 +459,6 @@ def test_ideal_rejects_inhomogeneous_and_zero():
         PolyIdeal.make(R4, [P(R4, {(0, 1, 0, 0): 1}), big])
     assert str(info.value) == "generator #1 is not homogeneous: its terms have degrees 0 to 40"
     with pytest.raises(InhomogeneousError):
-        PolyIdeal.make(R4, [R4.zero()])
+        PolyIdeal.make(R4, [Polynomial(R4, ())])
     with pytest.raises(InhomogeneousError):
         PolyIdeal.make(R4, [])
