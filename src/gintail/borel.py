@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from operator import mul
 
@@ -100,6 +100,13 @@ class MonomialIdeal:
         """Largest variable index occurring in any minimal generator."""
         return max((mono_max_index(g) for g in self.min_gens), default=-1)
 
+    @cached_property
+    def _borel_fixed(self) -> bool:
+        """is_borel_fixed(self), decided once per ideal (require_borel), so
+        a caller that reads many degrees of one ideal pays one check; not a
+        field, so equality and hashing do not see it."""
+        return is_borel_fixed(self)
+
     @property
     def saturation_defect(self) -> bool:
         """Some minimal generator involves the last variable, so J differs
@@ -158,7 +165,7 @@ def is_borel_fixed(J: MonomialIdeal) -> bool:
 
 
 def require_borel(J: MonomialIdeal):
-    if not is_borel_fixed(J):
+    if not J._borel_fixed:
         raise NotBorelFixedError(f"{J!r} is not Borel fixed")
 
 

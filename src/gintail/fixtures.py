@@ -135,6 +135,9 @@ def check_ci_quadrics() -> FixtureResult:
         table = ek_betti(cert.gin)
         rows = [table.row(d)[1:4] for d in (1, 2, 3)]
         res.expect(f"seed {s} rows 1-3", rows, [[3, 2, 0], [2, 4, 2], [1, 2, 1]])
+        # the Hilbert-function cross-check must not switch off on these
+        # inputs (a proven regular sequence is checked in every degree)
+        res.expect_true(f"seed {s} hf cross-checked in cert", cert.hf_checked)
     return res
 
 

@@ -30,25 +30,36 @@ fixed, read it, when there are at most num_vars generators, off a complete
 intersection of the same degrees, which is exact on a regular sequence.
 A skipped pair would have added nothing, so each trial still returns its own
 initial ideal, the same leading monomials as without the skip, generic or
-not: agreement still compares each trial's own leads with J1, and the rank
-cross-check against exact linear algebra still checks the engine.  That
-cross-check runs on the caller's own generators, so a generator wrongly
-dropped as redundant changes the Hilbert function it sees and raises
+not: agreement still compares each trial's own leads with J1, and the
+Hilbert-function cross-check still checks the engine.
+
+That cross-check runs on the caller's own generators.  When there are at
+most num_vars of them, one small exact Macaulay rank on a general linear
+section can prove them a regular sequence (_regular_sequence_hf; Bruns and
+Herzog, Theorem 2.1.2): R/I then has the complete-intersection Hilbert
+function in every degree, and the Gin's is compared with it up to the degree
+past which both are polynomials, so the check covers every degree.
+Otherwise the Gin's Hilbert function is compared with exact Macaulay ranks of
+I degree by degree up to reg + 2, and stops, with a warning, at the first
+degree with more than HF_CHECK_LIMIT monomials.  Either way a generator
+wrongly dropped as redundant changes the Hilbert function it sees and raises
 GenericityError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 
 from . import borel
 from .borel import MonomialIdeal, is_borel_fixed
 from .errors import GenericityError, NotBorelFixedError
-from .groebner import (HF_CHECK_LIMIT, _mix_seed, hilbert_function_rank_oracle,
-                       minimal_generators, seeded_initial_ideal)
-from .ring import PolyIdeal
+from .groebner import (HF_CHECK_LIMIT, _complete_intersection_hf, _mix_seed,
+                       hilbert_function_rank_oracle, minimal_generators,
+                       seeded_initial_ideal)
+from .ring import (Polynomial, PolyIdeal, RingCtx, apply_linear_change,
+                   seeded_full_rank_rows)
 
 #: entry bound of trial 1's coordinate change over QQ (see the module text)
 FIRST_TRIAL_BOUND = 10
@@ -145,18 +156,31 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
             f"saturation defect: generators involve x{nv - 1} up to degree {top}; "
             "input ideal was not saturated")
 
-    # cross-check the Hilbert function against exact linear algebra on the
-    # caller's own generators, degree by degree up to reg + 2, so a generator
-    # wrongly dropped above shows here
+    # cross-check the Hilbert function on the caller's own generators, so a
+    # generator wrongly dropped above shows here: against the
+    # complete-intersection series when they are a proven regular sequence,
+    # else against exact linear algebra, degree by degree up to reg + 2.
+    # The witness's change comes from a sub-seed that no trial uses, with
+    # trial 1's entry bound: any full-rank change is sound, and small entries
+    # keep its rank cheap over QQ
     reg = first.max_gen_degree()
+    reference = _regular_sequence_hf(I, _mix_seed(seed, MAX_TRIALS), first_bound)
     hf_checked = True
-    for t in range(reg + 3):
-        if comb(nv - 1 + t, nv - 1) > HF_CHECK_LIMIT:
+    if reference is not None:
+        # from degree max(reg, sum d_i) on, the Eliahou-Kervaire sum and the
+        # series are both polynomials of degree < nv, so agreement in nv more
+        # degrees is agreement in every degree
+        degrees = range(max(reg, sum(g.degree() for g in I.gens)) + nv + 1)
+    else:
+        reference = partial(hilbert_function_rank_oracle, I)
+        degrees = [t for t in range(reg + 3)
+                   if comb(nv - 1 + t, nv - 1) <= HF_CHECK_LIMIT]
+        if len(degrees) < reg + 3:
             hf_checked = False
-            warnings.append(
-                f"Hilbert-function cross-check skipped from degree {t} (size)")
-            break
-        if borel.hilbert_function(first, t) != hilbert_function_rank_oracle(I, t):
+            warnings.append(f"Hilbert-function cross-check skipped from degree "
+                            f"{len(degrees)} (size)")
+    for t in degrees:
+        if borel.hilbert_function(first, t) != reference(t):
             raise GenericityError(
                 f"Hilbert function of the initial ideal differs from the input "
                 f"ideal at degree {t} (seeds {seeds}); this indicates a "
@@ -164,6 +188,44 @@ def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
 
     return GinCertificate(gin=first, field=ring.field, trial_seeds=seeds,
                           hf_checked=hf_checked, warnings=tuple(warnings))
+
+
+def _regular_sequence_hf(I: PolyIdeal, seed: int, bound: int):
+    """HF(R/I) in every degree when one small rank proves I.gens a regular
+    sequence, else None.
+
+    Let f_1..f_m (m <= N = num_vars) be I.gens, of degrees d_i, and
+    D = sum_i (d_i - 1).  After a seeded change of coordinates, x_m..x_(N-1)
+    are set to zero: this reads f modulo N - m independent linear forms l,
+    as m forms in m variables.  If these have HF = 0 in degree D + 1, every
+    higher degree vanishes too, so R/(f, l) has finite length: the N forms
+    f, l are a homogeneous system of parameters of the Cohen-Macaulay ring
+    R, hence a regular sequence (Bruns and Herzog, Cohen-Macaulay Rings,
+    Theorem 2.1.2), in any order, as they are homogeneous; so f is one.
+    Then HF(R/I) is the complete-intersection series of the d_i
+    (groebner._complete_intersection_hf), exactly, over QQ and over GF(p).
+    Conversely m forms in m variables that are a regular sequence vanish
+    from degree D + 1 on, so on a regular sequence only a special change
+    misses.  Nothing follows when the rank is nonzero, a cut form vanishes,
+    or the degree-(D + 1) piece has more than HF_CHECK_LIMIT monomials.
+    """
+    ring = I.ring
+    n, m = ring.num_vars, len(I.gens)
+    top = sum(g.degree() for g in I.gens) - m + 1
+    if m > n or comb(m - 1 + top, m - 1) > HF_CHECK_LIMIT:
+        return None
+    cut_ring = RingCtx(m, ring.field)
+    cut = []
+    change = seeded_full_rank_rows(n, n, seed, bound, ring.field)
+    for g in apply_linear_change(I.gens, change):
+        # dropping zero trailing exponents keeps the grevlex order of terms
+        terms = tuple((mono[:m], c) for mono, c in g.terms if not any(mono[m:]))
+        if not terms:
+            return None
+        cut.append(Polynomial(cut_ring, terms))
+    if hilbert_function_rank_oracle(PolyIdeal.make(cut_ring, cut), top):
+        return None
+    return _complete_intersection_hf(n, [g.degree() for g in I.gens])
 
 
 def _trial_problem(first: MonomialIdeal, others: list, seeds: tuple) -> str | None:

@@ -415,6 +415,23 @@ def test_hf_sum_matches_dense_count_and_betti_route():
     assert kinds == {"zero", "empty", "unsaturated", "saturated"}
 
 
+def test_hilbert_function_checks_an_ideal_once(monkeypatch):
+    # the Borel check is decided once per ideal, not once per degree read;
+    # an ideal that fails it is refused in every degree
+    checked = []
+    monkeypatch.setattr("gintail.borel.is_borel_fixed",
+                        lambda J: checked.append(J) or is_borel_fixed(J))
+    J = MonomialIdeal.make(4, [(2, 0, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0),
+                               (1, 2, 1, 0), (0, 3, 1, 0)])
+    assert [hilbert_function(J, t) for t in range(7)] == [1, 4, 9, 16, 21, 26, 31]
+    assert checked == [J]
+    K = MonomialIdeal.make(2, [(0, 1)])
+    for t in range(3):
+        with pytest.raises(NotBorelFixedError):
+            hilbert_function(K, t)
+    assert checked == [J, K]
+
+
 def test_hf_negative_degree_is_zero():
     assert hilbert_function(QUINTIC_GIN, -1) == 0
 

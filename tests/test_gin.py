@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from math import comb
 
 import pytest
 
@@ -7,16 +8,17 @@ from gintail.borel import (MonomialIdeal, borel_closure, ek_betti,
                            hilbert_function, is_borel_fixed)
 from gintail import gin
 from gintail.cli import parse_ideal
-from gintail.fixtures import CORPUS, bundled_ideal_text, load_bundled_ideal
+from gintail.fixtures import (CORPUS, bundled_ideal_text, ci_three_quadrics,
+                              load_bundled_ideal, random_quadrics)
 from gintail.gin import (FIRST_TRIAL_BOUND, MAX_TRIALS, GinCertificate,
                          certificate_for_borel_ideal, compute_gin,
                          generic_section_gin)
-from gintail.groebner import (hilbert_function_rank_oracle,
+from gintail.groebner import (HF_CHECK_LIMIT, hilbert_function_rank_oracle,
                               saturate_by_general_linear_form)
 from gintail.errors import GenericityError, NotBorelFixedError, UnitIdealError
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, seeded_full_rank_rows)
-from oracles import fraction_rank
+from oracles import fraction_rank, series_quotient_coeffs
 
 R3 = RingCtx(3)
 R4 = RingCtx(4)
@@ -422,3 +424,126 @@ def test_certificate_validation():
     with pytest.raises(NotBorelFixedError):
         GinCertificate(gin=MonomialIdeal.make(3, [(0, 2, 0)]), field=QQ,
                        trial_seeds=(1, 2))
+
+
+# --- the regular-sequence witness ---------------------------------------------
+
+GF3 = PrimeField(3)
+GF32003 = PrimeField(32003)
+
+
+def over(I: PolyIdeal, field) -> PolyIdeal:
+    ring = RingCtx(I.ring.num_vars, field)
+    return PolyIdeal.make(ring, [Polynomial.from_dict(ring, dict(g.terms))
+                                 for g in I.gens])
+
+
+def _rank_calls(monkeypatch):
+    """A list that gets (ideal, degree) of every Macaulay rank compute_gin
+    asks for."""
+    calls = []
+    real = gin.hilbert_function_rank_oracle
+
+    def spy(I, d):
+        calls.append((I, d))
+        return real(I, d)
+
+    monkeypatch.setattr(gin, "hilbert_function_rank_oracle", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field, count, nv, seed", [
+    (QQ, 2, 7, 1), (QQ, 3, 5, 2), (GF32003, 4, 7, 3), (GF3, 2, 5, 4)],
+    ids=["QQ-2-in-7", "QQ-3-in-5", "GF32003-4-in-7", "GF3-2-in-5"])
+def test_random_complete_intersections_are_witnessed(monkeypatch, field, count,
+                                                     nv, seed):
+    # one rank, in degree D + 1 = count + 1 of the count-variable section,
+    # proves every degree; in 7 variables the per-degree check would stop
+    # at HF_CHECK_LIMIT below reg + 2
+    I = over(random_quadrics(count, nv, seed), field)
+    calls = _rank_calls(monkeypatch)
+    cert = compute_gin(I, seed=seed, trials=2)
+    assert [(J.ring.num_vars, d) for J, d in calls] == [(count, count + 1)]
+    assert cert.hf_checked
+    assert not any("skipped" in w for w in cert.warnings)
+    assert [hilbert_function(cert.gin, t) for t in range(12)] == \
+        series_quotient_coeffs([2] * count, nv, 11)
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003, GF3], ids=["QQ", "GF32003", "GF3"])
+def test_witnessed_series_is_the_hilbert_function(field):
+    # wherever the witness concludes, exact linear algebra agrees with its
+    # series.  Over GF(3) a random section is often special, or the quadrics
+    # are no complete intersection, and then it concludes nothing: it fires
+    # on 3 of these 12
+    fired = 0
+    for seed in range(12):
+        I = over(random_quadrics(2 + seed % 3, 4, seed), field)
+        hf = gin._regular_sequence_hf(I, seed, 1000)
+        if hf is not None:
+            fired += 1
+            assert [hf(t) for t in range(7)] == \
+                [hilbert_function_rank_oracle(I, t) for t in range(7)]
+    assert fired >= (3 if field is GF3 else 12)
+
+
+@pytest.mark.parametrize("name", ["twisted_cubic", "two_planes", "unsaturated_pair"])
+def test_non_regular_inputs_fall_back_to_the_per_degree_check(monkeypatch, name):
+    I = load_bundled_ideal(name)
+    assert len(I.gens) <= I.ring.num_vars
+    for seed in range(6):
+        assert gin._regular_sequence_hf(I, seed, 1000) is None
+    calls = _rank_calls(monkeypatch)
+    cert = compute_gin(I, seed=3, trials=2)
+    assert cert.hf_checked
+    # the one section rank, then every degree of I up to reg + 2
+    assert [d for J, d in calls if J is I] == \
+        list(range(cert.gin.max_gen_degree() + 3))
+    assert len(calls) == cert.gin.max_gen_degree() + 4
+
+
+@pytest.mark.parametrize("terms", [
+    # x2 = x3 = 0 makes both x0^2: dependent
+    [{(2, 0, 0, 0): 1, (0, 0, 2, 0): 1}, {(2, 0, 0, 0): 1, (0, 0, 0, 2): 1}],
+    # x2 = x3 = 0 makes the first form vanish
+    [{(0, 0, 2, 0): 1, (0, 0, 0, 2): 1}, {(1, 1, 0, 0): 1}]],
+    ids=["dependent", "vanishing"])
+def test_planted_special_section_concludes_nothing(monkeypatch, terms):
+    # complete intersections of two quadrics in P^3, with the witness's
+    # change planted as the identity, so its section is x2 = x3 = 0
+    identity = tuple(tuple(QQ.of(int(i == j)) for j in range(4)) for i in range(4))
+    monkeypatch.setattr(gin, "seeded_full_rank_rows", lambda *args: identity)
+    I = PolyIdeal.make(R4, [P(R4, d) for d in terms])
+    assert gin._regular_sequence_hf(I, 0, 1000) is None
+    calls = _rank_calls(monkeypatch)
+    cert = compute_gin(I, seed=5, trials=2)
+    assert cert.hf_checked
+    reg = cert.gin.max_gen_degree()
+    assert [d for J, d in calls if J is I] == list(range(reg + 3))
+    assert [hilbert_function(cert.gin, t) for t in range(8)] == \
+        series_quotient_coeffs([2, 2], 4, 7)
+
+
+def test_witness_past_the_size_limit_keeps_the_skip_warning(monkeypatch):
+    # six quadrics in 6 variables: the section rank would be in degree 7,
+    # on C(12, 5) = 792 monomials, so it is not computed
+    I = over(random_quadrics(6, 6, 1), GF32003)
+    assert comb(12, 5) == 792 > HF_CHECK_LIMIT
+    calls = _rank_calls(monkeypatch)
+    cert = compute_gin(I, seed=1, trials=2)
+    assert calls and all(J is I for J, _ in calls)
+    assert not cert.hf_checked
+    assert "Hilbert-function cross-check skipped from degree 6 (size)" in cert.warnings
+
+
+def test_wrongly_dropped_generator_is_caught_on_the_witness_route(monkeypatch):
+    # the witness reads the caller's generators, not the minimal ones the
+    # trials move, so a generator dropped from the latter shows up
+    I = ci_three_quadrics(1)
+    calls = _rank_calls(monkeypatch)
+    compute_gin(I, seed=8, trials=2)
+    assert [(J.ring.num_vars, d) for J, d in calls] == [(3, 4)]
+    monkeypatch.setattr(gin, "minimal_generators",
+                        lambda J: PolyIdeal.make(J.ring, J.gens[1:]))
+    with pytest.raises(GenericityError, match="Hilbert function"):
+        compute_gin(I, seed=8, trials=2)
