@@ -25,7 +25,8 @@ skips every S-pair that a Hilbert function proves reduces to zero
 (Traverso's Hilbert-driven pair skipping, groebner._buchberger_raw).
 Trials 2..k read it off trial 1's initial ideal J1, the target, in the same
 field, when J1 is Borel fixed: the Eliahou-Kervaire sum then gives I's
-Hilbert function exactly.  Trial 1, and a trial whose target is not Borel
+Hilbert function exactly, and the trial stops once its leads contain J1's
+minimal generators.  Trial 1, and a trial whose target is not Borel
 fixed, read it, when there are at most num_vars generators, off a complete
 intersection of the same degrees, which is exact on a regular sequence.
 A skipped pair would have added nothing, so each trial still returns its own
@@ -58,8 +59,7 @@ from .errors import GenericityError, NotBorelFixedError
 from .groebner import (HF_CHECK_LIMIT, _complete_intersection_hf, _mix_seed,
                        hilbert_function_rank_oracle, minimal_generators,
                        seeded_initial_ideal)
-from .ring import (Polynomial, PolyIdeal, RingCtx, apply_linear_change,
-                   seeded_full_rank_rows)
+from .ring import PolyIdeal, apply_linear_change, seeded_full_rank_rows
 
 #: entry bound of trial 1's coordinate change over QQ (see the module text)
 FIRST_TRIAL_BOUND = 10
@@ -197,12 +197,14 @@ def _regular_sequence_hf(I: PolyIdeal, seed: int, bound: int):
     Let f_1..f_m (m <= N = num_vars) be I.gens, of degrees d_i, and
     D = sum_i (d_i - 1).  After a seeded change of coordinates, x_m..x_(N-1)
     are set to zero: this reads f modulo N - m independent linear forms l,
-    as m forms in m variables.  If these have HF = 0 in degree D + 1, every
-    higher degree vanishes too, so R/(f, l) has finite length: the N forms
-    f, l are a homogeneous system of parameters of the Cohen-Macaulay ring
-    R, hence a regular sequence (Bruns and Herzog, Cohen-Macaulay Rings,
-    Theorem 2.1.2), in any order, as they are homogeneous; so f is one.
-    Then HF(R/I) is the complete-intersection series of the d_i
+    as m forms in m variables, substituted straight into the m-variable ring
+    by the first m columns of the change (apply_linear_change).  If these
+    have HF = 0 in degree D + 1, every higher degree vanishes too, so
+    R/(f, l) has finite length: the N forms f, l are a homogeneous system of
+    parameters of the Cohen-Macaulay ring R, hence a regular sequence
+    (Bruns and Herzog, Cohen-Macaulay Rings, Theorem 2.1.2), in any order,
+    as they are homogeneous; so f is one.  Then HF(R/I) is the
+    complete-intersection series of the d_i
     (groebner._complete_intersection_hf), exactly, over QQ and over GF(p).
     Conversely m forms in m variables that are a regular sequence vanish
     from degree D + 1 on, so on a regular sequence only a special change
@@ -214,16 +216,11 @@ def _regular_sequence_hf(I: PolyIdeal, seed: int, bound: int):
     top = sum(g.degree() for g in I.gens) - m + 1
     if m > n or comb(m - 1 + top, m - 1) > HF_CHECK_LIMIT:
         return None
-    cut_ring = RingCtx(m, ring.field)
-    cut = []
     change = seeded_full_rank_rows(n, n, seed, bound, ring.field)
-    for g in apply_linear_change(I.gens, change):
-        # dropping zero trailing exponents keeps the grevlex order of terms
-        terms = tuple((mono[:m], c) for mono, c in g.terms if not any(mono[m:]))
-        if not terms:
-            return None
-        cut.append(Polynomial(cut_ring, terms))
-    if hilbert_function_rank_oracle(PolyIdeal.make(cut_ring, cut), top):
+    cut = apply_linear_change(I.gens, [row[:m] for row in change])
+    if any(g.is_zero for g in cut):
+        return None
+    if hilbert_function_rank_oracle(PolyIdeal.make(cut[0].ring, cut), top):
         return None
     return _complete_intersection_hf(n, [g.degree() for g in I.gens])
 

@@ -6,17 +6,21 @@ uses in(I : x_last) = in(I) : x_last (Bayer and Stillman, 1987).  Pairs wait
 in a heap keyed by the normal strategy (the lcm, lowest degree first, then
 the pair's indices), so each pair is ranked once, when it is made;
 Buchberger's coprime-lcm and chain criteria are applied as pairs leave the
-heap, and every pair is reduced against all elements.  A genericity trial
-reads only leading monomials, so it stops at a minimal basis
-(reduced=False).  One Hilbert-driven criterion drops the pairs of degree d
-that provably reduce to zero: those left once the leads divide as many
-degree-d monomials as a lower bound on the Hilbert function of R/I lets I_d
-have.  The bound is read off a Borel-fixed target, the initial ideal of the
-same ideal in other coordinates, or otherwise, for a run of 2..num_vars
-inputs, off a complete intersection of the same degrees.  Either is exact on
-the inputs it serves, a Gin's trials and regular sequences: there each
-degree's pairs stop as soon as its leads are complete.  The criterion never
-changes the basis that comes out.
+heap, and every pair is reduced against all elements, but only until its
+lead is one no lead divides: the loop reads nothing but leads, so tails are
+left unreduced there.  A genericity trial reads only leading monomials, so
+it stops at a minimal basis (reduced=False), tails and all; a reduced basis
+gets one interreduction at the end, in ascending lead order.  One
+Hilbert-driven criterion drops the pairs of degree d that provably reduce
+to zero: those left once the leads divide as many degree-d monomials as a
+lower bound on the Hilbert function of R/I lets I_d have.  The bound is
+read off a Borel-fixed target, the initial ideal of the same ideal in other
+coordinates, or otherwise, for a run of 2..num_vars inputs, off a complete
+intersection of the same degrees.  Either is exact on the inputs it serves,
+a Gin's trials and regular sequences: there each degree's pairs stop as
+soon as its leads are complete, and a run aimed at a Borel-fixed target
+stops once the target's generators are all leads.  Neither changes the
+basis that comes out.
 
 Over the rationals the inner loop is fraction-free: working polynomials keep
 coprime integer coefficients, reduction cross-multiplies instead of dividing,
@@ -65,9 +69,10 @@ from .ring import (Packing, Polynomial, PolyIdeal, RingCtx, _sparse_pivots,
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A grevlex Groebner basis, sorted ascending by leading term.  Reduced:
-    monic, with no term divisible by another element's lead.  Otherwise
-    minimal: the leading monomials are still the minimal generators of the
-    initial ideal."""
+    monic, with no term divisible by another element's lead, so unique.
+    Otherwise minimal: the leading monomials are still the minimal
+    generators of the initial ideal, but the tails are not reduced and the
+    leading coefficients not normalized, so only the leads are canonical."""
 
     ring: RingCtx
     elements: tuple
@@ -110,9 +115,20 @@ def _as_divisor(d: dict, table: dict):
     return (lm, table[lm], d[lm], tuple(d.items()))
 
 
-def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None) -> dict:
-    """Core division loop on packed integer working polynomials; returns the
-    remainder, which over QQ is right only up to a nonzero integer factor.
+def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None, *,
+                 full: bool) -> dict:
+    """Core division loop on packed integer working polynomials; its result
+    is right over QQ only up to a nonzero integer factor.
+
+    With full, it returns the remainder: no term is divisible by a divisor's
+    lead (the normal form, for the interreduction of a reduced basis).
+    Otherwise it stops at the first leading term that no divisor's lead
+    divides and returns the whole working polynomial, tail unreduced (zero
+    if every lead cancels), which is all Buchberger's pair loop needs: its
+    criterion asks only that each S-polynomial top-reduce to zero, or else
+    gives a new element whose lead no lead divides (Becker and Weispfenning,
+    Groebner Bases, 1993); the leads, and so a minimal basis's leads, do not
+    depend on the tails.
 
     Each step reduces the grevlex-largest term of the working polynomial.  It
     is found through a max-heap of the D keys (pushed negated): a monomial is
@@ -140,6 +156,8 @@ def _reduce_work(p: dict, divisors, table: dict, pk, p_mod: int | None) -> dict:
             if not (e - div[1]) & guard:
                 break
         else:
+            if not full:
+                return p
             remainder[m] = c
             del p[m]
             continue
@@ -267,9 +285,13 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
                     target=None) -> GroebnerBasis:
     """Groebner basis of a list of homogeneous polynomials.
 
-    With reduced=False the run stops at a minimal basis: its leading
-    monomials are the minimal generators of the initial ideal, but tails are
-    not interreduced and leading coefficients are not normalized.
+    Each S-polynomial is reduced only to an irreducible lead
+    (_reduce_work), so elements keep unreduced tails.  With reduced=False
+    the run stops at a minimal basis: its leading monomials are the minimal
+    generators of the initial ideal, whatever the tails, and leading
+    coefficients are not normalized.  Otherwise the kept elements are
+    interreduced once, in ascending lead order, into the unique reduced
+    basis.
 
     One Hilbert-driven criterion (Traverso, J. Symb. Comp. 1996) drops a
     pair of degree d unreduced once the current leads provably span the
@@ -289,7 +311,12 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     MonomialIdeal), so it has the same Hilbert function.  When it is Borel
     fixed, as a Gin is, h is its Hilbert function, the Eliahou-Kervaire sum
     (borel.hilbert_function).  This h is exact, so each degree's pairs stop
-    as soon as its leads are complete.  A target that is not Borel fixed is
+    as soon as its leads are complete.  The run stops outright once every
+    minimal generator of target is a lead: then the ideal L of the leads
+    contains target, so HF(R/L) <= HF(R/target) = HF(R/I), and L lies in
+    in(I), so HF(R/L) >= HF(R/I); hence L = in(I), generic change or not,
+    every pair left would top-reduce to zero, and the basis is the one the
+    run would return without the stop.  A target that is not Borel fixed is
     not read.
 
     Otherwise 2 <= m <= n = num_vars nonzero inputs f_1..f_m, of degrees
@@ -326,9 +353,11 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
         if w:
             G.append(_as_divisor(w, table))
     lms = [pk.unpack(g[0]) for g in G]   # the same, as tuples, for lcms
-    hf = None
+    hf = missing = None
     if target is not None and is_borel_fixed(target):
         hf = partial(hilbert_function, target)
+        # the target's generators not yet leads: the run stops when none is
+        missing = {pk.pack(g)[0] for g in target.min_gens} - {g[0] for g in G}
     elif 2 <= len(G) <= ring.num_vars:
         hf = _complete_intersection_hf(ring.num_vars, [pk.degree(g[1]) for g in G])
     hilbert = None if hf is None or not G else _HilbertBound(
@@ -348,7 +377,7 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
 
     for j in range(len(G)):
         add_pairs(j)
-    while pairs:
+    while pairs and missing != set():
         lcm, i, j, lcm_e = heappop(pairs)
         pending.discard((i, j))
         if lcm == G[i][0] + G[j][0]:
@@ -369,7 +398,7 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
             if hilbert.full():
                 continue    # the leads span I_d
         s = _spoly_work(G[i], G[j], lcm, lcm_e, table, p_mod)
-        r = _reduce_work(s, G, table, pk, p_mod)
+        r = _reduce_work(s, G, table, pk, p_mod, full=False)
         if r:
             if p_mod is None:
                 r = _strip_int(r)
@@ -378,6 +407,8 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
             add_pairs(len(G) - 1)
             if hilbert is not None:
                 hilbert.cover.add(G[-1][1])
+            if missing:
+                missing.discard(G[-1][0])
 
     # minimalize: keep only elements whose lm is not divisible by another lm;
     # taken in ascending order, so the basis comes out sorted by leading term
@@ -388,13 +419,18 @@ def _buchberger_raw(ring: RingCtx, polys, reduced: bool = True,
     if not reduced:
         return GroebnerBasis(ring, from_packed(ring, [(dict(g[3]), 1) for g in kept]),
                              reduced=False)
-    # interreduce tails, then divide by the leading coefficient: monic
-    out = []
-    for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1:]
-        r = _reduce_work(dict(kept[idx][3]), others, table, pk, p_mod)
-        out.append((r, r[max(r)]))
-    return GroebnerBasis(ring, from_packed(ring, out), reduced=True)
+    # interreduce in ascending lead order, then divide by the leading
+    # coefficient: monic.  No lead divides a smaller monomial, so a tail,
+    # whose terms are all below its lead, is reduced by the smaller
+    # elements alone, and those are already reduced when it comes
+    done: list = []
+    for g in kept:
+        r = _reduce_work(dict(g[3]), done, table, pk, p_mod, full=True)
+        if p_mod is None:
+            r = _strip_int(r)
+        done.append(_as_divisor(r, table))
+    return GroebnerBasis(ring, from_packed(ring, [(dict(g[3]), g[2]) for g in done]),
+                         reduced=True)
 
 
 def buchberger(I: PolyIdeal) -> GroebnerBasis:
@@ -552,7 +588,8 @@ def seeded_initial_ideal(I: PolyIdeal, seed: int, bound: int = 1000,
     skips the pairs that a Hilbert function proves reduce to zero, and the
     result is the same (_buchberger_raw).  The Hilbert function is read off
     target, an initial ideal of I in other coordinates (an earlier trial's),
-    when it is Borel fixed, and otherwise, for 2..num_vars generators, off a
+    when it is Borel fixed, and then the run stops once the target's
+    generators are all leads; otherwise, for 2..num_vars generators, off a
     complete intersection of their degrees.
     A change keeps degrees, so the moved generators fit the packed limit."""
     n = I.ring.num_vars

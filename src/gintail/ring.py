@@ -612,21 +612,16 @@ class PolyIdeal:
 # linear changes of coordinates
 # ---------------------------------------------------------------------------
 
-def _coerce_matrix(M, field, n: int):
-    rows = [tuple(field.of(v) for v in row) for row in M]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise RingMismatchError(f"coordinate change must be {n}x{n}")
-    return rows
-
-
 def _linear_power(row, e: int, p: int | None, weights) -> dict:
     """(sum_j row[j] * x_j)^e as {D: int}, D = sum_j k_j * weights[j], by the
     multinomial theorem: the coefficient of prod_j x_j^k_j is
     e! / prod_j k_j! * prod_j row[j]^k_j.  The compositions k of e are walked
     over the nonzero entries of row, one variable at a time, carrying the
     product of the binomials and powers and the key chosen so far; the last
-    variable takes what is left."""
+    variable takes what is left.  A zero row gives 0."""
     support = [(weights[j], a) for j, a in enumerate(row) if a]
+    if not support:
+        return {}
     powers = []             # powers[t][k] = (entry t of support)^k
     for _, a in support:
         got = [1]
@@ -655,18 +650,23 @@ def _linear_power(row, e: int, p: int | None, weights) -> dict:
 
 
 def apply_linear_change(gens, M) -> tuple:
-    """Substitute x_i -> sum_j M[i][j] * x_j in each polynomial of gens, all
-    in one ring; returns the images as a tuple (empty for empty gens).
+    """Substitute x_i -> sum_(j<k) M[i][j] * y_j in each polynomial of gens,
+    all in one ring of N variables; returns the images as a tuple (empty for
+    empty gens), in the k-variable ring over the same field.
 
-    M must be invertible, so the substitution is a ring automorphism; applying
-    M then its inverse is the identity.  M is checked once, as full rank of
-    its integer rows (_sparse_pivots: exact over QQ, mod p over GF(p)).
+    M is N x k of rank k, checked once on its integer rows (_sparse_pivots:
+    exact over QQ, mod p over GF(p)).  With k = N, M is invertible, the
+    images stay in the ring of gens, and the substitution is a ring
+    automorphism: applying M then its inverse is the identity.  With k < N
+    it is the change by any invertible matrix whose first k columns are M,
+    followed by setting y_k..y_(N-1) to zero, without expanding the terms
+    that vanish; a zero row of M sends its x_i to 0.
 
     The expansion runs on {D: int} dicts (Packing), so a product of
     monomials is an int add.  One table per call, shared by all the
     generators, maps the D of a monomial m to its image: a pure power comes
     from the multinomial theorem (_linear_power), any other m is
-    image(m / x_i) * L_i for its last variable x_i, L_i = sum_j M[i][j] x_j.
+    image(m / x_i) * L_i for its last variable x_i, L_i = sum_j M[i][j] y_j.
     The walk down along x_i is a loop, and only m and its restrictions to
     its first variables enter the table, so a deep power holds a few images,
     not one per step.  Each sum_m c_m * image(m) is built by from_packed.
@@ -684,7 +684,11 @@ def apply_linear_change(gens, M) -> tuple:
     for f in gens:
         ring.check_same(f.ring)
     field = ring.field
-    rows = _coerce_matrix(M, field, ring.num_vars)
+    n = ring.num_vars
+    rows = [tuple(field.of(v) for v in row) for row in M]
+    k = len(rows[0]) if rows else 0
+    if len(rows) != n or not 1 <= k <= n or any(len(r) != k for r in rows):
+        raise RingMismatchError(f"coordinate change must be {n} x k, 1 <= k <= {n}")
     p = field.p
     if p is None:
         dm = lcm(*(v.denominator for row in rows for v in row))
@@ -692,14 +696,16 @@ def apply_linear_change(gens, M) -> tuple:
     else:
         dm = 1
         rows = [[v.v for v in row] for row in rows]
-    if len(_sparse_pivots([dict(enumerate(r)) for r in rows], p)) < len(rows):
-        raise SingularMatrixError("coordinate change matrix is singular")
-    weights = Packing(ring.num_vars).weights
+    if len(_sparse_pivots([dict(enumerate(r)) for r in rows], p)) < k:
+        raise SingularMatrixError(f"coordinate change matrix has rank below {k}")
+    target = ring if k == n else RingCtx(k, field)
+    # source keys D index the table; the images are packed in k variables
+    keys, weights = Packing(n).weights, Packing(k).weights
     forms = [tuple((weights[j], a) for j, a in enumerate(row) if a) for row in rows]
     images: dict = {0: {0: 1}}      # D of a monomial -> its image {D: int}
 
     def image(m: Mono) -> dict:
-        key = sum(map(mul, m, weights))
+        key = sum(map(mul, m, keys))
         cur, peeled = list(m), []       # peeled: the variables divided out
         got = images.get(key)
         while got is None:
@@ -708,18 +714,18 @@ def apply_linear_change(gens, M) -> tuple:
                 got = images[key] = _linear_power(rows[i], cur[i], p, weights)
             else:
                 cur[i] -= 1
-                key -= weights[i]
+                key -= keys[i]
                 peeled.append(i)
                 got = images.get(key)
-        for k in range(len(peeled) - 1, -1, -1):
-            i = peeled[k]
+        for t in range(len(peeled) - 1, -1, -1):
+            i = peeled[t]
             nxt: dict = {}
             for w, a in forms[i]:       # got * L_i
                 for d, c in got.items():
                     nxt[d + w] = nxt.get(d + w, 0) + c * a
             got = nxt if p is None else {d: c % p for d, c in nxt.items()}
-            key += weights[i]
-            if not k or peeled[k - 1] != i:
+            key += keys[i]
+            if not t or peeled[t - 1] != i:
                 images[key] = got
         return got
 
@@ -733,7 +739,7 @@ def apply_linear_change(gens, M) -> tuple:
             for d, v in image(m).items():
                 acc[d] = acc.get(d, 0) + c * v
         moved.append((acc, df * dm ** top))
-    return from_packed(ring, moved)
+    return from_packed(target, moved)
 
 
 def seeded_full_rank_rows(count: int, num_vars: int, seed: int, bound: int = 1000,

@@ -13,12 +13,13 @@ inputs with the library's own Borel closure and ND(1) profile.
 import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from gintail.borel import MonomialIdeal, borel_closure
 from gintail.errors import GintailError, SingularMatrixError
 from gintail.gin import certificate_for_borel_ideal
 from gintail.invariants import scheme_profile
-from gintail.ring import Polynomial
+from gintail.ring import Polynomial, RingCtx
 
 
 def monomials_of_degree(nv, d):
@@ -282,6 +283,52 @@ def naive_normal_form(f, G, less):
             else:
                 p.pop(mm, None)
     return remainder
+
+
+def naive_reduced_basis(gens, less):
+    """Reduced Groebner basis of the polynomials gens under the order
+    less(a, b), by textbook Buchberger on naive_spoly and naive_normal_form
+    alone: every pair's S-polynomial, lowest lcm degree first, is divided by
+    the basis so far, and a nonzero remainder joins it, until no pair is
+    left.  Then an element whose lead another lead divides is dropped (of
+    equal leads the first is kept), each one left is replaced by its normal
+    form by the others, and made monic.  Returned as a tuple ascending by
+    leading monomial."""
+    ring = gens[0].ring
+    G = [g for g in gens if not g.is_zero]
+    leads = [naive_largest(dict(g.terms), less) for g in G]
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pairs:
+        i, j = min(pairs, key=lambda ij: sum(map(max, leads[ij[0]], leads[ij[1]])))
+        pairs.remove((i, j))
+        r = naive_normal_form(naive_spoly(G[i], G[j], less), G, less)
+        if r:
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(Polynomial.from_dict(ring, r))
+            leads.append(naive_largest(r, less))
+    keep = [k for k, lm in enumerate(leads)
+            if not any(divides(other, lm) and (other != lm or j < k)
+                       for j, other in enumerate(leads) if j != k)]
+    out = []
+    for k in keep:
+        r = naive_normal_form(G[k], [G[j] for j in keep if j != k], less)
+        lc = r[leads[k]]
+        out.append((leads[k],
+                    Polynomial.from_dict(ring, {m: c / lc for m, c in r.items()})))
+    order = cmp_to_key(lambda a, b: -1 if less(a[0], b[0]) else int(less(b[0], a[0])))
+    return tuple(g for _, g in sorted(out, key=order))
+
+
+def full_change_then_cut(gens, M, m):
+    """The forms gens after x_i -> sum_j M[i][j] * x_j (naive_linear_change)
+    with x_m..x_(N-1) then set to zero, in the m-variable ring over the same
+    field: the full change is expanded and the terms with those variables are
+    dropped."""
+    ring = RingCtx(m, gens[0].ring.field)
+    return tuple(Polynomial.from_dict(ring, {mono[:m]: c for mono, c in
+                                             naive_linear_change(g, M).terms
+                                             if not any(mono[m:])})
+                 for g in gens)
 
 
 def trial_division_is_prime(n):

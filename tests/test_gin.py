@@ -18,7 +18,7 @@ from gintail.groebner import (HF_CHECK_LIMIT, hilbert_function_rank_oracle,
 from gintail.errors import GenericityError, NotBorelFixedError, UnitIdealError
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, seeded_full_rank_rows)
-from oracles import fraction_rank, series_quotient_coeffs
+from oracles import fraction_rank, full_change_then_cut, series_quotient_coeffs
 
 R3 = RingCtx(3)
 R4 = RingCtx(4)
@@ -485,6 +485,20 @@ def test_witnessed_series_is_the_hilbert_function(field):
             assert [hf(t) for t in range(7)] == \
                 [hilbert_function_rank_oracle(I, t) for t in range(7)]
     assert fired >= (3 if field is GF3 else 12)
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003, GF3], ids=["QQ", "GF32003", "GF3"])
+def test_witness_cuts_as_the_full_change_then_drop(monkeypatch, field):
+    # the section the witness ranks is the full seeded change of I.gens with
+    # x_m.. set to zero afterwards, substituted straight into m variables
+    calls = _rank_calls(monkeypatch)
+    for seed in range(6):
+        I = over(random_quadrics(2 + seed % 3, 4 + seed % 2, seed), field)
+        n, m = I.ring.num_vars, len(I.gens)
+        del calls[:]
+        gin._regular_sequence_hf(I, seed, 1000)
+        change = seeded_full_rank_rows(n, n, seed, 1000, field)
+        assert [J.gens for J, _ in calls] == [full_change_then_cut(I.gens, change, m)]
 
 
 @pytest.mark.parametrize("name", ["twisted_cubic", "two_planes", "unsaturated_pair"])

@@ -21,8 +21,8 @@ from gintail.ring import (Packing, Polynomial, PolyIdeal, PrimeField, QQ,
                           RingCtx, apply_linear_change, seeded_full_rank_rows)
 from oracles import (bounded_saturation_members, dense_standard_count,
                      divides, in_monomial_ideal, monomials_of_degree, naive_grevlex_less,
-                     naive_normal_form, naive_spoly, series_quotient_coeffs,
-                     variable)
+                     naive_normal_form, naive_reduced_basis, naive_spoly,
+                     series_quotient_coeffs, variable)
 
 R3 = RingCtx(3)
 R4 = RingCtx(4)
@@ -382,7 +382,8 @@ def test_original_coordinates_aimed_at_the_gin_skip_reductions(monkeypatch, name
 def test_targeted_bound_is_the_targets_hilbert_function(monkeypatch, name, field):
     # a Borel-fixed target bounds dim I_d by dim R_d - HF(R/target, d),
     # which the rank oracle confirms; the bound is exact, so every degree
-    # that a run leaves has reached it
+    # that a run leaves has reached it.  Once the target's generators are
+    # all leads the run stops, before the cover passes their top degree
     I = over(TRIAL_INPUTS[name](), field)
     n = I.ring.num_vars
     J1 = seeded_initial_ideal(I, 1)
@@ -400,6 +401,7 @@ def test_targeted_bound_is_the_targets_hilbert_function(monkeypatch, name, field
     monkeypatch.setattr(groebner._HilbertBound, "move_to", spy)
     assert trial_basis(I, 2, target=J1) == plain
     assert bounds and all(closed)
+    assert max(bounds) <= J1.max_gen_degree()
     for d, bound in bounds.items():
         assert bound == comb(n - 1 + d, n - 1) - hilbert_function(J1, d)
         assert bound == comb(n - 1 + d, n - 1) - hilbert_function_rank_oracle(I, d)
@@ -571,6 +573,33 @@ def test_complete_intersection_bound_is_sound(monkeypatch, field):
                                   groebner._complete_intersection_hf(3, [0, 1]))
     unit.move_to(2)
     assert unit.bound == len(unit.cover) == 6
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), GF],
+                         ids=["QQ", "GF3", "GF32003"])
+def test_buchberger_is_the_naive_reduced_basis(field):
+    # the pair loop keeps tails unreduced and the one interreduction at the
+    # end gives the unique reduced basis; a minimal run has its leads.  One
+    # input in four gets forms past num_vars, so no complete intersection
+    rng = random.Random(f"reduced:{field}")
+    dependent = wide = 0
+    for _ in range(30):
+        ring, gens = random_bound_inputs(rng, field)
+        n = ring.num_vars
+        if rng.random() < 1 / 4:
+            monos = monomials_of_degree(n, rng.randint(1, 3))
+            gens += [P(ring, {m: rng.randint(1, 2) for m in rng.sample(monos, 2)})
+                     for _ in range(n + 1 - len(gens))]
+        G = buchberger(PolyIdeal.make(ring, gens))
+        assert G.elements == naive_reduced_basis(gens, naive_grevlex_less)
+        minimal = _buchberger_raw(ring, gens, reduced=False)
+        assert [g.lead_monomial() for g in minimal.elements] == \
+            [g.lead_monomial() for g in G.elements]
+        wide += len(gens) > n
+        dependent += [dense_standard_count(initial_ideal(G).min_gens, n, t)
+                      for t in range(5)] != series_quotient_coeffs(
+                          [g.degree() for g in gens], n, 4)
+    assert wide and dependent > wide
 
 
 @FIELDS

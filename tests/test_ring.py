@@ -7,16 +7,17 @@ from math import comb, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from gintail.errors import InhomogeneousError, SingularMatrixError
+from gintail.errors import (InhomogeneousError, RingMismatchError,
+                            SingularMatrixError)
 from gintail.ring import (MAX_PACKED_DEGREE, MAX_PRIME_MODULUS, Packing,
                           Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           _is_prime,
                           apply_linear_change, from_packed,
                           grevlex_desc_key, int_terms, mono_lcm, mono_mul,
                           seeded_full_rank_rows)
-from oracles import (divides, matrix_inv, naive_grevlex_less,
-                     naive_linear_change, random_poly, trial_division_is_prime,
-                     variable)
+from oracles import (divides, full_change_then_cut, matrix_inv,
+                     naive_grevlex_less, naive_linear_change, random_poly,
+                     trial_division_is_prime, variable)
 
 R4 = RingCtx(4)
 
@@ -223,6 +224,37 @@ def test_linear_change_matches_naive_substitution(field):
             f = random_poly(ring, rng, 5)
             assert apply_linear_change([f], A) == (naive_linear_change(f, A),)
     assert apply_linear_change([Polynomial(ring, ())], M)[0].is_zero
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)],
+                         ids=["QQ", "GF3", "GF32003"])
+def test_linear_change_to_fewer_variables_cuts_the_full_change(field):
+    # the first k columns of an invertible change, against the full change
+    # with x_k.. then set to zero; the fixed change has rows that vanish
+    # after the cut, so those variables map to 0, pure powers included
+    ring = RingCtx(4, field)
+    rng = random.Random(f"cut:{field}")
+    fixed = [[0, 0, 1, 0], [1, 2, 0, 0], [0, 0, 0, 1], [3, 1, 0, 0]]
+    changes = [fixed] + [seeded_full_rank_rows(4, 4, t, 9, field) for t in range(4)]
+    for M in changes:
+        for k in (1, 2, 3):
+            gens = [P(ring, {tuple(rng.randint(0, 2) for _ in range(4)):
+                             rng.randint(1, 9) for _ in range(4)}) for _ in range(3)]
+            gens.append(P(ring, {(0, 0, 4, 0): 1, (0, 0, 0, 3): 2}))
+            cut = apply_linear_change(gens, [row[:k] for row in M])
+            assert cut == full_change_then_cut(gens, M, k)
+            assert all(g.ring == RingCtx(k, field) for g in cut)
+    (moved,) = apply_linear_change([P(ring, {(0, 0, 2, 1): 1})], [r[:2] for r in fixed])
+    assert moved.is_zero
+
+
+def test_linear_change_to_fewer_variables_needs_full_column_rank():
+    f = P(R4, {(1, 0, 0, 0): 1})
+    with pytest.raises(SingularMatrixError):
+        apply_linear_change([f], [[1, 2], [2, 4], [0, 0], [3, 6]])
+    for M in ([[1, 0]] * 3, [[1] * 5] * 4, [[]] * 4, [[1, 0], [0, 1], [1], [0, 1]]):
+        with pytest.raises(RingMismatchError):
+            apply_linear_change([f], M)
 
 
 def test_linear_change_of_a_high_power():
