@@ -1,29 +1,37 @@
 """Combinatorics of monomial ideals, with the Borel-fixed case as the star.
 
-A monomial ideal is stored by its minimal generating set, found by the packed
-divisibility test, so a monomial past ring.MAX_PACKED_DEGREE is refused.  For
-Borel-fixed ideals (closed under the variable swaps x_i*m in J => x_j*m in J
-for j <= i, the characteristic-0 criterion, tested by whether the adjacent
-moves j = i - 1 of the minimal generators leave the minimal set unchanged)
-the Eliahou-Kervaire decomposition gives every graded Betti number of R/J and
-its Hilbert function in closed form, and restriction / saturation in the
-last variable implement general hyperplane sections at the monomial level.
+A monomial ideal is stored by its minimal generating set.  For an arbitrary
+monomial set it is found by the packed divisibility test, so a monomial past
+ring.MAX_PACKED_DEGREE is refused.  A Borel-fixed ideal (closed under the
+variable swaps x_i*m in J => x_j*m in J for j <= i, the characteristic-0
+criterion) needs no such test.  By the Eliahou-Kervaire decomposition every
+monomial w of such a J is u*v with u a minimal generator and
+max(u) <= min(v), so u is a prefix of w's sorted variable word
+x_0..x_0 x_1..: w lies in J iff some prefix of it, of a degree a generator
+has, is a minimal generator, which takes a few hash lookups
+(_has_prefix_in).  That decides the Borel check, the minimal generators of a
+Borel closure and of the general-section Gins.  For Borel-fixed ideals the
+decomposition also gives every graded Betti number of R/J and its Hilbert
+function in closed form, and restriction / saturation in the last variable
+implement general hyperplane sections at the monomial level.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb
 from operator import mul
 
 from .errors import NotBorelFixedError, UnitIdealError
 from .ring import (MAX_PACKED_DEGREE, Mono, Packing, mono_degree,
                    mono_max_index, packed_overflow)
 
-#: entries kept by each memo here: one borel_tailing pass fills about 200 for
-#: the Borel check and 300 for _hf, and a long-running process must not grow
+#: entries kept by each memo here: one borel_tailing pass fills about 220 for
+#: the Borel check and 50 for _hf (a gin_qq pass 20 and 80), and a
+#: long-running process must not grow
 MEMO_SIZE = 1024
 
 _packing = lru_cache(maxsize=MEMO_SIZE)(Packing)
@@ -35,15 +43,21 @@ def _gen_sort_key(m: Mono):
     return (sum(m), m[::-1])
 
 
+def _by_degree(monos) -> dict:
+    """The distinct monomials grouped by degree."""
+    by_degree: dict = {}
+    for m in set(monos):
+        by_degree.setdefault(sum(m), []).append(m)
+    return by_degree
+
+
 def _minimal_set(num_vars: int, monos) -> tuple:
     """The monomials of the set that no other one divides, in _gen_sort_key
     order.  Monomials of one degree never divide each other, so each degree,
     ascending, is tested only against the monomials kept from lower degrees,
     by the Groebner kernel's packed test: a | b iff (E(b) - E(a)) & guard == 0
     on ring.Packing's E words, refusing a degree past MAX_PACKED_DEGREE."""
-    by_degree: dict = {}
-    for m in set(monos):
-        by_degree.setdefault(sum(m), []).append(m)
+    by_degree = _by_degree(monos)
     degrees = sorted(by_degree)
     if degrees and degrees[-1] > MAX_PACKED_DEGREE:
         raise packed_overflow(degrees[-1])
@@ -60,6 +74,49 @@ def _minimal_set(num_vars: int, monos) -> tuple:
                 batch.append(w)
         lower += batch
     return tuple(kept)
+
+
+def _has_prefix_in(m: Mono, members, degrees) -> bool:
+    """Whether some prefix of m's variable word x_0^m_0 x_1^m_1 .., of a
+    degree in degrees (ascending, none above deg m), lies in members.  The
+    prefix of degree d is m up to the variable at which the running degree
+    reaches d, cut there; the walk passes each variable once and builds one
+    tuple per listed degree, never one per unit of degree."""
+    i = filled = 0
+    for d in degrees:
+        while filled + m[i] < d:
+            filled += m[i]
+            i += 1
+        if m[:i] + (d - filled,) + (0,) * (len(m) - i - 1) in members:
+            return True
+    return False
+
+
+def _prefix_minimal_set(monos) -> tuple:
+    """The minimal generators of the ideal the monomials generate, which
+    must be Borel fixed, in _gen_sort_key order: the monomials with no
+    proper prefix among them.  A proper prefix divides its word, so a
+    monomial with one is not minimal; a monomial w that is not minimal is
+    u*v with u a minimal generator, hence one of the monomials, v != 1 and
+    max(u) <= min(v) (Eliahou-Kervaire), and u is a proper prefix of w."""
+    by_degree = _by_degree(monos)
+    members = set().union(*by_degree.values())
+    degrees = sorted(by_degree)
+    kept = [m for k, d in enumerate(degrees) for m in by_degree[d]
+            if not _has_prefix_in(m, members, degrees[:k])]
+    return tuple(sorted(kept, key=_gen_sort_key))
+
+
+def _saturation_gens(gens) -> list:
+    """The generators with their last exponent set to zero, which generate
+    the saturation in the last variable; UnitIdealError when one of them is
+    a power of that variable."""
+    stripped = [g[:-1] + (0,) for g in gens]
+    if any(mono_degree(g) == 0 for g in stripped):
+        raise UnitIdealError(
+            "saturating in the last variable produced the unit ideal "
+            "(the scheme is empty there)")
+    return stripped
 
 
 @dataclass(frozen=True)
@@ -125,14 +182,10 @@ class MonomialIdeal:
         return MonomialIdeal(self.num_vars - 1, kept)
 
     def saturate_last(self) -> "MonomialIdeal":
-        """union_k (J : x_n^k): strip all last-variable factors and re-minimalize."""
-        last = self.num_vars - 1
-        stripped = [g[:last] + (0,) for g in self.min_gens]
-        if any(mono_degree(g) == 0 for g in stripped):
-            raise UnitIdealError(
-                "saturating in the last variable produced the unit ideal "
-                "(the scheme is empty there)")
-        return MonomialIdeal.make(self.num_vars, stripped)
+        """union_k (J : x_n^k): strip all last-variable factors and
+        re-minimalize by the general divisibility test, as J need not be
+        Borel fixed."""
+        return MonomialIdeal.make(self.num_vars, _saturation_gens(self.min_gens))
 
     def __repr__(self):
         from .ring import mono_str
@@ -146,17 +199,25 @@ class MonomialIdeal:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _is_borel_fixed(num_vars: int, gens: tuple) -> bool:
-    """Whether every adjacent move x_i -> x_{i-1} of every generator stays in
-    J, tested as: the moves leave the minimal set unchanged.  A move outside
-    J is divided by no generator, so it, or a smaller move outside J that
-    divides it, joins the minimal set of gens + moves.  This is the whole
-    Borel test: if each minimal generator m passes, so does every monomial
-    u = m*w of J, because the move lands in m or in w; and any move
-    x_i -> x_j with j < i is a chain of adjacent moves.  gens must be a
-    minimal generating set, as MonomialIdeal.min_gens is."""
-    moves = tuple(g[:i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1:]
-                  for g in gens for i in range(1, num_vars) if g[i])
-    return set(_minimal_set(num_vars, gens + moves)) == set(gens)
+    """Whether every adjacent move x_i -> x_{i-1} of every generator has a
+    prefix among the generators (_has_prefix_in).  That prefix divides the
+    move, so the move stays in J; if J is Borel fixed, the Eliahou-Kervaire
+    decomposition of the move supplies such a prefix, a minimal generator.
+    This is the whole Borel test: if each minimal generator m passes, so
+    does every monomial u = m*w of J, because the move lands in m or in w;
+    and any move x_i -> x_j with j < i is a chain of adjacent moves.  gens
+    must contain the minimal generating set, as MonomialIdeal.min_gens
+    is."""
+    members = set(gens)
+    degrees = sorted({sum(g) for g in members})
+    for g in gens:
+        upto = degrees[:bisect_right(degrees, sum(g))]
+        for i in range(1, num_vars):
+            if g[i]:
+                move = g[:i - 1] + (g[i - 1] + 1, g[i] - 1) + g[i + 1:]
+                if not _has_prefix_in(move, members, upto):
+                    return False
+    return True
 
 
 def is_borel_fixed(J: MonomialIdeal) -> bool:
@@ -172,7 +233,8 @@ def require_borel(J: MonomialIdeal):
 def borel_closure(num_vars: int, monos) -> MonomialIdeal:
     """Smallest Borel-fixed ideal containing the given monomials: close the
     generator set under adjacent moves x_i -> x_{i-1}, which chain into every
-    move x_i -> x_j (j < i), then minimalize.  Moves keep degrees, so a
+    move x_i -> x_j (j < i), then keep the closed monomials with no proper
+    prefix among them (_prefix_minimal_set).  Moves keep degrees, so a
     degree past MAX_PACKED_DEGREE is refused before the closure runs."""
     seen = set(tuple(m) for m in monos)
     top = max(map(sum, seen), default=0)
@@ -190,7 +252,7 @@ def borel_closure(num_vars: int, monos) -> MonomialIdeal:
                 if s not in seen:
                     seen.add(s)
                     queue.append(s)
-    return MonomialIdeal.make(num_vars, seen)
+    return MonomialIdeal(num_vars, _prefix_minimal_set(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +325,17 @@ def ek_betti(J: MonomialIdeal, codim_marker: int | None = None) -> BettiTable:
         beta_{i,d}(R/J) = sum over degree-(d+1) minimal generators T
                           of C(max(T), i-1)      (i >= 1),
 
-    plus the unit entry beta_{0,0} = 1.  The formula needs stability, so
-    non-Borel input is rejected rather than approximated.
+    plus the unit entry beta_{0,0} = 1, summed once per ek_shapes count of
+    generators that share a degree and a largest index.  The formula needs
+    stability, so non-Borel input is rejected rather than approximated.
     """
     require_borel(J)
     entries = {(0, 0): 1}
-    for g in J.min_gens:
-        d = mono_degree(g) - 1
-        mx = mono_max_index(g)
+    for (deg, k), count in ek_shapes(J.num_vars, J.min_gens).items():
+        mx = J.num_vars - k
         for i in range(1, mx + 2):
-            c = comb(mx, i - 1)
-            if c:
-                entries[(i, d)] = entries.get((i, d), 0) + c
+            key = (i, deg - 1)
+            entries[key] = entries.get(key, 0) + count * comb(mx, i - 1)
     return BettiTable(entries, codim_marker)
 
 
@@ -283,13 +344,14 @@ def ek_betti(J: MonomialIdeal, codim_marker: int | None = None) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 def binom_poly(a: int, k: int) -> int:
-    """C(a, k) for any integer a (generalized falling-factorial binomial)."""
+    """C(a, k) for any integer a (generalized falling-factorial binomial),
+    by math.comb and, for a < 0, C(a, k) = (-1)^k C(k - a - 1, k)."""
     if k < 0:
         return 0
-    num = 1
-    for i in range(k):
-        num *= a - i
-    return num // factorial(k)
+    if a >= 0:
+        return comb(a, k)
+    c = comb(k - a - 1, k)
+    return -c if k & 1 else c
 
 
 def ek_shapes(num_vars: int, gens) -> Counter:

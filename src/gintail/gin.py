@@ -54,7 +54,8 @@ from functools import cached_property, partial
 from math import comb
 
 from . import borel
-from .borel import MonomialIdeal, is_borel_fixed
+from .borel import (MonomialIdeal, _prefix_minimal_set, _saturation_gens,
+                    is_borel_fixed)
 from .errors import GenericityError, NotBorelFixedError
 from .groebner import (HF_CHECK_LIMIT, _complete_intersection_hf, _mix_seed,
                        hilbert_function_rank_oracle, minimal_generators,
@@ -255,11 +256,13 @@ def generic_section_gin(cert: GinCertificate, j: int) -> MonomialIdeal:
     """Gin of the ideal of X cut by a general linear subspace of dimension j,
     read off combinatorially: restrict x_{j+1},..,x_n to zero, then saturate
     in x_j.  For j = n this is X itself and the Gin is returned unchanged.
-    For j < n the restriction is one step: the generators free of
-    x_{j+1},..,x_n, cut to their first j + 1 exponents, which keeps a
-    minimal set minimal and in order (MonomialIdeal.restrict_last_to_zero,
-    n - j times at once).  Each section is built once per certificate and
-    kept in its tower."""
+    For j < n both steps are one: the generators free of x_{j+1},..,x_n, cut
+    to their first j + 1 exponents with x_j stripped, of which those with no
+    proper prefix among them are the minimal generators
+    (borel._prefix_minimal_set).  That rule is exact because the Gin is
+    Borel fixed, so each section is too.  An empty section raises
+    UnitIdealError.  Each section is built once per certificate and kept in
+    its tower."""
     n = cert.n
     if not 0 <= j <= n:
         raise ValueError(f"section dimension {j} out of range 0..{n}")
@@ -267,7 +270,7 @@ def generic_section_gin(cert: GinCertificate, j: int) -> MonomialIdeal:
     if j not in tower:
         J = cert.gin
         if j < n:
-            kept = tuple(g[:j + 1] for g in J.min_gens if not any(g[j + 1:]))
-            J = MonomialIdeal(j + 1, kept).saturate_last()
+            cut = [g[:j + 1] for g in J.min_gens if not any(g[j + 1:])]
+            J = MonomialIdeal(j + 1, _prefix_minimal_set(_saturation_gens(cut)))
         tower[j] = J
     return tower[j]

@@ -165,6 +165,33 @@ def ek_alternating_hf(entries, nv, t):
     return total
 
 
+def generator_sum_betti(nv, gens):
+    """Eliahou-Kervaire Betti numbers {(i, d): v} of R/J for a Borel-fixed J
+    with minimal generators gens, summed entry by entry over each generator
+    T of degree d + 1: C(max(T), i - 1) for i = 1..max(T) + 1, plus the unit
+    entry (0, 0)."""
+    from math import comb
+    entries = {(0, 0): 1}
+    for g in gens:
+        top = max(i for i in range(nv) if g[i])
+        for i in range(1, top + 2):
+            key = (i, sum(g) - 1)
+            entries[key] = entries.get(key, 0) + comb(top, i - 1)
+    return entries
+
+
+def falling_factorial_binom(a, k):
+    """C(a, k) for any integer a by its definition a(a-1)..(a-k+1) / k!, and
+    0 for k < 0."""
+    from math import factorial
+    if k < 0:
+        return 0
+    num = 1
+    for i in range(k):
+        num *= a - i
+    return num // factorial(k)
+
+
 def betti_regularity(entries):
     """reg(J) read off the Betti numbers {(i, d): v} of R/J: 1 + the largest
     row with a nonzero entry in a column i >= 1."""

@@ -4,14 +4,15 @@ import time
 import pytest
 
 from gintail.borel import (MEMO_SIZE, MonomialIdeal, _hf, _is_borel_fixed,
-                           borel_closure, ek_betti, hilbert_function,
-                           is_borel_fixed, stratum)
+                           _prefix_minimal_set, binom_poly, borel_closure,
+                           ek_betti, hilbert_function, is_borel_fixed, stratum)
 from gintail.errors import NotBorelFixedError, UnitIdealError
 from gintail.ring import MAX_PACKED_DEGREE, mono_max_index
 from oracles import (all_swaps_borel_closure, all_swaps_is_borel_fixed,
                      bounded_saturation_members, dense_standard_count, divides,
-                     ek_alternating_hf, in_monomial_ideal, monomials_of_degree,
-                     naive_minimal_set)
+                     ek_alternating_hf, falling_factorial_binom,
+                     generator_sum_betti, in_monomial_ideal,
+                     monomials_of_degree, naive_minimal_set)
 
 QUINTIC_GIN = MonomialIdeal.make(4, [
     (2, 0, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0), (1, 2, 1, 0), (0, 3, 1, 0)])
@@ -80,8 +81,17 @@ def test_monomials_past_the_packed_limit_are_refused():
     with pytest.raises(ValueError, match="degree 32768 exceeds 32767"):
         borel_closure(4, [(0, 0, 0, MAX_PACKED_DEGREE + 1)])
     assert time.perf_counter() - start < 1
-    assert borel_closure(2, [(0, MAX_PACKED_DEGREE)]).min_gens[-1] == (
-        0, MAX_PACKED_DEGREE)
+    # 32,768 closed monomials of one degree: the prefix rule compares only
+    # at degrees that occur, so no word is walked unit by unit
+    start = time.perf_counter()
+    J = borel_closure(2, [(0, MAX_PACKED_DEGREE)])
+    assert time.perf_counter() - start < 1
+    assert J.min_gens[-1] == (0, MAX_PACKED_DEGREE)
+    assert len(J.min_gens) == MAX_PACKED_DEGREE + 1
+    _is_borel_fixed.cache_clear()
+    start = time.perf_counter()
+    assert is_borel_fixed(J)
+    assert time.perf_counter() - start < 1
 
 
 def test_borel_closure_of_a_high_power_is_fast():
@@ -147,8 +157,8 @@ def test_adjacent_moves_agree_with_all_swaps():
 
 
 def test_borel_check_is_fast_on_many_generators():
-    # 1,716 generators of degree 7: the check tests the moves on the
-    # degree-bucketed minimal-set kernel, not each move against every generator
+    # 1,716 generators of degree 7: the check looks up prefixes of each
+    # move, not each move against every generator
     J = borel_closure(7, [(0,) * 6 + (7,)])
     assert len(J.min_gens) == 1716
     _is_borel_fixed.cache_clear()
@@ -177,6 +187,41 @@ def test_hf_memo_is_bounded():
     assert _hf.cache_info().currsize <= MEMO_SIZE
     # evicted entries are recomputed, not misread
     assert hilbert_function(MonomialIdeal.make(2, [(1, 0)]), 3) == 1
+
+
+def test_prefix_minimal_set_matches_all_pairs_on_borel_sets():
+    # the prefix rule is exact on the closed sets of Borel closures and on
+    # every x_j-stripped restriction of them, order included
+    rng = random.Random(38)
+    restrictions = 0
+    for _ in range(400):
+        nv = rng.randint(1, 7)
+        monos = []
+        for _ in range(rng.randint(1, 4)):
+            expo = [0] * nv
+            for _ in range(rng.randint(1, 4)):
+                expo[rng.randrange(nv)] += 1
+            monos.append(tuple(expo))
+        closed = all_swaps_borel_closure(nv, monos)
+        assert _prefix_minimal_set(closed) == naive_minimal_set(closed), monos
+        J = borel_closure(nv, monos)
+        for j in range(nv):
+            # the generators free of x_{j+1}.., cut to j + 1 variables, with
+            # x_j stripped: those of a section Gin
+            stripped = [g[:j] + (0,) for g in J.min_gens if not any(g[j + 1:])]
+            if stripped:
+                assert _prefix_minimal_set(stripped) == naive_minimal_set(stripped)
+                restrictions += 1
+    assert restrictions > 1000
+
+
+def test_saturate_last_stays_general_off_borel_ideals():
+    # (x0*x1, x1*x2) is not Borel fixed; its saturation in x2 is (x1), which
+    # the prefix rule would miss: x0*x1 has no prefix x1
+    J = MonomialIdeal.make(3, [(1, 1, 0), (0, 1, 1)])
+    assert not is_borel_fixed(J)
+    assert J.saturate_last().min_gens == ((0, 1, 0),)
+    assert (1, 1, 0) in _prefix_minimal_set([(1, 1, 0), (0, 1, 0)])
 
 
 # --- restriction and saturation ----------------------------------------------
@@ -430,6 +475,20 @@ def test_hilbert_function_checks_an_ideal_once(monkeypatch):
         with pytest.raises(NotBorelFixedError):
             hilbert_function(K, t)
     assert checked == [J, K]
+
+
+def test_binom_poly_matches_falling_factorial():
+    for a in range(-40, 41):
+        for k in range(-1, 16):
+            assert binom_poly(a, k) == falling_factorial_binom(a, k), (a, k)
+
+
+def test_ek_betti_matches_generator_sum():
+    # the shape-count sum against the sum over every generator, entrywise
+    rng = random.Random(41)
+    for _ in range(300):
+        J = random_borel(rng, nv_max=8)
+        assert ek_betti(J).entries == generator_sum_betti(J.num_vars, J.min_gens), J
 
 
 def test_hf_negative_degree_is_zero():

@@ -327,17 +327,19 @@ def test_section_tower_builds_each_section_once(monkeypatch):
     cert = certificate_for_borel_ideal(borel_closure(6, [(0, 1, 2, 0, 0, 0)]))
     js = [j for j in range(cert.n + 1) if _section_by_formula(cert, j) is not None]
     assert len(js) == 4
+    built = []
+    minimalize = gin._prefix_minimal_set
+
+    def counting(monos):
+        built.append(monos)
+        return minimalize(monos)
+
+    monkeypatch.setattr(gin, "_prefix_minimal_set", counting)
     first = [generic_section_gin(cert, j) for j in js]
-    made = []
-    make = MonomialIdeal.make.__func__
-
-    def counting_make(cls, num_vars, monos):
-        made.append(num_vars)
-        return make(cls, num_vars, monos)
-
-    monkeypatch.setattr(MonomialIdeal, "make", classmethod(counting_make))
+    # every section below the top one is minimalized once
+    assert len(built) == len(js) - 1
     again = [generic_section_gin(cert, j) for j in js]
-    assert not made
+    assert len(built) == len(js) - 1
     assert all(a is b for a, b in zip(first, again))
 
 
