@@ -10,10 +10,12 @@ max(u) <= min(v), so u is a prefix of w's sorted variable word
 x_0..x_0 x_1..: w lies in J iff some prefix of it, of a degree a generator
 has, is a minimal generator, which takes a few hash lookups
 (_has_prefix_in).  That decides the Borel check, the minimal generators of a
-Borel closure and of the general-section Gins.  For Borel-fixed ideals the
+Borel closure and of general_section's Gins.  For Borel-fixed ideals the
 decomposition also gives every graded Betti number of R/J and its Hilbert
 function in closed form, and restriction / saturation in the last variable
-implement general hyperplane sections at the monomial level.
+implement general hyperplane sections at the monomial level.  Ideals keep
+nothing but their generators; the only state is three value-keyed memos
+(the Borel check, ek_shapes and _hf), each bounded at MEMO_SIZE entries.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from operator import mul
 
@@ -29,12 +31,10 @@ from .errors import NotBorelFixedError, UnitIdealError
 from .ring import (MAX_PACKED_DEGREE, Mono, Packing, mono_degree,
                    mono_max_index, packed_overflow)
 
-#: entries kept by each memo here: one borel_tailing pass fills about 220 for
-#: the Borel check and 50 for _hf (a gin_qq pass 20 and 80), and a
-#: long-running process must not grow
+#: entries kept by each memo here: one cold borel_tailing pass fills about
+#: 220 each for the Borel check and ek_shapes and 50 for _hf (a gin_qq pass
+#: 20, 20 and 80), and a long-running process must not grow
 MEMO_SIZE = 1024
-
-_packing = lru_cache(maxsize=MEMO_SIZE)(Packing)
 
 
 def _gen_sort_key(m: Mono):
@@ -61,7 +61,7 @@ def _minimal_set(num_vars: int, monos) -> tuple:
     degrees = sorted(by_degree)
     if degrees and degrees[-1] > MAX_PACKED_DEGREE:
         raise packed_overflow(degrees[-1])
-    packing = _packing(num_vars)
+    packing = Packing(num_vars)
     fields, guard = packing.fields, packing.guard
     kept: list = []
     lower: list = []    # the E words of the kept monomials of lower degree
@@ -157,13 +157,6 @@ class MonomialIdeal:
         """Largest variable index occurring in any minimal generator."""
         return max((mono_max_index(g) for g in self.min_gens), default=-1)
 
-    @cached_property
-    def _borel_fixed(self) -> bool:
-        """is_borel_fixed(self), decided once per ideal (require_borel), so
-        a caller that reads many degrees of one ideal pays one check; not a
-        field, so equality and hashing do not see it."""
-        return is_borel_fixed(self)
-
     @property
     def saturation_defect(self) -> bool:
         """Some minimal generator involves the last variable, so J differs
@@ -226,7 +219,7 @@ def is_borel_fixed(J: MonomialIdeal) -> bool:
 
 
 def require_borel(J: MonomialIdeal):
-    if not J._borel_fixed:
+    if not is_borel_fixed(J):
         raise NotBorelFixedError(f"{J!r} is not Borel fixed")
 
 
@@ -253,6 +246,16 @@ def borel_closure(num_vars: int, monos) -> MonomialIdeal:
                     seen.add(s)
                     queue.append(s)
     return MonomialIdeal(num_vars, _prefix_minimal_set(seen))
+
+
+def general_section(J: MonomialIdeal, j: int) -> MonomialIdeal:
+    """Gin of a Gin J's scheme cut by a general linear subspace of dimension
+    j < num_vars: restrict x_{j+1}.. to zero, then saturate in x_j, in one
+    step: the generators free of x_{j+1}.., cut to j + 1 exponents with x_j
+    stripped, minimalized by _prefix_minimal_set, which is exact because J
+    is Borel fixed and so is the section.  UnitIdealError if it is empty."""
+    cut = [g[:j + 1] for g in J.min_gens if not any(g[j + 1:])]
+    return MonomialIdeal(j + 1, _prefix_minimal_set(_saturation_gens(cut)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +334,7 @@ def ek_betti(J: MonomialIdeal, codim_marker: int | None = None) -> BettiTable:
     """
     require_borel(J)
     entries = {(0, 0): 1}
-    for (deg, k), count in ek_shapes(J.num_vars, J.min_gens).items():
+    for deg, k, count in ek_shapes(J.num_vars, J.min_gens):
         mx = J.num_vars - k
         for i in range(1, mx + 2):
             key = (i, deg - 1)
@@ -354,28 +357,33 @@ def binom_poly(a: int, k: int) -> int:
     return -c if k & 1 else c
 
 
-def ek_shapes(num_vars: int, gens) -> Counter:
-    """Counts of (deg u, k_u = N - max(u)) over gens: all ek_sum reads."""
-    return Counter((mono_degree(u), num_vars - mono_max_index(u)) for u in gens)
+@lru_cache(maxsize=MEMO_SIZE)
+def ek_shapes(num_vars: int, gens: tuple) -> tuple:
+    """(deg u, k_u = N - max(u), count) triples over gens: all ek_sum and
+    ek_betti read, memoized so that an ideal whose Betti table, Hilbert
+    function and Hilbert polynomial are all read is counted once."""
+    shapes = Counter((mono_degree(u), num_vars - mono_max_index(u)) for u in gens)
+    return tuple((d, k, c) for (d, k), c in shapes.items())
 
 
-def ek_sum(num_vars: int, shapes: Counter, t: int) -> int:
+def ek_sum(num_vars: int, shapes, t: int) -> int:
     """P_S(t) = C(t+N-1, N-1) - sum_{u in S} C(t - deg u + k_u - 1, k_u - 1)
-    over a set S of generators of a Borel-fixed J, given by ek_shapes.
+    over a set S of generators of a Borel-fixed J, given by its ek_shapes
+    triples.
 
     Every monomial of J is uniquely u*v with u a minimal generator and v a
     monomial in x_max(u)..x_{N-1} (Eliahou-Kervaire), so over the generators
     of degree <= t this is HF(R/J, t) for t >= 0, and over all of them it is
     the Hilbert polynomial."""
     return binom_poly(t + num_vars - 1, num_vars - 1) - sum(
-        c * binom_poly(t - d + k - 1, k - 1) for (d, k), c in shapes.items())
+        c * binom_poly(t - d + k - 1, k - 1) for d, k, c in shapes)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _hf(num_vars: int, gens: tuple, t: int) -> int:
     if t < 0:
         return 0
-    low = ek_shapes(num_vars, (u for u in gens if mono_degree(u) <= t))
+    low = [s for s in ek_shapes(num_vars, gens) if s[0] <= t]
     return ek_sum(num_vars, low, t)
 
 

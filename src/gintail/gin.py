@@ -50,12 +50,11 @@ GenericityError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from math import comb
 
 from . import borel
-from .borel import (MonomialIdeal, _prefix_minimal_set, _saturation_gens,
-                    is_borel_fixed)
+from .borel import MonomialIdeal, general_section, is_borel_fixed
 from .errors import GenericityError, NotBorelFixedError
 from .groebner import (HF_CHECK_LIMIT, _complete_intersection_hf, _mix_seed,
                        hilbert_function_rank_oracle, minimal_generators,
@@ -109,12 +108,6 @@ class GinCertificate:
     def saturation_defect(self) -> bool:
         """Some minimal generator of the Gin involves the last variable."""
         return self.gin.saturation_defect
-
-    @cached_property
-    def _sections(self) -> dict:
-        """Section Gins by dimension j, filled by generic_section_gin; not a
-        field, so equality, hashing and repr see the certificate alone."""
-        return {}
 
 
 def compute_gin(I: PolyIdeal, seed: int = 0, trials: int = 2,
@@ -255,22 +248,11 @@ def certificate_for_borel_ideal(J: MonomialIdeal) -> GinCertificate:
 def generic_section_gin(cert: GinCertificate, j: int) -> MonomialIdeal:
     """Gin of the ideal of X cut by a general linear subspace of dimension j,
     read off combinatorially: restrict x_{j+1},..,x_n to zero, then saturate
-    in x_j.  For j = n this is X itself and the Gin is returned unchanged.
-    For j < n both steps are one: the generators free of x_{j+1},..,x_n, cut
-    to their first j + 1 exponents with x_j stripped, of which those with no
-    proper prefix among them are the minimal generators
-    (borel._prefix_minimal_set).  That rule is exact because the Gin is
-    Borel fixed, so each section is too.  An empty section raises
-    UnitIdealError.  Each section is built once per certificate and kept in
-    its tower."""
+    in x_j.  For j = n this is X itself and the Gin is returned unchanged;
+    for j < n it is borel.general_section of the Gin, which raises
+    UnitIdealError on an empty section.  Nothing is kept: each call cuts the
+    section afresh."""
     n = cert.n
     if not 0 <= j <= n:
         raise ValueError(f"section dimension {j} out of range 0..{n}")
-    tower = cert._sections
-    if j not in tower:
-        J = cert.gin
-        if j < n:
-            cut = [g[:j + 1] for g in J.min_gens if not any(g[j + 1:])]
-            J = MonomialIdeal(j + 1, _prefix_minimal_set(_saturation_gens(cut)))
-        tower[j] = J
-    return tower[j]
+    return cert.gin if j == n else general_section(cert.gin, j)

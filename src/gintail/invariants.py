@@ -182,9 +182,12 @@ def h1_restriction_jump(J: MonomialIdeal, d: int) -> int:
     section: the degree-d dimension gap between the restricted ideal and its
     saturation.  When the hyperplane section is empty (the saturation is the
     unit ideal, which happens exactly at the zero-dimensional bottom of the
-    section tower), the saturated side contributes nothing."""
+    section tower), the saturated side contributes nothing.  In one variable
+    it is 0: P^0 has no hyperplane section and no H^1."""
     require_borel(J)
     _require_regularity(J, d)
+    if J.num_vars == 1:
+        return 0
     restricted = J.restrict_last_to_zero()
     try:
         sat_hf = hilbert_function(restricted.saturate_last(), d)

@@ -5,7 +5,8 @@ import pytest
 
 from gintail.borel import (MEMO_SIZE, MonomialIdeal, _hf, _is_borel_fixed,
                            _prefix_minimal_set, binom_poly, borel_closure,
-                           ek_betti, hilbert_function, is_borel_fixed, stratum)
+                           ek_betti, ek_shapes, hilbert_function,
+                           is_borel_fixed, stratum)
 from gintail.errors import NotBorelFixedError, UnitIdealError
 from gintail.ring import MAX_PACKED_DEGREE, mono_max_index
 from oracles import (all_swaps_borel_closure, all_swaps_is_borel_fixed,
@@ -187,6 +188,16 @@ def test_hf_memo_is_bounded():
     assert _hf.cache_info().currsize <= MEMO_SIZE
     # evicted entries are recomputed, not misread
     assert hilbert_function(MonomialIdeal.make(2, [(1, 0)]), 3) == 1
+
+
+def test_ek_shapes_memo_is_bounded():
+    assert ek_shapes.cache_info().maxsize == MEMO_SIZE
+    for k in range(1, MEMO_SIZE + 200):
+        assert ek_betti(MonomialIdeal.make(2, [(k, 0)])).entry(1, k - 1) == 1
+    assert ek_shapes.cache_info().currsize <= MEMO_SIZE
+    # evicted entries are recomputed, not misread
+    assert ek_shapes(2, ((1, 0),)) == ((1, 2, 1),)
+    assert ek_betti(MonomialIdeal.make(2, [(1, 0)])).entries == {(0, 0): 1, (1, 0): 1}
 
 
 def test_prefix_minimal_set_matches_all_pairs_on_borel_sets():
@@ -460,21 +471,21 @@ def test_hf_sum_matches_dense_count_and_betti_route():
     assert kinds == {"zero", "empty", "unsaturated", "saturated"}
 
 
-def test_hilbert_function_checks_an_ideal_once(monkeypatch):
-    # the Borel check is decided once per ideal, not once per degree read;
-    # an ideal that fails it is refused in every degree
-    checked = []
-    monkeypatch.setattr("gintail.borel.is_borel_fixed",
-                        lambda J: checked.append(J) or is_borel_fixed(J))
-    J = MonomialIdeal.make(4, [(2, 0, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0),
-                               (1, 2, 1, 0), (0, 3, 1, 0)])
+def test_hilbert_function_checks_an_ideal_once():
+    # the Borel check is decided once per generator set, not once per degree
+    # read, and not again for an equal ideal built anew; an ideal that fails
+    # it is refused in every degree
+    _is_borel_fixed.cache_clear()
+    gens = [(2, 0, 0, 0), (1, 3, 0, 0), (0, 4, 0, 0), (1, 2, 1, 0), (0, 3, 1, 0)]
+    J = MonomialIdeal.make(4, gens)
     assert [hilbert_function(J, t) for t in range(7)] == [1, 4, 9, 16, 21, 26, 31]
-    assert checked == [J]
+    assert hilbert_function(MonomialIdeal.make(4, gens), 7) == 36
+    assert _is_borel_fixed.cache_info().misses == 1
     K = MonomialIdeal.make(2, [(0, 1)])
     for t in range(3):
         with pytest.raises(NotBorelFixedError):
             hilbert_function(K, t)
-    assert checked == [J, K]
+    assert _is_borel_fixed.cache_info().misses == 2
 
 
 def test_binom_poly_matches_falling_factorial():

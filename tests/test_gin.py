@@ -16,8 +16,10 @@ from gintail.gin import (FIRST_TRIAL_BOUND, MAX_TRIALS, GinCertificate,
 from gintail.groebner import (HF_CHECK_LIMIT, hilbert_function_rank_oracle,
                               saturate_by_general_linear_form)
 from gintail.errors import GenericityError, NotBorelFixedError, UnitIdealError
+from gintail.invariants import scheme_profile
 from gintail.ring import (Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                           apply_linear_change, seeded_full_rank_rows)
+from gintail.tailing import build_tailing_report
 from oracles import fraction_rank, full_change_then_cut, series_quotient_coeffs
 
 R3 = RingCtx(3)
@@ -323,34 +325,36 @@ def test_section_tower_matches_formula(monkeypatch):
     assert nonempty > 600
 
 
-def test_section_tower_builds_each_section_once(monkeypatch):
-    cert = certificate_for_borel_ideal(borel_closure(6, [(0, 1, 2, 0, 0, 0)]))
-    js = [j for j in range(cert.n + 1) if _section_by_formula(cert, j) is not None]
-    assert len(js) == 4
-    built = []
-    minimalize = gin._prefix_minimal_set
+def test_section_tower_is_not_part_of_the_certificate(monkeypatch):
+    # every value holds its fields alone: no certificate keeps a tower of
+    # sections and no ideal keeps its Borel verdict, after the corpus and
+    # the profiles and forced reports of seeded Borel certificates
+    made = []
+    for cls in (GinCertificate, MonomialIdeal):
+        def spy(self, post_init=cls.__post_init__):
+            post_init(self)
+            made.append(self)
 
-    def counting(monos):
-        built.append(monos)
-        return minimalize(monos)
-
-    monkeypatch.setattr(gin, "_prefix_minimal_set", counting)
-    first = [generic_section_gin(cert, j) for j in js]
-    # every section below the top one is minimalized once
-    assert len(built) == len(js) - 1
-    again = [generic_section_gin(cert, j) for j in js]
-    assert len(built) == len(js) - 1
-    assert all(a is b for a, b in zip(first, again))
-
-
-def test_section_tower_is_not_part_of_the_certificate():
-    cert = certificate_for_borel_ideal(borel_closure(5, [(0, 2, 1, 0, 0)]))
-    before = (hash(cert), repr(cert))
-    for j in range(2, cert.n + 1):
-        generic_section_gin(cert, j)
-    assert cert == dataclasses.replace(cert)
-    assert (hash(cert), repr(cert)) == before
-    assert "_sections" not in {f.name for f in dataclasses.fields(cert)}
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    for check in CORPUS.values():
+        assert check().passed
+    own = certificate_for_borel_ideal(borel_closure(5, [(0, 2, 1, 0, 0)]))
+    before = (hash(own), repr(own))
+    reports = 0
+    for cert in [own] + _seeded_borel_certificates(300, 21):
+        try:
+            profile = scheme_profile(cert)
+        except ValueError:      # an empty scheme has no profile
+            continue
+        build_tailing_report(cert, profile, force=True)
+        reports += 1
+    monkeypatch.undo()
+    assert reports > 200
+    assert {type(v) for v in made} == {GinCertificate, MonomialIdeal}
+    for value in made:
+        assert vars(value).keys() == {f.name for f in dataclasses.fields(value)}
+    assert own == dataclasses.replace(own)
+    assert (hash(own), repr(own)) == before
 
 
 def _polynomial_level_section(I: PolyIdeal, seed: int) -> PolyIdeal:

@@ -30,6 +30,16 @@ ONE_VALUE_ALLOWED = {
     ("groebner.py", "saturate_by_general_linear_form", "bound"),
 }
 
+PRIVATE_IMPORTS_ALLOWED = {
+    # the regular-sequence witness compares the Gin with the same
+    # complete-intersection series that Buchberger's Hilbert bound reads
+    ("gin.py", "groebner", "_complete_intersection_hf"),
+    # the trials and the saturation draw their sub-seeds from one mixer
+    ("gin.py", "groebner", "_mix_seed"),
+    # the Macaulay ranks run on the library's one Gaussian elimination
+    ("groebner.py", "ring", "_sparse_pivots"),
+}
+
 
 def public_functions(tree):
     """(qualified name, definition) of each public module-level function and
@@ -70,6 +80,32 @@ def private_definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and private(item.name):
                     yield f"{node.name}.{item.name}", item.name
+
+
+def private_imports(tree):
+    """(module, name) of each private name that the code takes from another
+    module of the package: by from .module import _name, or as module._name
+    off a module bound by from . import module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules.update(a.asname or a.name for a in node.names)
+            else:
+                yield from ((node.module, a.name) for a in node.names
+                            if a.name.startswith("_"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield node.value.id, node.attr
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is its module's own; one that another module needs is
+    # part of the interface, and each exception says why it is not public
+    taken = {(module, *pair) for module, tree in TREES.items()
+             for pair in private_imports(tree)}
+    assert sorted(taken) == sorted(PRIVATE_IMPORTS_ALLOWED)
 
 
 def test_every_private_definition_is_used_in_the_library():

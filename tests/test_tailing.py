@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from gintail.borel import MonomialIdeal, ek_betti
 from gintail.errors import HypothesisError, InternalCheckError
 from gintail.gin import certificate_for_borel_ideal
-from gintail.invariants import hilbert_polynomial, scheme_profile
+from gintail.invariants import (h1_restriction_jump, hilbert_polynomial,
+                                scheme_profile)
 from gintail.tailing import (betti_from_normality, build_tailing_report,
                              cohomology_from_tailing, degree_genus_from_tailing,
                              hilbert_from_tailing, normality_from_betti,
@@ -172,6 +173,19 @@ def test_rigidity_branch(twisted_cubic_cert):
     profile = scheme_profile(twisted_cubic_cert)
     rep = tailing_bounds([0, 0], profile.codim, profile.pd, profile.reg)
     assert rep.mode == "rigidity" and rep.ok
+
+
+def test_projective_space_reports_zero_vectors():
+    # X = P^n (the zero ideal) passes the gate; its bottom section is P^0,
+    # which has no hyperplane section and no H^1, so h ends in 0 there
+    for nv in range(1, 6):
+        cert = certificate_for_borel_ideal(MonomialIdeal(nv, ()))
+        report = build_tailing_report(cert, scheme_profile(cert))
+        assert not report.forced
+        assert report.b == report.h == (0,) * nv
+        assert report.consistent
+        assert report.bounds.mode == "rigidity" and report.bounds.ok
+    assert h1_restriction_jump(MonomialIdeal(1, ()), 2) == 0
 
 
 def test_rigidity_violation_is_internal_error():
