@@ -18,7 +18,7 @@ from .invariants import (HilbertPolynomial, SchemeProfile, depth_pd,
                          regularity, scheme_profile)
 from .ring import (Monomial, Polynomial, PolyIdeal, PrimeField, QQ, RingCtx,
                    apply_linear_change)
-from .tailing import (TailingReport, XiMatrix, betti_from_normality,
+from .tailing import (TailingReport, betti_from_normality,
                       build_tailing_report, cohomology_from_tailing,
                       degree_genus_from_tailing, hilbert_from_tailing,
                       normality_from_betti, sectional_normality,

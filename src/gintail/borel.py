@@ -142,10 +142,6 @@ class MonomialIdeal:
     def make(cls, num_vars: int, monos) -> "MonomialIdeal":
         return cls(num_vars, _minimal_set(num_vars, monos))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.min_gens
-
     def gens_of_degree(self, d: int) -> tuple:
         return tuple(g for g in self.min_gens if mono_degree(g) == d)
 

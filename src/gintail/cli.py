@@ -321,7 +321,7 @@ def _tailing_dict(rep) -> dict:
     bounds, structure = rep.bounds, rep.structure
     return {
         "n": rep.n, "e": rep.e, "b": list(rep.b), "h": list(rep.h),
-        "xi": [list(row) for row in xi_matrix(rep.n, rep.e).rows],
+        "xi": [list(row) for row in xi_matrix(rep.n, rep.e)],
         "consistent": rep.consistent,
         "degree": dg.degree, "p_a": dg.p_a, "q": dg.q,
         "sectional_genus": dg.sectional_genus,
@@ -557,6 +557,9 @@ def _vector_tailing(args) -> int:
         raise ParseError(f"{', '.join(stray)} apply only to ideal-file mode")
     if args.n is None or args.e is None:
         raise ParseError("published-vector mode needs --n and --e")
+    if args.n > MAX_VARIABLES - 1:
+        raise ParseError(f"--n {args.n} is larger than {MAX_VARIABLES - 1}: "
+                         f"P^n has n + 1 variables, at most {MAX_VARIABLES}")
     if args.pd is not None and not args.e <= args.pd <= args.n + 1:
         raise ParseError(f"--pd must lie in e..n+1 = {args.e}..{args.n + 1}")
     b, h = _read_vector("b", args.b), _read_vector("h", args.h)

@@ -344,13 +344,12 @@ class Polynomial:
     """Immutable sparse polynomial in canonical form: terms sorted descending
     in grevlex, no zero coefficients stored."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: RingCtx, terms):
         # terms must already be canonical; use from_dict otherwise
         self.ring = ring
         self.terms = tuple(terms)
-        self._hash = None
 
     @classmethod
     def from_dict(cls, ring: RingCtx, d: dict) -> "Polynomial":
@@ -430,9 +429,7 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.terms))
-        return self._hash
+        return hash((self.ring, self.terms))
 
     def __str__(self):
         if not self.terms:

@@ -31,54 +31,50 @@ from .ring import mono_max_index, mono_mul
 # the binomial transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XiMatrix:
-    """Unit upper-triangular binomial matrix of size (n-e+1)."""
-
-    n: int
-    e: int
-    rows: tuple
-
-    @property
-    def size(self) -> int:
-        return self.n - self.e + 1
-
-    def apply(self, vec) -> list:
-        if len(vec) != self.size:
-            raise ValueError(f"vector length {len(vec)} != matrix size {self.size}")
-        return [sum(r * v for r, v in zip(row, vec)) for row in self.rows]
-
-
-def xi_matrix(n: int, e: int) -> XiMatrix:
+def _size(n: int, e: int) -> int:
+    """n - e + 1, the length of a tailing vector, once 0 <= e <= n holds."""
     if not 0 <= e <= n:
         raise ValueError(f"need 0 <= e <= n, got e={e}, n={n}")
-    size = n - e + 1
-    rows = tuple(tuple(comb(e + c, e + r) if c >= r else 0 for c in range(size))
+    return n - e + 1
+
+
+def _vector(vec, n: int, e: int) -> list:
+    """vec as a list, refused unless its length is n - e + 1.  Every function
+    that takes a tailing vector calls it before it builds any binomial."""
+    vec = list(vec)
+    if len(vec) != _size(n, e):
+        raise ValueError(f"vector length {len(vec)} != n-e+1 = {n - e + 1}")
+    return vec
+
+
+def xi_matrix(n: int, e: int) -> tuple:
+    """The rows of the unit upper-triangular binomial matrix Xi(n,e)."""
+    size = _size(n, e)
+    return tuple(tuple(comb(e + c, e + r) if c >= r else 0 for c in range(size))
                  for r in range(size))
-    return XiMatrix(n, e, rows)
 
 
-def xi_inverse(n: int, e: int) -> XiMatrix:
-    if not 0 <= e <= n:
-        raise ValueError(f"need 0 <= e <= n, got e={e}, n={n}")
-    size = n - e + 1
-    rows = tuple(
+def xi_inverse(n: int, e: int) -> tuple:
+    """The rows of Xi(n,e)^{-1}, by its own closed form."""
+    size = _size(n, e)
+    return tuple(
         tuple((-1) ** (c - r) * comb(e + c, e + r) if c >= r else 0
               for c in range(size))
         for r in range(size))
-    return XiMatrix(n, e, rows)
 
 
 def betti_from_normality(h, n: int, e: int) -> list:
     """b = Xi(n,e) . h."""
-    return xi_matrix(n, e).apply(list(h))
+    h = _vector(h, n, e)
+    return [sum(x * v for x, v in zip(row, h)) for row in xi_matrix(n, e)]
 
 
 def normality_from_betti(b, n: int, e: int) -> list:
     """h = Xi(n,e)^{-1} . b.  Entries can come out negative on vectors that do
     not arise from the theorem's hypotheses; they are returned raw so the
     caller can flag them."""
-    return xi_inverse(n, e).apply(list(b))
+    b = _vector(b, n, e)
+    return [sum(x * v for x, v in zip(row, b)) for row in xi_inverse(n, e)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +170,8 @@ def hilbert_from_tailing(b, n: int, e: int) -> HilbertPolynomial:
     recorded by callers, not verified here); the leading coefficient is the
     degree formula and the lower ones telescope down the section tower.
     """
+    b = _vector(b, n, e)
     r = n - e
-    if len(b) != r + 1:
-        raise ValueError(f"b must have length {r + 1}")
 
     def beta(j):
         return b[j - e]
@@ -211,6 +206,7 @@ class CohomologyBounds:
 
 
 def cohomology_from_tailing(b, n: int, e: int) -> CohomologyBounds:
+    b = _vector(b, n, e)
     h1 = b[-1]
     h2 = b[-2] - (n + 1) * b[-1] if len(b) >= 2 else None
     lower = upper = None
@@ -234,18 +230,18 @@ class BoundsReport:
     violations: tuple
 
 
-def tailing_bounds(b, e: int, pd: int, reg: int | None = None,
-                   certified: bool = True) -> BoundsReport:
+def tailing_bounds(b, e: int, pd: int, reg: int | None = None) -> BoundsReport:
     """Rigidity / lower-bound check: a vanishing first tailing entry forces
     2-regularity, and otherwise every entry b holds up to the projective
     dimension is compared against C(pd+1, i+1).
 
-    A rigidity failure on certified input is a library bug and raises.  A
-    lower-bound shortfall is only recorded: the bound presumes every section
-    level up to pd keeps a nonzero 1-normality, and non-reduced subschemes
-    can break that even with 3-regularity and ND(1) intact -- e.g. the double
-    line with an embedded point cut out by x0^2*(x0, x1) in three variables
-    has b = (2, 1) and pd = 2, under the claimed floor C(3, 2) = 3.
+    Every violation is recorded, never raised: build_tailing_report raises
+    on a rigidity failure of certified input.  A lower-bound shortfall can
+    be honest: the bound presumes every section level up to pd keeps a
+    nonzero 1-normality, and non-reduced subschemes can break that even
+    with 3-regularity and ND(1) intact -- e.g. the double line with an
+    embedded point cut out by x0^2*(x0, x1) in three variables has
+    b = (2, 1) and pd = 2, under the claimed floor C(3, 2) = 3.
 
     A projective dimension below the codimension e is impossible and raises
     a ValueError, instead of a vacuous pass that compared nothing.
@@ -254,13 +250,9 @@ def tailing_bounds(b, e: int, pd: int, reg: int | None = None,
         raise ValueError(f"projective dimension {pd} is below the codimension {e}")
     violations = []
     if b[0] == 0:
-        ok = reg is None or reg <= 2
-        if not ok:
-            msg = (f"beta_(e,2) = 0 but regularity is {reg}; "
-                   "rigidity of 2-regularity violated")
-            if certified:
-                raise InternalCheckError(msg)
-            violations.append(msg)
+        if reg is not None and reg > 2:
+            violations.append(f"beta_(e,2) = 0 but regularity is {reg}; "
+                              "rigidity of 2-regularity violated")
         return BoundsReport("rigidity", not violations, (), tuple(violations))
     details = []
     # only the indices b holds: pd can reach n + 1 on unsaturated input
@@ -283,9 +275,6 @@ class StructureVerdict:
     passed: bool
     r: int                     # number of top-stratum degree-3 generators
     failures: tuple
-
-    def __bool__(self):
-        return self.passed
 
 
 def structure_check(cert: GinCertificate, profile: SchemeProfile,
@@ -395,7 +384,12 @@ class TailingReport:
 def build_tailing_report(cert: GinCertificate, profile: SchemeProfile,
                          force: bool = False) -> TailingReport:
     """End-to-end tailing analysis of a certified Gin, with its profile from
-    invariants.scheme_profile."""
+    invariants.scheme_profile.
+
+    On input that meets every hypothesis, three findings are library bugs
+    and raise InternalCheckError: b != Xi.h, a rigidity violation, and a
+    failed generator structure check.  On input that force lets past a
+    broken hypothesis, they are recorded in the report instead."""
     broken = _gate(cert, profile, force)
     warnings = list(cert.warnings)
     if broken:
@@ -415,7 +409,10 @@ def build_tailing_report(cert: GinCertificate, profile: SchemeProfile,
         b, n, e, warnings, "h3 bounds inverted: the cohomology readings "
                            "presume a connected algebraic set")
     hilbert_match = reconstructed.chis == profile.hilbert.chis
-    bounds = tailing_bounds(b, e, profile.pd, profile.reg, certified=not broken)
+    bounds = tailing_bounds(b, e, profile.pd, profile.reg)
+    if not bounds.ok and bounds.mode == "rigidity" and not broken:
+        raise InternalCheckError(
+            "; ".join(bounds.violations) + " on certified input")
     if not bounds.ok and bounds.mode == "bounds":
         warnings.append("tailing lower bounds not met at some index; the "
                         "bound can fail for non-reduced subschemes even "
@@ -438,7 +435,6 @@ def vector_report(n: int, e: int, b=None, h=None,
     exactly one of b, h must be given; the other is derived through Xi."""
     if (b is None) == (h is None):
         raise ValueError("give exactly one of b, h")
-    size = n - e + 1
     warnings = []
     if b is None:
         h = list(h)
@@ -449,12 +445,10 @@ def vector_report(n: int, e: int, b=None, h=None,
         if any(v < 0 for v in h):
             warnings.append("derived h vector has negative entries: input b "
                             "does not satisfy the theorem's hypotheses")
-    if len(b) != size:
-        raise ValueError(f"vector length must be n-e+1 = {size}")
     reconstructed, dg, coh = _readings(
         b, n, e, warnings, "h3 lower bound exceeds upper bound: input outside "
                            "theorem hypotheses")
-    bounds = tailing_bounds(b, e, pd, None, certified=False) if pd is not None else None
+    bounds = tailing_bounds(b, e, pd) if pd is not None else None
     return TailingReport(
         n=n, e=e, b=tuple(b), h=tuple(h), consistent=True,
         reconstructed=reconstructed, degree_genus=dg, cohomology=coh,

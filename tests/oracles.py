@@ -413,7 +413,7 @@ def random_nd1_borel_ideals(count: int, seed: int = 0):
         if attempts > 200 * count:
             raise GintailError("random Borel generation is starving; bad filter?")
         J = random_borel_ideal(rng)
-        if J.is_zero or J.max_gen_degree() > 3:
+        if not J.min_gens or J.max_gen_degree() > 3:
             continue
         if any(sum(g) == 1 for g in J.min_gens):
             continue

@@ -110,7 +110,7 @@ def test_unit_ideal_rejected():
 
 def test_zero_ideal_flagged():
     J = MonomialIdeal.make(3, [])
-    assert J.is_zero and hilbert_function(J, 2) == 6
+    assert not J.min_gens and hilbert_function(J, 2) == 6
 
 
 # --- Borel-fixed property ----------------------------------------------------
@@ -276,7 +276,7 @@ def test_saturate_last_matches_brute_force_colon():
     rng = random.Random(5)
     for _ in range(20):
         J = random_borel(rng, nv_max=4)
-        if J.is_zero:
+        if not J.min_gens:
             continue
         top = J.max_gen_degree()
         try:
@@ -317,7 +317,7 @@ def test_restrict_and_saturate_preserve_borel():
     rng = random.Random(7)
     for _ in range(30):
         J = random_borel(rng)
-        if J.is_zero:
+        if not J.min_gens:
             continue
         assert is_borel_fixed(J.restrict_last_to_zero())
         try:
@@ -379,7 +379,7 @@ def test_ek_support_bound():
     rng = random.Random(21)
     for _ in range(20):
         J = random_borel(rng)
-        if J.is_zero:
+        if not J.min_gens:
             continue
         t = ek_betti(J)
         pd = 1 + J.max_gen_index()
@@ -460,7 +460,7 @@ def test_hf_sum_matches_dense_count_and_betti_route():
     for J in cases:
         nv = J.num_vars
         reg = J.max_gen_degree()
-        kinds.add("zero" if J.is_zero else
+        kinds.add("zero" if not J.min_gens else
                   "empty" if in_monomial_ideal((0,) * (nv - 1) + (reg,), J) else
                   "unsaturated" if J.max_gen_index() == nv - 1 else "saturated")
         table = ek_betti(J)
@@ -510,7 +510,7 @@ def test_ek_alternating_sum_consistency():
     rng = random.Random(23)
     for _ in range(25):
         J = random_borel(rng)
-        if J.is_zero:
+        if not J.min_gens:
             continue
         table = ek_betti(J)
         for t in range(J.max_gen_degree() + 4):
@@ -567,7 +567,7 @@ def test_swap_lemma_and_remark_over_200_instances():
     remark_hits = 0
     while instances < 220:
         J = random_borel(rng)
-        if J.is_zero:
+        if not J.min_gens:
             continue
         instances += 1
         lemma_hits += _check_swap_lemma(J)

@@ -581,6 +581,22 @@ def test_vector_entries_must_be_integers(capsys, flag, vector):
     assert f"{flag} entry" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,code,seconds", [(1500, 2, 1), (64, 2, 1), (63, 0, 2)])
+def test_vector_mode_n_is_bounded_by_the_variable_limit(tmp_path, capsys, n,
+                                                        code, seconds):
+    # P^n has n + 1 variables: the bound a file's ring line has.  Past it
+    # Xi alone has (n + 1)^2 entries, built three times and printed once
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert run_cli("tailing", "--h", ",".join(["1"] * (n + 1)), "--n", str(n),
+                   "--e", "0", "--format", "json", "--out", str(out)) == code
+    assert time.perf_counter() - start < seconds
+    if code:
+        assert f"--n {n} is larger than 63" in capsys.readouterr().err
+    else:
+        assert len(json.loads(out.read_text())["tailing"]["xi"]) == 64
+
+
 def test_vector_entries_may_be_negative(tmp_path):
     out = tmp_path / "r.json"
     assert run_cli("tailing", "--b=-40,4", "--n", "9", "--e", "8",

@@ -79,6 +79,15 @@ def test_canonical_form_sorted_descending_no_zeros():
     assert [m for m, _ in f.terms] == [(2, 0, 0, 0), (0, 0, 0, 2)]
 
 
+def test_hashing_leaves_a_polynomial_as_it_was_built():
+    f = P(R4, {(1, 0, 0, 0): 2, (0, 1, 0, 0): -3})
+    g = P(R4, {(0, 1, 0, 0): -3, (1, 0, 0, 0): 2})
+    assert hash(f) == hash(g) == hash((R4, f.terms))
+    held = {name: getattr(f, name) for name in Polynomial.__slots__
+            if hasattr(f, name)}
+    assert held == {"ring": R4, "terms": f.terms}
+
+
 def small_polys(ring, max_terms=4):
     return st.dictionaries(monos(ring.num_vars, 2), st.integers(-5, 5),
                            max_size=max_terms).map(

@@ -1,8 +1,10 @@
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gintail import tailing
 from gintail.borel import MonomialIdeal, ek_betti
 from gintail.errors import HypothesisError, InternalCheckError
 from gintail.gin import certificate_for_borel_ideal
@@ -20,9 +22,9 @@ from oracles import point_section_h1, random_nd1_borel_ideals
 # --- Xi matrices -------------------------------------------------------------
 
 def test_xi_examples():
-    assert xi_matrix(9, 8).rows == ((1, 9), (0, 1))
-    assert xi_inverse(10, 5).rows[0] == (1, -6, 21, -56, 126, -252)
-    assert xi_matrix(4, 4).rows == ((1,),)
+    assert xi_matrix(9, 8) == ((1, 9), (0, 1))
+    assert xi_inverse(10, 5)[0] == (1, -6, 21, -56, 126, -252)
+    assert xi_matrix(4, 4) == ((1,),)
     with pytest.raises(ValueError):
         xi_matrix(3, 4)
 
@@ -31,8 +33,8 @@ def test_xi_product_identity_all_sizes():
     for n in range(17):
         for e in range(n + 1):
             size = n - e + 1
-            A = xi_matrix(n, e).rows
-            B = xi_inverse(n, e).rows
+            A = xi_matrix(n, e)
+            B = xi_inverse(n, e)
             prod = [[sum(A[i][k] * B[k][j] for k in range(size))
                      for j in range(size)] for i in range(size)]
             assert prod == [[1 if i == j else 0 for j in range(size)]
@@ -58,6 +60,19 @@ def test_transform_published_vectors():
 def test_vector_length_checked():
     with pytest.raises(ValueError):
         betti_from_normality([1, 2, 3], 9, 8)
+
+
+@pytest.mark.parametrize("entry", [
+    betti_from_normality, normality_from_betti, hilbert_from_tailing,
+    cohomology_from_tailing, lambda b, n, e: vector_report(n, e, b=b),
+    lambda h, n, e: vector_report(n, e, h=h)],
+    ids=["betti", "normality", "hilbert", "cohomology", "report_b", "report_h"])
+def test_vector_length_checked_before_any_binomial(entry):
+    # Xi(1000, 0) has a million entries: the length is refused first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="vector length 1 != n-e\\+1 = 1001"):
+        entry([1], 1000, 0)
+    assert time.perf_counter() - start < 0.5
 
 
 # --- the two vectors from a Gin ----------------------------------------------
@@ -189,16 +204,31 @@ def test_projective_space_reports_zero_vectors():
 
 
 def test_rigidity_violation_is_internal_error():
-    with pytest.raises(InternalCheckError):
-        tailing_bounds([0, 0], e=2, pd=3, reg=3, certified=True)
-    rep = tailing_bounds([0, 0], e=2, pd=3, reg=3, certified=False)
-    assert not rep.ok
+    # tailing_bounds records the violation; build_tailing_report raises it
+    # on certified input (test_report_raises_a_rigidity_violation_unless_forced)
+    rep = tailing_bounds([0, 0], e=2, pd=3, reg=3)
+    assert rep.mode == "rigidity" and not rep.ok
+    assert rep.violations == ("beta_(e,2) = 0 but regularity is 3; "
+                              "rigidity of 2-regularity violated",)
+
+
+def test_report_raises_a_rigidity_violation_unless_forced(monkeypatch,
+                                                          five_lines_cert):
+    planted = tailing.BoundsReport("rigidity", False, (), ("planted",))
+    monkeypatch.setattr(tailing, "tailing_bounds", lambda *args: planted)
+    with pytest.raises(InternalCheckError, match="planted on certified input"):
+        build_tailing_report(five_lines_cert, scheme_profile(five_lines_cert))
+    # x0*(x0, x1, x2) is not saturated, so only force lets it through
+    J = MonomialIdeal.make(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1)])
+    cert = certificate_for_borel_ideal(J)
+    rep = build_tailing_report(cert, scheme_profile(cert), force=True)
+    assert rep.forced and rep.bounds is planted
 
 
 def test_bounds_stop_at_the_last_index_b_holds():
     # pd = n + 1 on unsaturated input: C(pd+1, i+1) is compared only for
     # the indices e..n that b has entries for
-    rep = tailing_bounds([5, 1], e=2, pd=4, certified=False)
+    rep = tailing_bounds([5, 1], e=2, pd=4)
     assert [(i, bound, value) for i, bound, value, _ in rep.details] == \
         [(2, 10, 5), (3, 5, 1)]
 
@@ -212,7 +242,7 @@ def test_bounds_reject_pd_below_codimension():
 
 
 def test_bound_violation_recorded_not_raised():
-    rep = tailing_bounds([1, 1], e=2, pd=3, certified=True)
+    rep = tailing_bounds([1, 1], e=2, pd=3)
     assert not rep.ok and rep.violations
 
 
